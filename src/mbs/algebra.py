@@ -6,6 +6,13 @@ boundary circle, and one 2-cell per region.  The 2-cell of a region with
 attached boundary circles contributes ``sign * wrapping`` to the loop of
 each locus it meets (plus ``2 x_m`` per crosscap when non-orientable), so
 the boundary matrices stay linear in the size of the surface.
+
+Homology needs a Smith normal form of ``d2`` only.  ``d1`` is the signed
+incidence matrix of the region-locus graph (the tethers are its edges); it
+is totally unimodular, so it adds no torsion and its rank is ``vertices -
+components``.  Only locus-loop, crosscap and free-loop rows of ``d2`` can be
+non-zero, and zero rows change neither rank nor invariant factors, so they
+are dropped before the reduction.
 """
 
 from __future__ import annotations
@@ -13,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ModeError
-from .model import MultibranchedSurface, ValidityMode, euler_characteristic
+from .model import (
+    MultibranchedSurface,
+    ValidityMode,
+    connected_components,
+    euler_characteristic,
+)
 
 
 @dataclass(frozen=True)
@@ -34,11 +46,6 @@ class IntegerMatrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "IntegerMatrix":
         return IntegerMatrix(tuple((0,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                   for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -64,13 +71,6 @@ class IntegerMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
-
-    def to_text(self) -> str:
-        """Row-major plain-text debug format."""
-        if not self.entries:
-            return "(empty)"
-        w = max(len(str(x)) for row in self.entries for x in row)
-        return "\n".join(" ".join(str(x).rjust(w) for x in row) for row in self.entries)
 
 
 @dataclass(frozen=True)
@@ -294,18 +294,22 @@ class HomologyProfile:
 
 
 def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
-    """Integral homology of the complex computed via Smith normal form."""
+    """Integral homology of the complex.
+
+    ``d1`` is a graph incidence matrix, so its rank is ``n0`` minus the
+    component count and it adds no torsion.  Only the non-zero rows of
+    ``d2`` go through the Smith normal form; zero rows change neither its
+    rank nor its invariant factors.
+    """
     cx = build_chain_complex(surface)
     n0, n1, n2 = len(cx.zero_cells), len(cx.one_cells), len(cx.two_cells)
-    snf1 = smith_normal_form(cx.d1)
-    snf2 = smith_normal_form(cx.d2)
-    r1, r2 = snf1.rank, snf2.rank
-    torsion0 = tuple(d for d in snf1.invariant_factors if d > 1)
+    r1 = n0 - connected_components(surface)
+    snf2 = smith_normal_form(
+        IntegerMatrix.from_rows([row for row in cx.d2.entries if any(row)]))
+    r2 = snf2.rank
     torsion1 = tuple(d for d in snf2.invariant_factors if d > 1)
-    if torsion0:  # pragma: no cover - graph incidence matrices are unimodular
-        raise AssertionError(f"unexpected torsion in H0: {torsion0}")
     betti = (n0 - r1, (n1 - r1) - r2, n2 - r2)
-    return HomologyProfile(betti=betti, torsion=(torsion0, torsion1, ()))
+    return HomologyProfile(betti=betti, torsion=((), torsion1, ()))
 
 
 @dataclass(frozen=True)

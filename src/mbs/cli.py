@@ -23,8 +23,14 @@ from .fixtures import build_fixture, random_surface
 from .isomorphism import SymmetryMode, are_isomorphic, canonical_hash
 from .minors import enumerate_reductions, is_minor, obstruction_screen
 from .model import ValidityMode, connected_components, validate
-from .moves import enumerate_ix, enumerate_xi, maximally_spread
-from .search import Found, InvariantMismatch, SearchBudget, search_equivalence
+from .moves import apply_move, enumerate_ix, enumerate_xi, maximally_spread
+from .search import (
+    Found,
+    InvariantMismatch,
+    SearchBudget,
+    random_walk,
+    search_equivalence,
+)
 
 OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
 
@@ -33,10 +39,14 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _symmetry(name: str) -> SymmetryMode:
-    return {"rotational": SymmetryMode.ROTATIONAL,
-            "mirror": SymmetryMode.MIRROR,
-            "dihedral": SymmetryMode.DIHEDRAL_PER_LOCUS}[name]
+def _load(path):
+    """Parse a surface file; refuse it unless every model check passes."""
+    surface = io.load(path)
+    issues = validate(surface)
+    if issues:
+        raise MbsError(f"{path} is not a valid surface: "
+                       + "; ".join(str(v) for v in issues))
+    return surface
 
 
 def _budget(args) -> SearchBudget:
@@ -86,7 +96,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    surface = io.load(args.file)
+    surface = _load(args.file)
     strict = surface.mode is ValidityMode.STRICT
     payload = {
         "command": "invariants",
@@ -94,7 +104,7 @@ def _cmd_invariants(args) -> int:
         "connected_components": connected_components(surface),
         "cell_count": surface.cell_count,
         "homology": _homology_payload(surface),
-        "canonical_hash": canonical_hash(surface, _symmetry(args.symmetry)),
+        "canonical_hash": canonical_hash(surface, SymmetryMode(args.symmetry)),
     }
     if strict:
         d = decomposition_summary(surface)
@@ -110,7 +120,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_moves_list(args) -> int:
-    surface = io.load(args.file)
+    surface = _load(args.file)
     xi = []
     for locus in sorted(surface.loci, key=lambda l: l.id):
         xi += [io.move_to_document(c) for c in enumerate_xi(surface, locus.id)]
@@ -121,21 +131,19 @@ def _cmd_moves_list(args) -> int:
 
 
 def _cmd_moves_apply(args) -> int:
-    surface = io.load(args.file)
+    surface = _load(args.file)
     try:
         doc = json.loads(args.move)
     except json.JSONDecodeError as exc:
         raise SchemaError(exc.msg, line=exc.lineno, column=exc.colno) from None
     move = io.document_to_move(doc)
-    from .moves import apply_move
-
     result = apply_move(surface, move)
     _emit(io.surface_to_document(result))
     return OK
 
 
 def _cmd_normalize(args) -> int:
-    surface = io.load(args.file)
+    surface = _load(args.file)
     result, record = maximally_spread(surface, policy=args.policy)
     _emit({"command": "normalize",
            "surface": io.surface_to_document(result),
@@ -145,9 +153,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    x = io.load(args.file_a)
-    y = io.load(args.file_b)
-    mode = _symmetry(args.symmetry)
+    x = _load(args.file_a)
+    y = _load(args.file_b)
+    mode = SymmetryMode(args.symmetry)
     cert = are_isomorphic(x, y, mode)
     _emit({"command": "iso", "symmetry": mode.value,
            "isomorphic": cert is not None,
@@ -156,9 +164,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    x = io.load(args.file_a)
-    y = io.load(args.file_b)
-    outcome = search_equivalence(x, y, _budget(args), _symmetry(args.symmetry))
+    x = _load(args.file_a)
+    y = _load(args.file_b)
+    outcome = search_equivalence(x, y, _budget(args), SymmetryMode(args.symmetry))
     if isinstance(outcome, Found):
         _emit({"command": "equiv", "outcome": "found",
                "moves": len(outcome.record),
@@ -173,9 +181,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    x = io.load(args.file_a)
-    y = io.load(args.file_b)
-    outcome = is_minor(x, y, _budget(args), _symmetry(args.symmetry))
+    x = _load(args.file_a)
+    y = _load(args.file_b)
+    outcome = is_minor(x, y, _budget(args), SymmetryMode(args.symmetry))
     if outcome.found:
         steps = [{"op": type(s).__name__, "region": s.region_id}
                  for s in outcome.sequence]
@@ -189,7 +197,7 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    surface = io.load(args.file)
+    surface = _load(args.file)
     flags = obstruction_screen(surface)
     reductions = enumerate_reductions(surface) \
         if surface.mode is ValidityMode.MINOR else None
@@ -219,8 +227,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rand(args) -> int:
-    mode = ValidityMode(args.mode) if args.mode else ValidityMode.STRICT
-    surface = random_surface(args.seed, args.size, mode)
+    surface = random_surface(args.seed, args.size, ValidityMode(args.mode))
+    if args.length:
+        surface, _ = random_walk(surface, args.seed, args.length)
     _emit(io.surface_to_document(surface))
     return OK
 
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--length", type=int, default=0,
                    help="optional random walk length applied after generation")
-    p.add_argument("--mode", choices=("strict", "minor"))
+    p.add_argument("--mode", choices=("strict", "minor"), default="strict")
     p.set_defaults(func=_cmd_rand)
 
     return parser
@@ -304,14 +313,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code else OK
     try:
-        if args.command == "rand" and args.length:
-            mode = ValidityMode(args.mode) if args.mode else ValidityMode.STRICT
-            from .search import random_walk
-
-            surface = random_surface(args.seed, args.size, mode)
-            walked, _ = random_walk(surface, args.seed, args.length)
-            _emit(io.surface_to_document(walked))
-            return OK
         return args.func(args)
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")

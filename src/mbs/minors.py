@@ -19,15 +19,13 @@ import math
 import time
 from dataclasses import dataclass
 
-from .algebra import homology_profile
 from .errors import IneligibleMoveError, ModeError
-from .isomorphism import SymmetryMode, are_isomorphic, canonical_form
+from .isomorphism import SymmetryMode, canonical_form
 from .model import (
     BranchLocus,
     MultibranchedSurface,
     ValidityMode,
     classify_region,
-    euler_characteristic,
 )
 from .moves import IX_ELIGIBLE, _splice
 from .search import SearchBudget
@@ -139,10 +137,11 @@ def less_than(x: MultibranchedSurface, y: MultibranchedSurface,
     _require_minor(x)
     _require_minor(y)
     deadline = time.monotonic() + budget.time_limit
+    target = canonical_form(x, mode).data
     for step in enumerate_reductions(y):
         if time.monotonic() > deadline:
             return None
-        if are_isomorphic(apply_reduction(y, step), x, mode) is not None:
+        if canonical_form(apply_reduction(y, step), mode).data == target:
             return (step,)
     return None
 
@@ -152,18 +151,14 @@ def tilde_equivalent(x: MultibranchedSurface, y: MultibranchedSurface,
                      mode: SymmetryMode = SymmetryMode.MIRROR) -> bool:
     """Equivalence through single steps in both directions.
 
-    Isomorphic surfaces are equivalent.  Because every reduction strictly
-    shrinks ``regions + loci``, mutually related non-isomorphic surfaces
-    cannot exist; the two-sided check is kept for fidelity to the relation's
-    definition.  False means "not shown equivalent within budget".
+    Every reduction strictly shrinks ``regions + loci``, so mutually related
+    non-isomorphic surfaces cannot exist and the relation is isomorphism of
+    minor-mode surfaces.  ``budget`` is accepted for symmetry with
+    :func:`less_than` and is not needed.
     """
-    if are_isomorphic(x, y, mode) is not None:
-        return True
-    if euler_characteristic(x) != euler_characteristic(y) \
-            or homology_profile(x) != homology_profile(y):
-        return False
-    return (less_than(x, y, budget, mode) is not None
-            and less_than(y, x, budget, mode) is not None)
+    _require_minor(x)
+    _require_minor(y)
+    return canonical_form(x, mode).data == canonical_form(y, mode).data
 
 
 def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
@@ -176,12 +171,12 @@ def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
     deadline = time.monotonic() + budget.time_limit
     target_size = len(x.regions) + len(x.loci)
 
+    target = canonical_form(x, mode).data
     start_key = canonical_form(y, mode).data
+    if start_key == target:
+        return MinorOutcome((), True)
     seen = {start_key}
     frontier = [(y, ())]
-    complete = True
-    if are_isomorphic(y, x, mode) is not None:
-        return MinorOutcome((), True)
     while frontier:
         next_frontier = []
         for surface, steps in frontier:
@@ -196,11 +191,11 @@ def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
                     continue
                 seen.add(key)
                 chain = steps + (step,)
-                if are_isomorphic(after, x, mode) is not None:
+                if key == target:
                     return MinorOutcome(chain, True)
                 next_frontier.append((after, chain))
         frontier = next_frontier
-    return MinorOutcome(None, complete)
+    return MinorOutcome(None, True)
 
 
 def obstruction_screen(surface: MultibranchedSurface) -> ObstructionFlags:

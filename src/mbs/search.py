@@ -191,10 +191,6 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     side_x, side_y = _Side(x), _Side(y)
     counter = [2]
     meet = None
-    start_y = canonical_form(y, SymmetryMode.ROTATIONAL).data
-    if canonical_form(x, SymmetryMode.ROTATIONAL).data == start_y:
-        meet = start_y
-
     exhausted = False
     while meet is None and not exhausted:
         if not side_x.frontier and not side_y.frontier:

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -15,6 +16,7 @@ from mbs import (
     closed_surface,
     connected_components,
     decomposition_summary,
+    disjoint_union,
     euler_characteristic,
     homology_profile,
     random_surface,
@@ -36,8 +38,8 @@ def matrix_as_dict(cx):
 
 
 def test_snf_identity():
-    dec = smith_normal_form(IntegerMatrix.identity(3))
-    assert dec.S == IntegerMatrix.identity(3)
+    identity = IntegerMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert smith_normal_form(identity).S == identity
 
 
 def test_snf_small_example():
@@ -196,6 +198,37 @@ def test_boundary_euler(theta3, qn):
         boundary_euler(theta3.in_mode(ValidityMode.MINOR))
 
 
-def test_matrix_debug_format():
-    m = IntegerMatrix.from_rows([[1, -2], [30, 4]])
-    assert m.to_text() == " 1 -2\n30  4"
+def test_d1_rank_is_vertices_minus_components():
+    # homology_profile takes rank d1 from this identity instead of an SNF
+    for seed in range(1, 201):
+        surface = random_surface(seed, 3 + seed % 28)
+        cx = build_chain_complex(surface)
+        assert smith_normal_form(cx.d1).rank == \
+            len(cx.zero_cells) - connected_components(surface)
+
+
+@pytest.mark.parametrize("pieces", [5, 10, 20])
+def test_homology_matches_sympy_on_unions(pieces):
+    """The reduced computation against sympy's invariant factors of the full
+    ``d1`` and ``d2``, on unions too large for the minors oracle."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    def factors(m):
+        return [int(f) for f in invariant_factors(Matrix(m.entries), domain=ZZ)
+                if f != 0]
+
+    rng = random.Random(f"union/{pieces}")
+    surface = reduce(
+        lambda acc, i: disjoint_union(
+            acc, random_surface(rng.randrange(10**6), 25), ("", f"p{i}.")),
+        range(1, pieces), random_surface(rng.randrange(10**6), 25))
+    cx = build_chain_complex(surface)
+    f1, f2 = factors(cx.d1), factors(cx.d2)
+    r1, r2 = len(f1), len(f2)
+    n0, n1, n2 = len(cx.zero_cells), len(cx.one_cells), len(cx.two_cells)
+    profile = homology_profile(surface)
+    assert all(abs(f) == 1 for f in f1)
+    assert profile.betti == (n0 - r1, n1 - r1 - r2, n2 - r2)
+    assert profile.torsion == ((), tuple(abs(f) for f in f2 if abs(f) > 1), ())

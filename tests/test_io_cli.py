@@ -288,6 +288,39 @@ def test_cli_schema_error_exit(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+DANGLING_COMMANDS = [
+    ("validate", "FILE"),
+    ("invariants", "FILE"),
+    ("moves", "list", "FILE"),
+    ("moves", "apply", "FILE", '{"move": "ix", "region": "r1", "kind": "normal_annulus"}'),
+    ("normalize", "FILE"),
+    ("iso", "FILE", "FILE"),
+    ("equiv", "FILE", "FILE"),
+    ("minor", "FILE", "FILE"),
+    ("screen", "FILE"),
+]
+
+
+@pytest.mark.parametrize("argv", DANGLING_COMMANDS,
+                         ids=lambda a: " ".join(w for w in a[:2] if w != "FILE"))
+@pytest.mark.parametrize("mode", ["strict", "minor"])
+def test_cli_dangling_slot_is_refused(tmp_path, capsys, argv, mode):
+    doc = json.loads(serialize(theta(3)))
+    doc["mode"] = mode
+    doc["loci"][0]["slots"][1] = "zzz"
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps(doc))
+    code = main([str(path) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    if argv[0] == "validate":
+        payload = json.loads(captured.out)
+        assert code == 1 and not payload["valid"]
+        assert "dangling-slot" in [v["rule"] for v in payload["violations"]]
+    else:
+        assert code == 2 and captured.out == ""
+        assert "dangling-slot" in captured.err
+
+
 def test_cli_byte_stability(tmp_path, capsys, theta3):
     path = write(tmp_path, "theta3.json", theta3)
     main(["invariants", path])

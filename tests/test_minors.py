@@ -170,6 +170,14 @@ def test_tilde_equivalent(theta3m):
     assert tilde_equivalent(theta3m, scramble(theta3m, 5))
 
 
+def test_tilde_equivalent_requires_minor_mode(theta3):
+    # one isomorphic pair and one non-isomorphic pair with equal invariants
+    x, y = random_surface(15, 12), random_surface(21, 12)
+    for a, b in ((theta3, theta3), (x, y)):
+        with pytest.raises(ModeError):
+            tilde_equivalent(a, b)
+
+
 def test_obstruction_screen(qn):
     flags = obstruction_screen(closed_surface(False, 1))
     assert flags.has_nonorientable_closed_region
