@@ -19,6 +19,15 @@ locus orderings (grouped by refinement colors), rotations, permitted
 reversals and gauge choices; equal bytes in one mode hold exactly for
 isomorphic surfaces.  Backtracking is exponential in the worst case, which
 is accepted for desk-scale inputs.
+
+The labeling that realises the least encoding records, per locus, where the
+encoding starts reading its cycle, in which direction, and the sign
+potential it gave the locus, and per orientable region its sign potential.
+An isomorphism certificate is one labeling composed with the inverse of the
+other (as in nauty-style canonical labeling): two labelings with equal codes
+are paired entry by entry, which gives the locus and circle bijections and
+the cycle alignments, and the flips are where the two potentials (or, for a
+circle of a non-orientable region, the two literal signs) differ.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from .errors import UnknownIdError
 from .model import MultibranchedSurface
 
 FORMAT_PREFIX = b"mbscf1"
@@ -89,16 +99,27 @@ def _refined_colors(surface: MultibranchedSurface):
 
 @dataclass(frozen=True)
 class _Labeling:
-    """The labeling that realises the canonical code."""
+    """The labeling that realises the canonical code.
+
+    ``locus_seq`` lists the loci in code order, each with the slot its block
+    starts at, the direction the block reads in and the locus potential.
+    ``region_number`` numbers every region; ``p_region`` holds the potential
+    of each orientable region with an attached circle.  The emitted slot of
+    step ``s`` of a locus is ``(rotation + direction * s) % k``; its code
+    sign bit is 0 exactly when ``p_locus * sign * p_region`` is 1.
+    """
 
     code: tuple[int, ...]
     locus_seq: tuple[tuple[str, int, int, int], ...]  # (id, rotation, direction, p_locus)
     region_number: dict
     p_region: dict
-    stream: tuple[tuple[str, int], ...]  # (locus id, stored slot index) per emitted slot
 
 
 def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
+    for l in surface.loci:
+        for c in l.slots:
+            if c not in surface.circle_to_region:
+                raise UnknownIdError(f"locus {l.id} has a slot for unknown circle {c!r}")
     region_color, locus_color = _refined_colors(surface)
     loci = sorted(surface.loci, key=lambda l: (locus_color[l.id], l.id))
     orientable = {r.id: r.topology.orientable for r in surface.regions}
@@ -108,7 +129,7 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
 
     best: dict = {"code": None, "labeling": None}
 
-    def finish(code, chosen, region_number, p_region, stream):
+    def finish(code, chosen, region_number, p_region):
         numbering = dict(region_number)
         leftovers = sorted((r for r in surface.regions if r.id not in numbering),
                            key=lambda r: (region_color[r.id], r.id))
@@ -130,12 +151,11 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
                 locus_seq=tuple(chosen),
                 region_number=numbering,
                 p_region=dict(p_region),
-                stream=tuple(stream),
             )
 
-    def rec(remaining, code, chosen, region_number, p_region, stream, global_dir):
+    def rec(remaining, code, chosen, region_number, p_region, global_dir):
         if not remaining:
-            finish(code, chosen, region_number, p_region, stream)
+            finish(code, chosen, region_number, p_region)
             return
         color_min = min(locus_color[l.id] for l in remaining)
         candidates = [l for l in remaining if locus_color[l.id] == color_min]
@@ -160,7 +180,6 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
                         deltas = []
                         new_numbers = dict(region_number)
                         new_p = dict(p_region)
-                        new_stream = list(stream)
                         for step in range(k):
                             idx = (rot + direction * step) % k
                             c = locus.slots[idx]
@@ -178,7 +197,6 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
                                 sign_bit = 0
                             block += [new_numbers[rid], sign_bit]
                             ids.append(rid)
-                            new_stream.append((locus.id, idx))
                         key = (tuple(block), tuple(ids), tuple(deltas))
                         if key in tried:
                             continue
@@ -188,11 +206,11 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
                         if ref is not None and tuple(new_code) > ref[:len(new_code)]:
                             continue
                         rec(rest, new_code, chosen + [(locus.id, rot, direction, p_locus)],
-                            new_numbers, new_p, new_stream, global_dir)
+                            new_numbers, new_p, global_dir)
 
     passes = (1, -1) if mode is SymmetryMode.MIRROR else (1,)
     for global_dir in passes:
-        rec(loci, list(header), [], {}, {}, [], global_dir)
+        rec(loci, list(header), [], {}, {}, global_dir)
     return best["labeling"]
 
 
@@ -364,88 +382,44 @@ class IsoCertificate:
         )
 
 
-def _solve_gauge(x, y, region_map, circle_map):
-    """Find potentials making the mapped signs literally equal y's signs.
-
-    Returns (region_flips, locus_flips, circle_flips) or None when the sign
-    classes differ (holonomy mismatch).
-    """
-    target = {}
-    for l in x.loci:
-        for i, c in enumerate(l.slots):
-            yloc, yslot = y.circle_to_slot[circle_map[c]]
-            target[c] = l.signs[i] * y.locus(yloc).signs[yslot]
-
-    circle_flips = set()
-    adj: dict[str, list] = {}
-    for l in x.loci:
-        adj.setdefault("L:" + l.id, [])
-    for r in x.regions:
-        if r.topology.orientable:
-            adj.setdefault("R:" + r.id, [])
-    for l in x.loci:
-        for c in l.slots:
-            rid = x.circle_to_region[c]
-            if x.region_by_id[rid].topology.orientable:
-                adj["L:" + l.id].append(("R:" + rid, target[c]))
-                adj["R:" + rid].append(("L:" + l.id, target[c]))
-            elif target[c] == -1:
-                circle_flips.add(c)
-
-    potential = {}
-    for start in sorted(adj):
-        if start in potential:
-            continue
-        potential[start] = 1
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w, t in adj[v]:
-                want = potential[v] * t
-                if w in potential:
-                    if potential[w] != want:
-                        return None
-                else:
-                    potential[w] = want
-                    queue.append(w)
-
-    region_flips = frozenset(v[2:] for v, p in potential.items()
-                             if v.startswith("R:") and p == -1)
-    locus_flips = frozenset(v[2:] for v, p in potential.items()
-                            if v.startswith("L:") and p == -1)
-    return region_flips, locus_flips, frozenset(circle_flips)
-
-
-def _alignment_options(mapped_slots, y_slots, allow_reversal):
-    k = len(y_slots)
-    options = []
-    for offset in range(k):
-        if all(y_slots[j] == mapped_slots[(offset + j) % k] for j in range(k)):
-            options.append((offset, False))
-    if allow_reversal:
-        for offset in range(k):
-            if all(y_slots[j] == mapped_slots[(offset - j) % k] for j in range(k)):
-                options.append((offset, True))
-    return options
 
 
 def are_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,
                    mode: SymmetryMode = SymmetryMode.MIRROR):
-    """Return a verified IsoCertificate, or None when the canonical forms differ."""
-    if canonical_form(x, mode).data != canonical_form(y, mode).data:
-        return None
+    """Return a verified IsoCertificate, or None when the canonical forms differ.
+
+    The certificate pairs the two canonical labellings entry by entry: a
+    locus of x read from slot ``rx`` in direction ``dx`` matches the locus
+    of y read from ``ry`` in direction ``dy``, step for step.
+    """
     lx = _canonical(x, mode)
     ly = _canonical(y, mode)
+    if lx.code != ly.code:
+        return None
 
-    region_map = {}
     inv_y = {n: rid for rid, n in ly.region_number.items()}
-    for rid, n in lx.region_number.items():
-        region_map[rid] = inv_y[n]
-    locus_map = {sx[0]: sy[0] for sx, sy in zip(lx.locus_seq, ly.locus_seq)}
+    region_map = {rid: inv_y[n] for rid, n in lx.region_number.items()}
+    region_flips = frozenset(rid for rid, p in lx.p_region.items()
+                             if p != ly.p_region[region_map[rid]])
 
-    circle_map = {}
-    for (xl, xi), (yl, yi) in zip(lx.stream, ly.stream):
-        circle_map[x.locus(xl).slots[xi]] = y.locus(yl).slots[yi]
+    locus_map, alignment, circle_map = {}, {}, {}
+    locus_flips, circle_flips = set(), set()
+    for (xl, rx, dx, px), (yl, ry, dy, py) in zip(lx.locus_seq, ly.locus_seq):
+        xs, ys = x.locus(xl), y.locus(yl)
+        k = len(xs.slots)
+        locus_map[xl] = yl
+        # y slot j shows x slot (offset +/- j) % k
+        alignment[xl] = ((rx - dx * dy * ry) % k, dx != dy)
+        if px != py:
+            locus_flips.add(xl)
+        for step in range(k):
+            i, j = (rx + dx * step) % k, (ry + dy * step) % k
+            c = xs.slots[i]
+            circle_map[c] = ys.slots[j]
+            region = x.region_by_id[x.circle_to_region[c]]
+            if not region.topology.orientable and xs.signs[i] != ys.signs[j]:
+                circle_flips.add(c)
+
     for rid, target in region_map.items():
         xr = x.region_by_id[rid]
         yr = y.region_by_id[target]
@@ -456,33 +430,6 @@ def are_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,
         for cx, cy in zip(x_rest, y_rest):
             circle_map[cx] = cy
 
-    gauge = _solve_gauge(x, y, region_map, circle_map)
-    if gauge is None:  # pragma: no cover - equal canonical forms imply a gauge
-        raise AssertionError("canonical forms agree but sign classes differ")
-    region_flips, locus_flips, circle_flips = gauge
-
-    allow = mode is not SymmetryMode.ROTATIONAL
-    per_locus = {}
-    for l in x.loci:
-        mapped = [circle_map[c] for c in l.slots]
-        options = _alignment_options(mapped, y.locus(locus_map[l.id]).slots, allow)
-        if not options:  # pragma: no cover - canonical equality implies alignment
-            raise AssertionError("canonical forms agree but cycles do not align")
-        per_locus[l.id] = options
-
-    alignment = {}
-    if mode is SymmetryMode.MIRROR:
-        for rev in (False, True):
-            if all(any(o[1] == rev for o in opts) for opts in per_locus.values()):
-                for lid, opts in per_locus.items():
-                    alignment[lid] = min(o for o in opts if o[1] == rev)
-                break
-        else:  # pragma: no cover - mirror labelings share a direction
-            raise AssertionError("no uniform reversal aligns all cycles")
-    else:
-        for lid, opts in per_locus.items():
-            alignment[lid] = min(opts, key=lambda o: (o[1], o[0]))
-
     cert = IsoCertificate(
         mode=mode,
         region_map=region_map,
@@ -490,8 +437,8 @@ def are_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,
         circle_map=circle_map,
         locus_alignment=alignment,
         region_flips=region_flips,
-        locus_flips=locus_flips,
-        circle_flips=circle_flips,
+        locus_flips=frozenset(locus_flips),
+        circle_flips=frozenset(circle_flips),
     )
     if not cert.verify(x, y):  # pragma: no cover - construction should verify
         raise AssertionError("constructed certificate failed verification")

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IneligibleMoveError, ReplayError, TheoremViolationError
+from .isomorphism import SymmetryMode, canonical_form, canonical_hash
 from .model import (
     ANNULUS,
     MOEBIUS,
@@ -84,6 +85,14 @@ class MoveStep:
     move: MoveDescriptor
     hash_before: int
     hash_after: int
+
+    @staticmethod
+    def of(move: MoveDescriptor, before: MultibranchedSurface,
+           after: MultibranchedSurface) -> "MoveStep":
+        """The step ``move`` from ``before`` to ``after``, with both
+        rotational canonical hashes."""
+        return MoveStep(move, canonical_hash(before, SymmetryMode.ROTATIONAL),
+                        canonical_hash(after, SymmetryMode.ROTATIONAL))
 
 
 @dataclass(frozen=True)
@@ -365,8 +374,6 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     form; :func:`all_maximal_spreadings` exposes the full set.
     Returns ``(surface, MoveRecord)``.
     """
-    from .isomorphism import SymmetryMode, canonical_form, canonical_hash
-
     if policy == "exhaustive":
         results = all_maximal_spreadings(surface)
         key = lambda pair: canonical_form(pair[0], SymmetryMode.ROTATIONAL).data
@@ -385,9 +392,7 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
         locus_id = min(spreadable)
         choice = enumerate_xi(current, locus_id)[0]
         after = apply_xi(current, choice)
-        steps.append(MoveStep(choice,
-                              canonical_hash(current, SymmetryMode.ROTATIONAL),
-                              canonical_hash(after, SymmetryMode.ROTATIONAL)))
+        steps.append(MoveStep.of(choice, current, after))
         current = after
         if len(steps) > budget:  # pragma: no cover - potential argument
             raise TheoremViolationError("spreading exceeded its potential bound")
@@ -397,8 +402,6 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
 def all_maximal_spreadings(surface: MultibranchedSurface):
     """All maximally spread endpoints reachable by XI-moves, one per
     isomorphism class (rotational), each with a witnessing record."""
-    from .isomorphism import SymmetryMode, canonical_form, canonical_hash
-
     out = {}
     seen = set()
     stack = [(surface, ())]
@@ -417,10 +420,7 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
         for locus_id in spreadable:
             for choice in enumerate_xi(current, locus_id):
                 after = apply_xi(current, choice)
-                step = MoveStep(choice,
-                                canonical_hash(current, SymmetryMode.ROTATIONAL),
-                                canonical_hash(after, SymmetryMode.ROTATIONAL))
-                stack.append((after, steps + (step,)))
+                stack.append((after, steps + (MoveStep.of(choice, current, after),)))
     return list(out.values())
 
 
@@ -429,11 +429,9 @@ def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
 
     The merged locus must admit exactly two XI-moves; failing that aborts
     loudly since it contradicts an invariant of the calculus.  The inverse
-    is detected by an isomorphism test against the input (rotational mode)
+    is detected by comparing rotational canonical forms with the input
     rather than by slot provenance.
     """
-    from .isomorphism import SymmetryMode, are_isomorphic
-
     if not is_maximally_spread_region(surface, site.region_id):
         raise IneligibleMoveError(
             f"region {site.region_id} is not maximally spread")
@@ -445,8 +443,9 @@ def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
         raise TheoremViolationError(
             f"merged locus {new_locus} admits {len(choices)} XI-moves, expected 2")
     results = [apply_xi(merged, ch) for ch in choices]
+    key = canonical_form(surface, SymmetryMode.ROTATIONAL).data
     for i, candidate in enumerate(results):
-        if are_isomorphic(candidate, surface, SymmetryMode.ROTATIONAL) is not None:
+        if canonical_form(candidate, SymmetryMode.ROTATIONAL).data == key:
             return results[1 - i]
     raise TheoremViolationError(
         f"no XI-move at {new_locus} reverses the IX-move along {site.region_id}")
@@ -454,8 +453,6 @@ def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
 
 def replay(surface: MultibranchedSurface, record: MoveRecord) -> MultibranchedSurface:
     """Re-apply a recorded move sequence, verifying the surface hash at each step."""
-    from .isomorphism import SymmetryMode, canonical_hash
-
     current = surface
     for i, step in enumerate(record.steps):
         if canonical_hash(current, SymmetryMode.ROTATIONAL) != step.hash_before:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import homology_profile
 from .errors import TheoremViolationError
-from .isomorphism import SymmetryMode, are_isomorphic, canonical_form, canonical_hash
+from .isomorphism import SymmetryMode, are_isomorphic, canonical_form
 from .model import (
     MultibranchedSurface,
     connected_components,
@@ -86,9 +86,7 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
         if not options:
             break
         move, after = options[rng.randrange(len(options))]
-        steps.append(MoveStep(move,
-                              canonical_hash(current, SymmetryMode.ROTATIONAL),
-                              canonical_hash(after, SymmetryMode.ROTATIONAL)))
+        steps.append(MoveStep.of(move, current, after))
         current = after
     return current, MoveRecord(tuple(steps))
 
@@ -166,7 +164,7 @@ def _invert_backward_chain(meet_surface, backward_surfaces):
                 break
         else:  # pragma: no cover - move reversibility guarantees a match
             raise TheoremViolationError("backward chain step has no reverse move")
-    return moves, current
+    return moves
 
 
 def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
@@ -178,16 +176,16 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     otherwise meets in the middle over rotational canonical hashes.  A found
     sequence is verified by replay before it is returned.
     """
+    deadline = time.monotonic() + budget.time_limit
     if euler_characteristic(x) != euler_characteristic(y):
         return InvariantMismatch("euler_characteristic")
     if connected_components(x) != connected_components(y):
         return InvariantMismatch("connected_components")
     if homology_profile(x) != homology_profile(y):
         return InvariantMismatch("homology_profile")
-    if are_isomorphic(x, y, mode) is not None:
+    if canonical_form(x, mode).data == canonical_form(y, mode).data:
         return Found(MoveRecord(()))
 
-    deadline = time.monotonic() + budget.time_limit
     side_x, side_y = _Side(x), _Side(y)
     counter = [2]
     meet = None
@@ -210,18 +208,10 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     fwd_surfaces, fwd_moves = side_x.chain(meet)
     bwd_surfaces, _ = side_y.chain(meet)
 
-    steps = []
-    for move, before, after in zip(fwd_moves, fwd_surfaces, fwd_surfaces[1:]):
-        steps.append(MoveStep(move,
-                              canonical_hash(before, SymmetryMode.ROTATIONAL),
-                              canonical_hash(after, SymmetryMode.ROTATIONAL)))
-    inverted, final = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces)
-    for move, before, after in inverted:
-        steps.append(MoveStep(move,
-                              canonical_hash(before, SymmetryMode.ROTATIONAL),
-                              canonical_hash(after, SymmetryMode.ROTATIONAL)))
-
-    record = MoveRecord(tuple(steps))
+    inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces)
+    forward = zip(fwd_moves, fwd_surfaces, fwd_surfaces[1:])
+    record = MoveRecord(tuple(MoveStep.of(move, before, after)
+                              for move, before, after in [*forward, *inverted]))
     endpoint = replay(x, record)
     if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover
         raise TheoremViolationError("replayed endpoint is not isomorphic to target")

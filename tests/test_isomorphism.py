@@ -1,11 +1,17 @@
 import itertools
 
+import pytest
+
 from mbs import (
     BranchLocus,
+    IsoCertificate,
+    MbsError,
     MultibranchedSurface,
     Region,
     RegionTopology,
     SymmetryMode,
+    UnknownIdError,
+    ValidityMode,
     apply_ih,
     are_isomorphic,
     canonical_form,
@@ -17,6 +23,7 @@ from mbs import (
     random_surface,
     random_walk,
     theta,
+    validate,
 )
 from helpers import mirror_image, scramble
 
@@ -82,6 +89,14 @@ def test_identity_certificate(theta3):
         assert cert is not None
         assert cert.region_map == {r.id: r.id for r in theta3.regions}
         assert cert.verify(theta3, theta3)
+    surfaces = [random_walk(random_surface(seed, 3 + seed % 28), seed, 1 + seed % 6)[0]
+                for seed in range(1, 201)]
+    surfaces += [random_surface(seed, 3 + seed % 28, ValidityMode.MINOR)
+                 for seed in range(1, 61)]
+    for surface in surfaces:
+        for mode in ALL_MODES:
+            assert are_isomorphic(surface, surface, mode) == \
+                IsoCertificate.identity(surface, mode)
 
 
 def test_non_isomorphic_fixtures(qn, mb):
@@ -110,20 +125,41 @@ def test_mode_inclusions():
 
 
 def test_equivalence_relation_on_fixtures(theta3, mb, qn):
-    copies = {
-        "theta": (theta3, scramble(theta3, 1), scramble(theta3, 2)),
-        "mb": (mb, scramble(mb, 3), scramble(mb, 4)),
-        "qn": (qn, scramble(qn, 5), scramble(qn, 6)),
-    }
-    for family in copies.values():
-        a, b, c = family
-        ab = are_isomorphic(a, b, SymmetryMode.ROTATIONAL)
-        bc = are_isomorphic(b, c, SymmetryMode.ROTATIONAL)
+    rot, mir = SymmetryMode.ROTATIONAL, SymmetryMode.MIRROR
+    families = [
+        (rot, theta3, scramble(theta3, 1), scramble(theta3, 2)),
+        (rot, mb, scramble(mb, 3), scramble(mb, 4)),
+        (rot, qn, scramble(qn, 5), scramble(qn, 6)),
+        # the MIRROR reversal: the middle copy is reversed, so both legs
+        # reverse every cycle and their composition reverses none
+        (mir, chiral_surface(), chiral_surface(True), scramble(chiral_surface(), 7)),
+    ]
+    for seed in range(1, 13):
+        # minor mode admits unattached circles: dropping a locus leaves its
+        # circles unattached; scrambling flips single signs of the circles
+        # of non-orientable regions
+        minor = random_surface(seed, 6 + seed, ValidityMode.MINOR)
+        minor = MultibranchedSurface(minor.regions, minor.loci[1:], minor.mode)
+        assert not validate(minor)
+        families.append((rot, minor, scramble(minor, seed), scramble(minor, seed + 50)))
+        strict = random_surface(seed, 10 + seed)
+        families.append((mir, strict, mirror_image(scramble(strict, seed)),
+                         scramble(strict, seed + 50)))
+    counts = {"unattached": 0, "circle_flips": 0, "reversed": 0}
+    for mode, a, b, c in families:
+        ab = are_isomorphic(a, b, mode)
+        bc = are_isomorphic(b, c, mode)
         assert ab is not None and bc is not None
+        assert ab.verify(a, b) and bc.verify(b, c)
         # symmetry via inversion
         assert ab.invert().verify(b, a)
         # transitivity via composition
         assert ab.compose(bc).verify(a, c)
+        slotted = {x for l in a.loci for x in l.slots}
+        counts["unattached"] += any(x not in slotted for x in ab.circle_map)
+        counts["circle_flips"] += bool(ab.circle_flips)
+        counts["reversed"] += any(rev for _, rev in ab.locus_alignment.values())
+    assert min(counts.values()) > 0, counts
 
 
 def test_certificate_apply_matches_target(theta3):
@@ -180,3 +216,20 @@ def test_sign_class_is_structural(theta3):
         theta3.mode)
     assert are_isomorphic(theta3, twisted, SymmetryMode.ROTATIONAL) is None
     assert homology_profile(twisted) != homology_profile(theta3)
+
+
+def test_dangling_slot_raises_unknown_id(theta3):
+    b1 = theta3.loci[0]
+    dangling = MultibranchedSurface(
+        theta3.regions,
+        (BranchLocus(b1.id, b1.wrapping, b1.slots[:-1] + ("zzz",), b1.signs),)
+        + theta3.loci[1:],
+        theta3.mode)
+    for mode in ALL_MODES:
+        for call in (lambda: canonical_form(dangling, mode),
+                     lambda: canonical_hash(dangling, mode),
+                     lambda: are_isomorphic(dangling, theta3, mode),
+                     lambda: are_isomorphic(theta3, dangling, mode)):
+            with pytest.raises(UnknownIdError, match="zzz") as caught:
+                call()
+            assert isinstance(caught.value, MbsError)

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+import mbs.search
 from mbs import (
     ExhaustedWithinBudget,
     Found,
@@ -109,3 +112,19 @@ def test_search_soundness_on_random_pairs():
         assert isinstance(outcome, Found)
         endpoint = replay(start, outcome.record)
         assert are_isomorphic(endpoint, walked, SymmetryMode.ROTATIONAL) is not None
+
+
+def test_time_limit_counts_from_entry(monkeypatch):
+    start = theta(4)
+    walked, _ = random_walk(start, seed=2, length=2)
+    assert isinstance(search_equivalence(start, walked, SearchBudget(max_depth=2)), Found)
+    budget = SearchBudget(max_depth=2, time_limit=0.2)
+
+    def slow_profile(surface):
+        time.sleep(0.15)
+        return homology_profile(surface)
+
+    # the two invariant checks alone use up the time limit
+    monkeypatch.setattr(mbs.search, "homology_profile", slow_profile)
+    outcome = search_equivalence(start, walked, budget)
+    assert isinstance(outcome, ExhaustedWithinBudget)
