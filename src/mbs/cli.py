@@ -50,8 +50,12 @@ def _load(path):
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(max_depth=args.max_depth, max_states=args.max_states,
-                        max_cell_count=args.max_cells)
+    """The search budget from the flags; a non-positive one is a usage error."""
+    try:
+        return SearchBudget(max_depth=args.max_depth, max_states=args.max_states,
+                            max_cell_count=args.max_cells)
+    except ValueError as exc:
+        raise MbsError(f"invalid search budget: {exc}") from None
 
 
 def _add_budget_flags(parser):

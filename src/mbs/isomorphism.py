@@ -17,8 +17,17 @@ canonical encoding fixes the gauge deterministically while encoding.
 The canonical form is the lexicographically least encoding over admissible
 locus orderings (grouped by refinement colors), rotations, permitted
 reversals and gauge choices; equal bytes in one mode hold exactly for
-isomorphic surfaces.  Backtracking is exponential in the worst case, which
-is accepted for desk-scale inputs.
+isomorphic surfaces.  The code is a header, one block per locus and a
+region table.  Every candidate at one search level comes from one color
+class, so all sibling blocks have the same length, and the search expands
+only the children whose block is least (prefix pruning in the sense of
+McKay and Piperno's canonical labelling).  A locus's sign potential is
+forced by the first orientable region of its block that is already
+numbered, and at the root the global gauge flip makes one potential
+enough.  These cuts are exact: they give the same labeling as expanding
+every child.  What remains exponential is a choice between equal blocks, as
+in a disjoint union of identical components (five copies of theta(3) take
+tens of seconds).
 
 The labeling that realises the least encoding records, per locus, where the
 encoding starts reading its cycle, in which direction, and the sign
@@ -123,27 +132,29 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
     region_color, locus_color = _refined_colors(surface)
     loci = sorted(surface.loci, key=lambda l: (locus_color[l.id], l.id))
     orientable = {r.id: r.topology.orientable for r in surface.regions}
+    circle_region = surface.circle_to_region
+    attached = surface.circle_to_slot
+    table_row = {}
+    for r in surface.regions:
+        t = r.topology
+        n_att = sum(1 for c in r.boundary_circles if c in attached)
+        table_row[r.id] = (int(t.orientable), t.genus, t.boundary_count, n_att)
+    leftover_order = [r.id for r in sorted(surface.regions,
+                                           key=lambda r: (region_color[r.id], r.id))]
 
-    header = [0 if surface.mode.value == "strict" else 1,
-              len(surface.loci), len(surface.regions)]
+    header = (0 if surface.mode.value == "strict" else 1,
+              len(surface.loci), len(surface.regions))
 
     best: dict = {"code": None, "labeling": None}
 
     def finish(code, chosen, region_number, p_region):
         numbering = dict(region_number)
-        leftovers = sorted((r for r in surface.regions if r.id not in numbering),
-                           key=lambda r: (region_color[r.id], r.id))
-        for r in leftovers:
-            numbering[r.id] = len(numbering)
-        table = []
-        by_number = sorted(numbering, key=numbering.get)
-        attached = surface.circle_to_slot
-        for rid in by_number:
-            r = surface.region_by_id[rid]
-            t = r.topology
-            n_att = sum(1 for c in r.boundary_circles if c in attached)
-            table += [int(t.orientable), t.genus, t.boundary_count, n_att]
-        full = tuple(code + table)
+        for rid in leftover_order:
+            if rid not in numbering:
+                numbering[rid] = len(numbering)
+        table = [x for rid in sorted(numbering, key=numbering.get)
+                 for x in table_row[rid]]
+        full = code + tuple(table)
         if best["code"] is None or full < best["code"]:
             best["code"] = full
             best["labeling"] = _Labeling(
@@ -153,64 +164,106 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
                 p_region=dict(p_region),
             )
 
-    def rec(remaining, code, chosen, region_number, p_region, global_dir):
+    def block_of(locus, rot, direction, region_number, p_region):
+        """The block of ``locus`` read from ``rot`` in ``direction``, the
+        locus potentials that can emit it, and the regions it numbers."""
+        k = len(locus.slots)
+        block = [locus.wrapping, k]
+        fresh = {}          # region -> (number, sign at its first slot)
+        p_forced = 0
+        for step in range(k):
+            idx = (rot + direction * step) % k
+            rid = circle_region[locus.slots[idx]]
+            eta = locus.signs[idx]
+            sign_bit = 0
+            if rid in region_number:
+                number = region_number[rid]
+                if orientable[rid]:
+                    # the bit is p_locus * eta * p_region; the first such
+                    # bit decides p_locus, since the least block has it 0
+                    rel = eta * p_region[rid]
+                    if not p_forced:
+                        p_forced = rel
+                    elif rel != p_forced:
+                        sign_bit = 1
+            elif rid in fresh:
+                # p_locus cancels: the bit is eta times the first sign
+                number, first = fresh[rid]
+                if orientable[rid] and eta != first:
+                    sign_bit = 1
+            else:
+                number = len(region_number) + len(fresh)
+                fresh[rid] = (number, eta)
+            block += (number, sign_bit)
+        if p_forced:
+            potentials = (p_forced,)
+        elif not p_region:
+            # no potential is fixed yet (as at the root): -1 is the image
+            # of +1 under the global gauge flip and reaches the same codes
+            potentials = (1,)
+        else:
+            potentials = (1, -1)
+        return tuple(block), potentials, fresh
+
+    def rec(remaining, code, chosen, region_number, p_region, directions):
         if not remaining:
             finish(code, chosen, region_number, p_region)
             return
-        color_min = min(locus_color[l.id] for l in remaining)
+        # remaining keeps the (color, id) order of loci
+        color_min = locus_color[remaining[0].id]
         candidates = [l for l in remaining if locus_color[l.id] == color_min]
-        if mode is SymmetryMode.DIHEDRAL_PER_LOCUS:
-            directions = (1, -1)
-        else:
-            directions = (global_dir,)
-        # candidates that emit an already-explored block with the same
-        # region-id sequence and the same new gauge potentials lead to
-        # isomorphic subtrees: skip them (the encoding never distinguishes
-        # circles beyond their region, so the consumed loci are then
-        # interchangeable)
-        tried = set()
+        # every candidate has one (wrapping, k), so every child block has
+        # the same length, and a child whose block exceeds a sibling's
+        # cannot lead to the least code: expand only the least blocks
+        least, children = None, []
         for locus in candidates:
-            k = len(locus.slots)
-            rest = [l for l in remaining if l.id != locus.id]
             for direction in directions:
-                for rot in range(k):
-                    for p_locus in (1, -1):
-                        block = [locus.wrapping, k]
-                        ids = []
-                        deltas = []
-                        new_numbers = dict(region_number)
-                        new_p = dict(p_region)
-                        for step in range(k):
-                            idx = (rot + direction * step) % k
-                            c = locus.slots[idx]
-                            eta = locus.signs[idx]
-                            rid = surface.circle_to_region[c]
-                            if rid not in new_numbers:
-                                new_numbers[rid] = len(new_numbers)
-                                if orientable[rid]:
-                                    new_p[rid] = p_locus * eta
-                                    deltas.append(p_locus * eta)
-                                sign_bit = 0
-                            elif orientable[rid]:
-                                sign_bit = 0 if p_locus * eta * new_p[rid] == 1 else 1
-                            else:
-                                sign_bit = 0
-                            block += [new_numbers[rid], sign_bit]
-                            ids.append(rid)
-                        key = (tuple(block), tuple(ids), tuple(deltas))
-                        if key in tried:
-                            continue
-                        tried.add(key)
-                        new_code = code + block
-                        ref = best["code"]
-                        if ref is not None and tuple(new_code) > ref[:len(new_code)]:
-                            continue
-                        rec(rest, new_code, chosen + [(locus.id, rot, direction, p_locus)],
-                            new_numbers, new_p, global_dir)
+                for rot in range(len(locus.slots)):
+                    block, potentials, fresh = block_of(
+                        locus, rot, direction, region_number, p_region)
+                    if least is None or block < least:
+                        least, children = block, []
+                    if block == least:
+                        children.append((locus, rot, direction, potentials, fresh))
+        new_code = code + least
+        # children that number the same regions with the same new
+        # potentials lead to isomorphic subtrees: the encoding never
+        # distinguishes circles beyond their region, so the consumed loci
+        # are then interchangeable
+        tried = set()
+        for locus, rot, direction, potentials, fresh in children:
+            ids = tuple(fresh)
+            for p_locus in potentials:
+                deltas = tuple(p_locus * eta for rid, (_, eta) in fresh.items()
+                               if orientable[rid])
+                if (ids, deltas) in tried:
+                    continue
+                tried.add((ids, deltas))
+                if not p_region:
+                    # the gauge image with p_locus = -1 is not expanded,
+                    # and neither are its twins
+                    tried.add((ids, tuple(-d for d in deltas)))
+                ref = best["code"]
+                if ref is not None and new_code > ref[:len(new_code)]:
+                    return
+                new_numbers = dict(region_number)
+                new_p = dict(p_region)
+                for rid, (number, eta) in fresh.items():
+                    new_numbers[rid] = number
+                    if orientable[rid]:
+                        new_p[rid] = p_locus * eta
+                rec([l for l in remaining if l is not locus], new_code,
+                    chosen + [(locus.id, rot, direction, p_locus)],
+                    new_numbers, new_p, directions)
 
-    passes = (1, -1) if mode is SymmetryMode.MIRROR else (1,)
-    for global_dir in passes:
-        rec(loci, list(header), [], {}, {}, global_dir)
+    if mode is SymmetryMode.DIHEDRAL_PER_LOCUS:
+        passes = ((1, -1),)
+    elif mode is SymmetryMode.MIRROR:
+        passes = ((1,), (-1,))
+    else:
+        passes = ((1,),)
+    for directions in passes:
+        rec(loci, header, [], {}, {}, directions)
     return best["labeling"]
 
 

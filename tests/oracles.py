@@ -5,11 +5,21 @@ divisors (gcd of all k x k minors), a completely different route from the
 row/column reduction in the library.  Ranks are computed over the rationals
 with exact fractions, and determinants with fraction-free Bareiss
 elimination.
+
+The canonical labelling oracle is a plain backtracker: it expands every
+candidate (locus, direction, rotation, locus potential) and prunes only
+against the best complete code found so far.  The library's labeller must
+reproduce its labelling exactly: code, locus order, region numbering and
+potentials.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from mbs.errors import UnknownIdError
+from mbs.isomorphism import SymmetryMode, _Labeling, _refined_colors
+from mbs.model import MultibranchedSurface
 
 
 def det_bareiss(rows) -> int:
@@ -81,3 +91,102 @@ def homology_from_matrices(d1_rows, d2_rows, n_zero, n_one, n_two):
         if d2_rows else ()
     betti = (n_zero - r1, (n_one - r1) - r2, n_two - r2)
     return betti, torsion1
+
+
+def reference_canonical_labelling(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
+    for l in surface.loci:
+        for c in l.slots:
+            if c not in surface.circle_to_region:
+                raise UnknownIdError(f"locus {l.id} has a slot for unknown circle {c!r}")
+    region_color, locus_color = _refined_colors(surface)
+    loci = sorted(surface.loci, key=lambda l: (locus_color[l.id], l.id))
+    orientable = {r.id: r.topology.orientable for r in surface.regions}
+
+    header = [0 if surface.mode.value == "strict" else 1,
+              len(surface.loci), len(surface.regions)]
+
+    best: dict = {"code": None, "labeling": None}
+
+    def finish(code, chosen, region_number, p_region):
+        numbering = dict(region_number)
+        leftovers = sorted((r for r in surface.regions if r.id not in numbering),
+                           key=lambda r: (region_color[r.id], r.id))
+        for r in leftovers:
+            numbering[r.id] = len(numbering)
+        table = []
+        by_number = sorted(numbering, key=numbering.get)
+        attached = surface.circle_to_slot
+        for rid in by_number:
+            r = surface.region_by_id[rid]
+            t = r.topology
+            n_att = sum(1 for c in r.boundary_circles if c in attached)
+            table += [int(t.orientable), t.genus, t.boundary_count, n_att]
+        full = tuple(code + table)
+        if best["code"] is None or full < best["code"]:
+            best["code"] = full
+            best["labeling"] = _Labeling(
+                code=full,
+                locus_seq=tuple(chosen),
+                region_number=numbering,
+                p_region=dict(p_region),
+            )
+
+    def rec(remaining, code, chosen, region_number, p_region, global_dir):
+        if not remaining:
+            finish(code, chosen, region_number, p_region)
+            return
+        color_min = min(locus_color[l.id] for l in remaining)
+        candidates = [l for l in remaining if locus_color[l.id] == color_min]
+        if mode is SymmetryMode.DIHEDRAL_PER_LOCUS:
+            directions = (1, -1)
+        else:
+            directions = (global_dir,)
+        # candidates that emit an already-explored block with the same
+        # region-id sequence and the same new gauge potentials lead to
+        # isomorphic subtrees: skip them (the encoding never distinguishes
+        # circles beyond their region, so the consumed loci are then
+        # interchangeable)
+        tried = set()
+        for locus in candidates:
+            k = len(locus.slots)
+            rest = [l for l in remaining if l.id != locus.id]
+            for direction in directions:
+                for rot in range(k):
+                    for p_locus in (1, -1):
+                        block = [locus.wrapping, k]
+                        ids = []
+                        deltas = []
+                        new_numbers = dict(region_number)
+                        new_p = dict(p_region)
+                        for step in range(k):
+                            idx = (rot + direction * step) % k
+                            c = locus.slots[idx]
+                            eta = locus.signs[idx]
+                            rid = surface.circle_to_region[c]
+                            if rid not in new_numbers:
+                                new_numbers[rid] = len(new_numbers)
+                                if orientable[rid]:
+                                    new_p[rid] = p_locus * eta
+                                    deltas.append(p_locus * eta)
+                                sign_bit = 0
+                            elif orientable[rid]:
+                                sign_bit = 0 if p_locus * eta * new_p[rid] == 1 else 1
+                            else:
+                                sign_bit = 0
+                            block += [new_numbers[rid], sign_bit]
+                            ids.append(rid)
+                        key = (tuple(block), tuple(ids), tuple(deltas))
+                        if key in tried:
+                            continue
+                        tried.add(key)
+                        new_code = code + block
+                        ref = best["code"]
+                        if ref is not None and tuple(new_code) > ref[:len(new_code)]:
+                            continue
+                        rec(rest, new_code, chosen + [(locus.id, rot, direction, p_locus)],
+                            new_numbers, new_p, global_dir)
+
+    passes = (1, -1) if mode is SymmetryMode.MIRROR else (1,)
+    for global_dir in passes:
+        rec(loci, list(header), [], {}, {}, global_dir)
+    return best["labeling"]

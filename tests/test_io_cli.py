@@ -321,6 +321,17 @@ def test_cli_dangling_slot_is_refused(tmp_path, capsys, argv, mode):
         assert "dangling-slot" in captured.err
 
 
+@pytest.mark.parametrize("command", ["equiv", "minor"])
+@pytest.mark.parametrize("flag", ["--max-depth", "--max-states", "--max-cells"])
+def test_cli_non_positive_budget_is_usage_error(tmp_path, capsys, command, flag):
+    mode = ValidityMode.MINOR if command == "minor" else ValidityMode.STRICT
+    path = write(tmp_path, "theta3.json", theta(3, mode))
+    code = main([command, path, path, flag, "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "budget" in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_byte_stability(tmp_path, capsys, theta3):
     path = write(tmp_path, "theta3.json", theta3)
     main(["invariants", path])

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -16,16 +17,22 @@ from mbs import (
     are_isomorphic,
     canonical_form,
     canonical_hash,
+    disjoint_union,
     enumerate_ix,
     euler_characteristic,
     homology_profile,
     locus_profile,
+    maximally_spread,
+    moebius_annulus,
+    quasi_pure,
     random_surface,
     random_walk,
     theta,
     validate,
 )
 from helpers import mirror_image, scramble
+from mbs.isomorphism import _search_canonical
+from oracles import reference_canonical_labelling
 
 ALL_MODES = tuple(SymmetryMode)
 
@@ -191,6 +198,61 @@ def test_hash_stability_and_relabeling(theta3):
     assert 0 <= h < 2 ** 64
     # frozen values guard against accidental encoding changes
     assert h == canonical_hash(theta(3), SymmetryMode.ROTATIONAL)
+
+
+# stored move records hold canonical hashes, so the mbscf1 bytes of these
+# surfaces must never change
+GOLDEN_HASHES = {
+    "theta3": (lambda: theta(3), {"rotational": 0x67089317bc975603,
+                                  "mirror": 0x838784bbcfe6c04c,
+                                  "dihedral": 0x393da16eae54c3c}),
+    "mb": (moebius_annulus, {"rotational": 0xfc1a332604fb4f3b,
+                             "mirror": 0xff1237f6f8f9234d,
+                             "dihedral": 0x5ee8b36689818f06}),
+    "qn": (quasi_pure, {"rotational": 0x435d32f0f8c5680,
+                        "mirror": 0xdcad9360a0eff26d,
+                        "dihedral": 0xa411390f104b6fc2}),
+    "spread_theta4": (lambda: maximally_spread(theta(4))[0],
+                      {"rotational": 0x94146ee29ed5b88d,
+                       "mirror": 0xdb3b2e4eda5b4634,
+                       "dihedral": 0xc7c8ab57c71538bf}),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_HASHES)
+def test_golden_hashes(name):
+    build, hashes = GOLDEN_HASHES[name]
+    surface = build()
+    for mode in ALL_MODES:
+        assert canonical_hash(surface, mode) == hashes[mode.value], mode
+
+
+def test_labelling_matches_reference():
+    surfaces = []
+    for seed in range(1, 201):
+        surface = random_surface(seed, 3 + seed % 28)
+        surfaces += [surface, random_walk(surface, seed, 3)[0]]
+    surfaces += [random_surface(seed, 3 + seed % 28, ValidityMode.MINOR)
+                 for seed in range(1, 121)]
+    for seed in range(1, 21):
+        a = random_surface(seed, 6 + seed % 10)
+        b = random_walk(random_surface(seed + 50, 6 + seed % 9), seed, 2)[0]
+        surfaces += [disjoint_union(a, b), disjoint_union(a, scramble(a, seed))]
+    surfaces += [maximally_spread(theta(n))[0] for n in range(3, 7)]
+    for surface in surfaces:
+        for mode in ALL_MODES:
+            # equal code, locus_seq, region_number and p_region
+            assert _search_canonical(surface, mode) == \
+                reference_canonical_labelling(surface, mode)
+
+
+def test_spread_theta7_labels_quickly():
+    # expanding every child block (the reference labelling) takes minutes
+    spread, _ = maximally_spread(theta(7))
+    start = time.perf_counter()
+    for mode in ALL_MODES:
+        _search_canonical(spread, mode)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_fixture_hashes_distinct(theta3, mb, qn):
