@@ -49,19 +49,12 @@ def _load(path):
     return surface
 
 
-def _budget(args) -> SearchBudget:
+def _budget(**limits) -> SearchBudget:
     """The search budget from the flags; a non-positive one is a usage error."""
     try:
-        return SearchBudget(max_depth=args.max_depth, max_states=args.max_states,
-                            max_cell_count=args.max_cells)
+        return SearchBudget(**limits)
     except ValueError as exc:
         raise MbsError(f"invalid search budget: {exc}") from None
-
-
-def _add_budget_flags(parser):
-    parser.add_argument("--max-depth", type=int, default=4)
-    parser.add_argument("--max-states", type=int, default=5000)
-    parser.add_argument("--max-cells", type=int, default=80)
 
 
 def _add_symmetry_flag(parser, default="mirror"):
@@ -170,7 +163,9 @@ def _cmd_iso(args) -> int:
 def _cmd_equiv(args) -> int:
     x = _load(args.file_a)
     y = _load(args.file_b)
-    outcome = search_equivalence(x, y, _budget(args), SymmetryMode(args.symmetry))
+    budget = _budget(max_depth=args.max_depth, max_states=args.max_states,
+                     max_cell_count=args.max_cells)
+    outcome = search_equivalence(x, y, budget, SymmetryMode(args.symmetry))
     if isinstance(outcome, Found):
         _emit({"command": "equiv", "outcome": "found",
                "moves": len(outcome.record),
@@ -187,7 +182,8 @@ def _cmd_equiv(args) -> int:
 def _cmd_minor(args) -> int:
     x = _load(args.file_a)
     y = _load(args.file_b)
-    outcome = is_minor(x, y, _budget(args), SymmetryMode(args.symmetry))
+    outcome = is_minor(x, y, _budget(max_states=args.max_states),
+                       SymmetryMode(args.symmetry))
     if outcome.found:
         steps = [{"op": type(s).__name__, "region": s.region_id}
                  for s in outcome.sequence]
@@ -277,14 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     _add_symmetry_flag(p)
-    _add_budget_flags(p)
+    p.add_argument("--max-depth", type=int, default=4)
+    p.add_argument("--max-states", type=int, default=5000)
+    p.add_argument("--max-cells", type=int, default=80)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("minor", help="bounded minor search (is A a minor of B?)")
     p.add_argument("file_a")
     p.add_argument("file_b")
     _add_symmetry_flag(p)
-    _add_budget_flags(p)
+    p.add_argument("--max-states", type=int, default=5000)
     p.set_defaults(func=_cmd_minor)
 
     p = sub.add_parser("screen", help="obstruction screening flags")

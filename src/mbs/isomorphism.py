@@ -14,20 +14,23 @@ circle of a non-orientable region describes the same object.  Only the
 gauge class (the holonomy around incidence cycles) is structural, and the
 canonical encoding fixes the gauge deterministically while encoding.
 
-The canonical form is the lexicographically least encoding over admissible
-locus orderings (grouped by refinement colors), rotations, permitted
-reversals and gauge choices; equal bytes in one mode hold exactly for
-isomorphic surfaces.  The code is a header, one block per locus and a
-region table.  Every candidate at one search level comes from one color
-class, so all sibling blocks have the same length, and the search expands
-only the children whose block is least (prefix pruning in the sense of
-McKay and Piperno's canonical labelling).  A locus's sign potential is
-forced by the first orientable region of its block that is already
-numbered, and at the root the global gauge flip makes one potential
-enough.  These cuts are exact: they give the same labeling as expanding
-every child.  What remains exponential is a choice between equal blocks, as
-in a disjoint union of identical components (five copies of theta(3) take
-tens of seconds).
+Each connected component is labelled on its own.  A component's code is
+its locus and region counts, one block per locus and a region table, and it
+is the lexicographically least such encoding over locus orderings,
+rotations, permitted reversals and gauge choices; loci are taken in order of
+(wrapping, slot count), so all sibling blocks at one search level have the
+same length, and the search expands only the children whose block is least
+(prefix pruning in the sense of McKay and Piperno's canonical labelling).  A
+locus's sign potential is forced by the first orientable region of its
+block that is already numbered, and at a component's root the gauge flip of
+the component makes one potential enough.  These cuts are exact: they give
+the same labeling as expanding every child.  A component without loci is a
+single region, and its code is (0, 1) and that region's table row.  The
+surface's code is the validity-mode flag followed by the sorted component
+codes, so equal bytes in one mode hold exactly for isomorphic surfaces, and
+identical components never multiply the search.  Under MIRROR every
+component of one pass reads in the same direction and the lesser pass wins:
+the reversal is global, never chosen per component.
 
 The labeling that realises the least encoding records, per locus, where the
 encoding starts reading its cycle, in which direction, and the sign
@@ -46,10 +49,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import UnknownIdError
-from .model import MultibranchedSurface
+from .errors import MbsError, UnknownIdError
+from .model import MultibranchedSurface, component_partition
 
-FORMAT_PREFIX = b"mbscf1"
+FORMAT_PREFIX = b"mbscf2"
 
 
 class SymmetryMode(Enum):
@@ -64,55 +67,15 @@ class CanonicalForm:
     data: bytes
 
 
-def _refined_colors(surface: MultibranchedSurface):
-    """Stable colors for regions and loci (1-WL on the incidence structure).
-
-    Colors are invariant under every symmetry of every mode (reflection
-    closed); they only narrow the backtracking search.
-    """
-    attached = {c for l in surface.loci for c in l.slots}
-    region_color = {}
-    for r in surface.regions:
-        t = r.topology
-        n_att = sum(1 for c in r.boundary_circles if c in attached)
-        region_color[r.id] = (t.orientable, t.genus, t.boundary_count, n_att)
-    locus_color = {l.id: (l.wrapping, len(l.slots)) for l in surface.loci}
-
-    def dense(colors):
-        order = {sig: i for i, sig in enumerate(sorted(set(colors.values())))}
-        return {k: order[sig] for k, sig in colors.items()}
-
-    region_color = dense(region_color)
-    locus_color = dense(locus_color)
-    for _ in range(len(surface.regions) + len(surface.loci)):
-        new_locus = {}
-        for l in surface.loci:
-            seq = tuple(region_color[surface.circle_to_region[c]] for c in l.slots)
-            variants = [seq[i:] + seq[:i] for i in range(len(seq))]
-            rev = seq[::-1]
-            variants += [rev[i:] + rev[:i] for i in range(len(rev))]
-            new_locus[l.id] = (locus_color[l.id], min(variants))
-        new_region = {}
-        for r in surface.regions:
-            incident = tuple(sorted(
-                locus_color[surface.circle_to_slot[c][0]]
-                for c in r.boundary_circles if c in surface.circle_to_slot))
-            new_region[r.id] = (region_color[r.id], incident)
-        new_locus = dense(new_locus)
-        new_region = dense(new_region)
-        if new_locus == locus_color and new_region == region_color:
-            break
-        locus_color, region_color = new_locus, new_region
-    return region_color, locus_color
-
-
 @dataclass(frozen=True)
 class _Labeling:
     """The labeling that realises the canonical code.
 
     ``locus_seq`` lists the loci in code order, each with the slot its block
     starts at, the direction the block reads in and the locus potential.
-    ``region_number`` numbers every region; ``p_region`` holds the potential
+    ``region_number`` numbers every region, a component's regions after
+    those of the components before it in code order (the code itself numbers
+    regions within their component); ``p_region`` holds the potential
     of each orientable region with an attached circle.  The emitted slot of
     step ``s`` of a locus is ``(rotation + direction * s) % k``; its code
     sign bit is 0 exactly when ``p_locus * sign * p_region`` is 1.
@@ -126,11 +89,11 @@ class _Labeling:
 
 def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
     for l in surface.loci:
+        if not l.slots:
+            raise MbsError(f"locus {l.id} has no slots")
         for c in l.slots:
             if c not in surface.circle_to_region:
                 raise UnknownIdError(f"locus {l.id} has a slot for unknown circle {c!r}")
-    region_color, locus_color = _refined_colors(surface)
-    loci = sorted(surface.loci, key=lambda l: (locus_color[l.id], l.id))
     orientable = {r.id: r.topology.orientable for r in surface.regions}
     circle_region = surface.circle_to_region
     attached = surface.circle_to_slot
@@ -139,30 +102,6 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
         t = r.topology
         n_att = sum(1 for c in r.boundary_circles if c in attached)
         table_row[r.id] = (int(t.orientable), t.genus, t.boundary_count, n_att)
-    leftover_order = [r.id for r in sorted(surface.regions,
-                                           key=lambda r: (region_color[r.id], r.id))]
-
-    header = (0 if surface.mode.value == "strict" else 1,
-              len(surface.loci), len(surface.regions))
-
-    best: dict = {"code": None, "labeling": None}
-
-    def finish(code, chosen, region_number, p_region):
-        numbering = dict(region_number)
-        for rid in leftover_order:
-            if rid not in numbering:
-                numbering[rid] = len(numbering)
-        table = [x for rid in sorted(numbering, key=numbering.get)
-                 for x in table_row[rid]]
-        full = code + tuple(table)
-        if best["code"] is None or full < best["code"]:
-            best["code"] = full
-            best["labeling"] = _Labeling(
-                code=full,
-                locus_seq=tuple(chosen),
-                region_number=numbering,
-                p_region=dict(p_region),
-            )
 
     def block_of(locus, rot, direction, region_number, p_region):
         """The block of ``locus`` read from ``rot`` in ``direction``, the
@@ -205,66 +144,97 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
             potentials = (1, -1)
         return tuple(block), potentials, fresh
 
-    def rec(remaining, code, chosen, region_number, p_region, directions):
-        if not remaining:
-            finish(code, chosen, region_number, p_region)
-            return
-        # remaining keeps the (color, id) order of loci
-        color_min = locus_color[remaining[0].id]
-        candidates = [l for l in remaining if locus_color[l.id] == color_min]
-        # every candidate has one (wrapping, k), so every child block has
-        # the same length, and a child whose block exceeds a sibling's
-        # cannot lead to the least code: expand only the least blocks
-        least, children = None, []
-        for locus in candidates:
-            for direction in directions:
-                for rot in range(len(locus.slots)):
-                    block, potentials, fresh = block_of(
-                        locus, rot, direction, region_number, p_region)
-                    if least is None or block < least:
-                        least, children = block, []
-                    if block == least:
-                        children.append((locus, rot, direction, potentials, fresh))
-        new_code = code + least
-        # children that number the same regions with the same new
-        # potentials lead to isomorphic subtrees: the encoding never
-        # distinguishes circles beyond their region, so the consumed loci
-        # are then interchangeable
-        tried = set()
-        for locus, rot, direction, potentials, fresh in children:
-            ids = tuple(fresh)
-            for p_locus in potentials:
-                deltas = tuple(p_locus * eta for rid, (_, eta) in fresh.items()
-                               if orientable[rid])
-                if (ids, deltas) in tried:
-                    continue
-                tried.add((ids, deltas))
-                if not p_region:
-                    # the gauge image with p_locus = -1 is not expanded,
-                    # and neither are its twins
-                    tried.add((ids, tuple(-d for d in deltas)))
-                ref = best["code"]
-                if ref is not None and new_code > ref[:len(new_code)]:
-                    return
-                new_numbers = dict(region_number)
-                new_p = dict(p_region)
-                for rid, (number, eta) in fresh.items():
-                    new_numbers[rid] = number
-                    if orientable[rid]:
-                        new_p[rid] = p_locus * eta
-                rec([l for l in remaining if l is not locus], new_code,
-                    chosen + [(locus.id, rot, direction, p_locus)],
-                    new_numbers, new_p, directions)
+    def label_component(regions, loci, directions):
+        """The least code of one connected component, with the locus
+        sequence, region numbers and potentials that realise it."""
+        if not loci:
+            (region,) = regions
+            return (0, 1) + table_row[region.id], (), {region.id: 0}, {}
+        best = None
+
+        def rec(remaining, code, chosen, region_number, p_region):
+            nonlocal best
+            if not remaining:
+                full = code + tuple(x for rid in sorted(region_number, key=region_number.get)
+                                    for x in table_row[rid])
+                if best is None or full < best[0]:
+                    best = (full, tuple(chosen), region_number, p_region)
+                return
+            # remaining keeps the (wrapping, k, id) order, so every
+            # candidate has one (wrapping, k) and every child block the
+            # same length; a child whose block exceeds a sibling's cannot
+            # lead to the least code: expand only the least blocks
+            head = remaining[0]
+            candidates = [l for l in remaining
+                          if l.wrapping == head.wrapping and len(l.slots) == len(head.slots)]
+            least, children = None, []
+            for locus in candidates:
+                for direction in directions:
+                    for rot in range(len(locus.slots)):
+                        block, potentials, fresh = block_of(
+                            locus, rot, direction, region_number, p_region)
+                        if least is None or block < least:
+                            least, children = block, []
+                        if block == least:
+                            children.append((locus, rot, direction, potentials, fresh))
+            new_code = code + least
+            # children that number the same regions with the same new
+            # potentials lead to isomorphic subtrees: the encoding never
+            # distinguishes circles beyond their region, so the consumed loci
+            # are then interchangeable
+            tried = set()
+            for locus, rot, direction, potentials, fresh in children:
+                ids = tuple(fresh)
+                for p_locus in potentials:
+                    deltas = tuple(p_locus * eta for rid, (_, eta) in fresh.items()
+                                   if orientable[rid])
+                    if (ids, deltas) in tried:
+                        continue
+                    tried.add((ids, deltas))
+                    if not p_region:
+                        # the gauge image with p_locus = -1 is not expanded,
+                        # and neither are its twins
+                        tried.add((ids, tuple(-d for d in deltas)))
+                    if best is not None and new_code > best[0][:len(new_code)]:
+                        return
+                    new_numbers = dict(region_number)
+                    new_p = dict(p_region)
+                    for rid, (number, eta) in fresh.items():
+                        new_numbers[rid] = number
+                        if orientable[rid]:
+                            new_p[rid] = p_locus * eta
+                    rec([l for l in remaining if l is not locus], new_code,
+                        chosen + [(locus.id, rot, direction, p_locus)],
+                        new_numbers, new_p)
+
+        rec(sorted(loci, key=lambda l: (l.wrapping, len(l.slots), l.id)),
+            (len(loci), len(regions)), [], {}, {})
+        return best
 
     if mode is SymmetryMode.DIHEDRAL_PER_LOCUS:
         passes = ((1, -1),)
     elif mode is SymmetryMode.MIRROR:
+        # one reversal for the whole surface: every component of a pass
+        # reads in the same direction
         passes = ((1,), (-1,))
     else:
         passes = ((1,),)
+    components = component_partition(surface)
+    best = None
     for directions in passes:
-        rec(loci, header, [], {}, {}, directions)
-    return best["labeling"]
+        parts = sorted((label_component(regions, loci, directions)
+                        for regions, loci in components), key=lambda part: part[0])
+        code = (0 if surface.mode.value == "strict" else 1,) + \
+            tuple(x for part in parts for x in part[0])
+        if best is None or code < best.code:
+            locus_seq, region_number, p_region = [], {}, {}
+            for _, chosen, numbers, potentials in parts:
+                locus_seq += chosen
+                offset = len(region_number)
+                region_number.update((rid, offset + n) for rid, n in numbers.items())
+                p_region.update(potentials)
+            best = _Labeling(code, tuple(locus_seq), region_number, p_region)
+    return best
 
 
 @lru_cache(maxsize=8192)

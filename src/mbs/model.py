@@ -329,8 +329,11 @@ def euler_characteristic(surface: MultibranchedSurface) -> int:
     return sum(r.topology.euler for r in surface.regions)
 
 
-def connected_components(surface: MultibranchedSurface) -> int:
-    """Number of connected components of the region-locus incidence graph."""
+def component_partition(
+        surface: MultibranchedSurface) -> list[tuple[list[Region], list[BranchLocus]]]:
+    """The connected components of the region-locus incidence graph, each as
+    its regions and its loci in presentation order.  Slots naming no
+    region's circle join nothing."""
     parent: dict[str, str] = {}
 
     def find(x):
@@ -338,11 +341,6 @@ def connected_components(surface: MultibranchedSurface) -> int:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
 
     for r in surface.regions:
         parent["r:" + r.id] = "r:" + r.id
@@ -352,5 +350,15 @@ def connected_components(surface: MultibranchedSurface) -> int:
         for c in l.slots:
             owner = surface.circle_to_region.get(c)
             if owner is not None:
-                union("l:" + l.id, "r:" + owner)
-    return len({find(x) for x in parent})
+                parent[find("l:" + l.id)] = find("r:" + owner)
+    parts: dict[str, tuple[list, list]] = {}
+    for r in surface.regions:
+        parts.setdefault(find("r:" + r.id), ([], []))[0].append(r)
+    for l in surface.loci:
+        parts.setdefault(find("l:" + l.id), ([], []))[1].append(l)
+    return list(parts.values())
+
+
+def connected_components(surface: MultibranchedSurface) -> int:
+    """Number of connected components of the region-locus incidence graph."""
+    return len(component_partition(surface))

@@ -6,11 +6,14 @@ row/column reduction in the library.  Ranks are computed over the rationals
 with exact fractions, and determinants with fraction-free Bareiss
 elimination.
 
-The canonical labelling oracle is a plain backtracker: it expands every
-candidate (locus, direction, rotation, locus potential) and prunes only
-against the best complete code found so far.  The library's labeller must
-reproduce its labelling exactly: code, locus order, region numbering and
-potentials.
+The canonical labelling oracle is a plain backtracker: it finds the
+connected components by its own breadth-first search, and in each component
+it expands every candidate (locus, direction, rotation, locus potential)
+among the remaining loci of least (wrapping, slot count), pruning only
+against the best complete code found so far.  The surface's code is the
+validity-mode flag followed by the sorted component codes.  The library's
+labeller must reproduce its labelling exactly: code, locus order, region
+numbering and potentials.
 """
 
 from fractions import Fraction
@@ -18,7 +21,7 @@ from itertools import combinations
 from math import gcd
 
 from mbs.errors import UnknownIdError
-from mbs.isomorphism import SymmetryMode, _Labeling, _refined_colors
+from mbs.isomorphism import SymmetryMode, _Labeling
 from mbs.model import MultibranchedSurface
 
 
@@ -93,100 +96,135 @@ def homology_from_matrices(d1_rows, d2_rows, n_zero, n_one, n_two):
     return betti, torsion1
 
 
+def _components(surface: MultibranchedSurface):
+    """Connected components by breadth-first search from each region not yet
+    reached, in order of their first region: (region ids, loci)."""
+    region_loci = {r.id: [] for r in surface.regions}
+    for l in surface.loci:
+        for c in l.slots:
+            region_loci[surface.circle_to_region[c]].append(l)
+    seen, out = set(), []
+    for r in surface.regions:
+        if r.id in seen:
+            continue
+        seen.add(r.id)
+        queue, regions, loci = [r.id], [], []
+        while queue:
+            rid = queue.pop(0)
+            regions.append(rid)
+            for l in region_loci[rid]:
+                if l in loci:
+                    continue
+                loci.append(l)
+                for c in l.slots:
+                    other = surface.circle_to_region[c]
+                    if other not in seen:
+                        seen.add(other)
+                        queue.append(other)
+        out.append((regions, loci))
+    return out
+
+
 def reference_canonical_labelling(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
     for l in surface.loci:
         for c in l.slots:
             if c not in surface.circle_to_region:
                 raise UnknownIdError(f"locus {l.id} has a slot for unknown circle {c!r}")
-    region_color, locus_color = _refined_colors(surface)
-    loci = sorted(surface.loci, key=lambda l: (locus_color[l.id], l.id))
     orientable = {r.id: r.topology.orientable for r in surface.regions}
 
-    header = [0 if surface.mode.value == "strict" else 1,
-              len(surface.loci), len(surface.regions)]
+    def table_row(rid):
+        r = surface.region_by_id[rid]
+        t = r.topology
+        n_att = sum(1 for c in r.boundary_circles if c in surface.circle_to_slot)
+        return [int(t.orientable), t.genus, t.boundary_count, n_att]
 
-    best: dict = {"code": None, "labeling": None}
+    def label_component(regions, loci, global_dir):
+        if not loci:
+            (rid,) = regions
+            return tuple([0, 1] + table_row(rid)), (), {rid: 0}, {}
+        best: dict = {"part": None}
 
-    def finish(code, chosen, region_number, p_region):
-        numbering = dict(region_number)
-        leftovers = sorted((r for r in surface.regions if r.id not in numbering),
-                           key=lambda r: (region_color[r.id], r.id))
-        for r in leftovers:
-            numbering[r.id] = len(numbering)
-        table = []
-        by_number = sorted(numbering, key=numbering.get)
-        attached = surface.circle_to_slot
-        for rid in by_number:
-            r = surface.region_by_id[rid]
-            t = r.topology
-            n_att = sum(1 for c in r.boundary_circles if c in attached)
-            table += [int(t.orientable), t.genus, t.boundary_count, n_att]
-        full = tuple(code + table)
-        if best["code"] is None or full < best["code"]:
-            best["code"] = full
-            best["labeling"] = _Labeling(
-                code=full,
-                locus_seq=tuple(chosen),
-                region_number=numbering,
-                p_region=dict(p_region),
-            )
+        def finish(code, chosen, region_number, p_region):
+            table = []
+            for rid in sorted(region_number, key=region_number.get):
+                table += table_row(rid)
+            full = tuple(code + table)
+            if best["part"] is None or full < best["part"][0]:
+                best["part"] = (full, tuple(chosen), region_number, dict(p_region))
 
-    def rec(remaining, code, chosen, region_number, p_region, global_dir):
-        if not remaining:
-            finish(code, chosen, region_number, p_region)
-            return
-        color_min = min(locus_color[l.id] for l in remaining)
-        candidates = [l for l in remaining if locus_color[l.id] == color_min]
-        if mode is SymmetryMode.DIHEDRAL_PER_LOCUS:
-            directions = (1, -1)
-        else:
-            directions = (global_dir,)
-        # candidates that emit an already-explored block with the same
-        # region-id sequence and the same new gauge potentials lead to
-        # isomorphic subtrees: skip them (the encoding never distinguishes
-        # circles beyond their region, so the consumed loci are then
-        # interchangeable)
-        tried = set()
-        for locus in candidates:
-            k = len(locus.slots)
-            rest = [l for l in remaining if l.id != locus.id]
-            for direction in directions:
-                for rot in range(k):
-                    for p_locus in (1, -1):
-                        block = [locus.wrapping, k]
-                        ids = []
-                        deltas = []
-                        new_numbers = dict(region_number)
-                        new_p = dict(p_region)
-                        for step in range(k):
-                            idx = (rot + direction * step) % k
-                            c = locus.slots[idx]
-                            eta = locus.signs[idx]
-                            rid = surface.circle_to_region[c]
-                            if rid not in new_numbers:
-                                new_numbers[rid] = len(new_numbers)
-                                if orientable[rid]:
-                                    new_p[rid] = p_locus * eta
-                                    deltas.append(p_locus * eta)
-                                sign_bit = 0
-                            elif orientable[rid]:
-                                sign_bit = 0 if p_locus * eta * new_p[rid] == 1 else 1
-                            else:
-                                sign_bit = 0
-                            block += [new_numbers[rid], sign_bit]
-                            ids.append(rid)
-                        key = (tuple(block), tuple(ids), tuple(deltas))
-                        if key in tried:
-                            continue
-                        tried.add(key)
-                        new_code = code + block
-                        ref = best["code"]
-                        if ref is not None and tuple(new_code) > ref[:len(new_code)]:
-                            continue
-                        rec(rest, new_code, chosen + [(locus.id, rot, direction, p_locus)],
-                            new_numbers, new_p, global_dir)
+        def rec(remaining, code, chosen, region_number, p_region):
+            if not remaining:
+                finish(code, chosen, region_number, p_region)
+                return
+            kind = min((l.wrapping, len(l.slots)) for l in remaining)
+            candidates = [l for l in remaining if (l.wrapping, len(l.slots)) == kind]
+            if mode is SymmetryMode.DIHEDRAL_PER_LOCUS:
+                directions = (1, -1)
+            else:
+                directions = (global_dir,)
+            # candidates that emit an already-explored block with the same
+            # region-id sequence and the same new gauge potentials lead to
+            # isomorphic subtrees: skip them (the encoding never distinguishes
+            # circles beyond their region, so the consumed loci are then
+            # interchangeable)
+            tried = set()
+            for locus in candidates:
+                k = len(locus.slots)
+                rest = [l for l in remaining if l.id != locus.id]
+                for direction in directions:
+                    for rot in range(k):
+                        for p_locus in (1, -1):
+                            block = [locus.wrapping, k]
+                            ids = []
+                            deltas = []
+                            new_numbers = dict(region_number)
+                            new_p = dict(p_region)
+                            for step in range(k):
+                                idx = (rot + direction * step) % k
+                                c = locus.slots[idx]
+                                eta = locus.signs[idx]
+                                rid = surface.circle_to_region[c]
+                                if rid not in new_numbers:
+                                    new_numbers[rid] = len(new_numbers)
+                                    if orientable[rid]:
+                                        new_p[rid] = p_locus * eta
+                                        deltas.append(p_locus * eta)
+                                    sign_bit = 0
+                                elif orientable[rid]:
+                                    sign_bit = 0 if p_locus * eta * new_p[rid] == 1 else 1
+                                else:
+                                    sign_bit = 0
+                                block += [new_numbers[rid], sign_bit]
+                                ids.append(rid)
+                            key = (tuple(block), tuple(ids), tuple(deltas))
+                            if key in tried:
+                                continue
+                            tried.add(key)
+                            new_code = code + block
+                            ref = best["part"]
+                            if ref is not None and tuple(new_code) > ref[0][:len(new_code)]:
+                                continue
+                            rec(rest, new_code, chosen + [(locus.id, rot, direction, p_locus)],
+                                new_numbers, new_p)
 
-    passes = (1, -1) if mode is SymmetryMode.MIRROR else (1,)
-    for global_dir in passes:
-        rec(loci, list(header), [], {}, {}, global_dir)
-    return best["labeling"]
+        ordered = sorted(loci, key=lambda l: (l.wrapping, len(l.slots), l.id))
+        rec(ordered, [len(loci), len(regions)], [], {}, {})
+        return best["part"]
+
+    best = None
+    for global_dir in ((1, -1) if mode is SymmetryMode.MIRROR else (1,)):
+        parts = sorted((label_component(regions, loci, global_dir)
+                        for regions, loci in _components(surface)),
+                       key=lambda part: part[0])
+        code = [0 if surface.mode.value == "strict" else 1]
+        locus_seq, region_number, p_region = [], {}, {}
+        for part_code, chosen, numbers, potentials in parts:
+            code += part_code
+            locus_seq += chosen
+            offset = len(region_number)
+            for rid, n in numbers.items():
+                region_number[rid] = offset + n
+            p_region.update(potentials)
+        if best is None or tuple(code) < best.code:
+            best = _Labeling(tuple(code), tuple(locus_seq), region_number, p_region)
+    return best

@@ -321,8 +321,12 @@ def test_cli_dangling_slot_is_refused(tmp_path, capsys, argv, mode):
         assert "dangling-slot" in captured.err
 
 
-@pytest.mark.parametrize("command", ["equiv", "minor"])
-@pytest.mark.parametrize("flag", ["--max-depth", "--max-states", "--max-cells"])
+BUDGET_FLAGS = [(flag, "equiv") for flag in ("--max-depth", "--max-states", "--max-cells")]
+BUDGET_FLAGS.append(("--max-states", "minor"))
+
+
+@pytest.mark.parametrize("flag, command", BUDGET_FLAGS,
+                         ids=[f"{flag}-{command}" for flag, command in BUDGET_FLAGS])
 def test_cli_non_positive_budget_is_usage_error(tmp_path, capsys, command, flag):
     mode = ValidityMode.MINOR if command == "minor" else ValidityMode.STRICT
     path = write(tmp_path, "theta3.json", theta(3, mode))
@@ -330,6 +334,16 @@ def test_cli_non_positive_budget_is_usage_error(tmp_path, capsys, command, flag)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "budget" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--max-depth", "--max-cells"])
+def test_cli_minor_has_no_depth_or_cell_budget(tmp_path, capsys, flag):
+    # the minor search is bounded by states (and time) only
+    path = write(tmp_path, "theta3.json", theta(3, ValidityMode.MINOR))
+    code = main(["minor", path, path, flag, "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert flag in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_byte_stability(tmp_path, capsys, theta3):

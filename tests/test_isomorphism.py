@@ -51,7 +51,7 @@ def chiral_surface(reverse=False):
 
 def test_canonical_form_versioned(theta3):
     for mode in ALL_MODES:
-        assert canonical_form(theta3, mode).data.startswith(b"mbscf1")
+        assert canonical_form(theta3, mode).data.startswith(b"mbscf2")
 
 
 def test_scrambled_copies_have_identical_bytes(theta3):
@@ -200,22 +200,26 @@ def test_hash_stability_and_relabeling(theta3):
     assert h == canonical_hash(theta(3), SymmetryMode.ROTATIONAL)
 
 
-# stored move records hold canonical hashes, so the mbscf1 bytes of these
+# stored move records hold canonical hashes, so the mbscf2 bytes of these
 # surfaces must never change
 GOLDEN_HASHES = {
-    "theta3": (lambda: theta(3), {"rotational": 0x67089317bc975603,
-                                  "mirror": 0x838784bbcfe6c04c,
-                                  "dihedral": 0x393da16eae54c3c}),
-    "mb": (moebius_annulus, {"rotational": 0xfc1a332604fb4f3b,
-                             "mirror": 0xff1237f6f8f9234d,
-                             "dihedral": 0x5ee8b36689818f06}),
-    "qn": (quasi_pure, {"rotational": 0x435d32f0f8c5680,
-                        "mirror": 0xdcad9360a0eff26d,
-                        "dihedral": 0xa411390f104b6fc2}),
+    "theta3": (lambda: theta(3), {"rotational": 0x1f7e145086a0f782,
+                                  "mirror": 0x191c410f4e99b84e,
+                                  "dihedral": 0x7f6ebe3877f1c1e0}),
+    "mb": (moebius_annulus, {"rotational": 0x58d48ad75d2209de,
+                             "mirror": 0x33ee70816da2ca4c,
+                             "dihedral": 0x3324c141f193e38f}),
+    "qn": (quasi_pure, {"rotational": 0x676ae661e7c6bde,
+                        "mirror": 0xe96fe5c79cbf5495,
+                        "dihedral": 0xc839f249597de521}),
     "spread_theta4": (lambda: maximally_spread(theta(4))[0],
-                      {"rotational": 0x94146ee29ed5b88d,
-                       "mirror": 0xdb3b2e4eda5b4634,
-                       "dihedral": 0xc7c8ab57c71538bf}),
+                      {"rotational": 0x356ee230b9fc0977,
+                       "mirror": 0x52352575122404f7,
+                       "dihedral": 0x5faf665772abb43a}),
+    "theta3_mb": (lambda: disjoint_union(theta(3), moebius_annulus()),
+                  {"rotational": 0xc2eefd0f0203167d,
+                   "mirror": 0xc2049af5e45d8687,
+                   "dihedral": 0x9fcd67d9c5bb8f2c}),
 }
 
 
@@ -239,6 +243,15 @@ def test_labelling_matches_reference():
         b = random_walk(random_surface(seed + 50, 6 + seed % 9), seed, 2)[0]
         surfaces += [disjoint_union(a, b), disjoint_union(a, scramble(a, seed))]
     surfaces += [maximally_spread(theta(n))[0] for n in range(3, 7)]
+    # unions of identical components, up to presentation and reversal
+    for seed in range(1, 11):
+        a = random_walk(random_surface(seed, 6 + seed % 10), seed, 2)[0]
+        surfaces += [disjoint_union(a, a),
+                     disjoint_union(disjoint_union(a, scramble(a, seed)), a),
+                     disjoint_union(a, mirror_image(scramble(a, seed + 30)))]
+    ch = chiral_surface()
+    surfaces += [disjoint_union(ch, ch), disjoint_union(ch, chiral_surface(True)),
+                 disjoint_union(disjoint_union(theta(3), ch), theta(3))]
     for surface in surfaces:
         for mode in ALL_MODES:
             # equal code, locus_seq, region_number and p_region
@@ -253,6 +266,35 @@ def test_spread_theta7_labels_quickly():
     for mode in ALL_MODES:
         _search_canonical(spread, mode)
     assert time.perf_counter() - start < 5.0
+
+
+def test_union_labels_quickly():
+    # every order of identical components once gave equal blocks, and five
+    # copies of theta(3) took tens of seconds
+    copies = theta(3)
+    for _ in range(4):
+        copies = disjoint_union(copies, theta(3))
+    pieces = random_surface(1, 20)
+    for seed in range(2, 9):
+        pieces = disjoint_union(pieces, random_surface(seed, 20))
+    start = time.perf_counter()
+    for surface in (copies, pieces):
+        for mode in ALL_MODES:
+            _search_canonical(surface, mode)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_chiral_union_reverses_every_component_at_once():
+    # MIRROR reverses all cycles together: reversing one component of two
+    # is not an isomorphism, but reversing both is
+    ch, rv = chiral_surface(), chiral_surface(True)
+    same = disjoint_union(ch, ch)
+    mixed = disjoint_union(ch, rv)
+    assert are_isomorphic(same, mixed, SymmetryMode.MIRROR) is None
+    cert = are_isomorphic(same, mixed, SymmetryMode.DIHEDRAL_PER_LOCUS)
+    assert cert is not None and cert.verify(same, mixed)
+    cert = are_isomorphic(mixed, mirror_image(mixed), SymmetryMode.MIRROR)
+    assert cert is not None and cert.verify(mixed, mirror_image(mixed))
 
 
 def test_fixture_hashes_distinct(theta3, mb, qn):
@@ -295,3 +337,15 @@ def test_dangling_slot_raises_unknown_id(theta3):
             with pytest.raises(UnknownIdError, match="zzz") as caught:
                 call()
             assert isinstance(caught.value, MbsError)
+
+
+def test_locus_without_slots_raises_mbs_error(theta3):
+    empty = MultibranchedSurface(theta3.regions, theta3.loci + (BranchLocus("E", 1, ()),),
+                                 theta3.mode)
+    for mode in ALL_MODES:
+        for call in (lambda: canonical_form(empty, mode),
+                     lambda: canonical_hash(empty, mode),
+                     lambda: are_isomorphic(empty, theta3, mode),
+                     lambda: are_isomorphic(theta3, empty, mode)):
+            with pytest.raises(MbsError, match="locus E has no slots"):
+                call()
