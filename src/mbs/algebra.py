@@ -30,7 +30,12 @@ from .model import (
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Dense arbitrary-precision integer matrix (rows of equal length)."""
+    """Dense arbitrary-precision integer matrix (rows of equal length).
+
+    :meth:`from_rows` is the checked constructor for input from outside the
+    library (``int()`` on every entry, no ragged rows); the library builds
+    its own matrices directly from tuples of ``int`` rows.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -180,9 +185,9 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(
-        S=IntegerMatrix.from_rows(a),
-        U=IntegerMatrix.from_rows(u),
-        V=IntegerMatrix.from_rows(v),
+        S=IntegerMatrix(tuple(map(tuple, a))),
+        U=IntegerMatrix(tuple(map(tuple, u))),
+        V=IntegerMatrix(tuple(map(tuple, v))),
     )
 
 
@@ -210,71 +215,42 @@ def build_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
     boundary circle, and a free loop ``f.<circle>`` per unattached one.
     2-cells: one per region.
     """
-    zero_cells: list[str] = []
-    one_cells: list[str] = []
-    two_cells: list[str] = []
-    z_index: dict[str, int] = {}
-    o_index: dict[str, int] = {}
-
-    def add0(label):
-        z_index[label] = len(zero_cells)
-        zero_cells.append(label)
-
-    def add1(label):
-        o_index[label] = len(one_cells)
-        one_cells.append(label)
-
-    for l in surface.loci:
-        add0("v." + l.id)
-    for r in surface.regions:
-        add0("u." + r.id)
-    for l in surface.loci:
-        add1("e." + l.id)
-    for r in surface.regions:
-        if r.topology.orientable:
-            for i in range(1, r.topology.genus + 1):
-                add1(f"a{i}." + r.id)
-                add1(f"b{i}." + r.id)
-        else:
-            for i in range(1, r.topology.genus + 1):
-                add1(f"x{i}." + r.id)
-        for c in r.boundary_circles:
-            if c in surface.circle_to_slot:
-                add1("t." + c)
-            else:
-                add1("f." + c)
-
-    d1_cols = []
-    for label in one_cells:
-        col = [0] * len(zero_cells)
-        if label.startswith("t."):
-            c = label[2:]
-            locus_id, _ = surface.circle_to_slot[c]
-            col[z_index["v." + locus_id]] += 1
-            col[z_index["u." + surface.circle_to_region[c]]] -= 1
-        d1_cols.append(col)
-
-    d2_cols = []
-    for r in surface.regions:
+    loci, regions = surface.loci, surface.regions
+    locus_row = {l.id: i for i, l in enumerate(loci)}
+    zero_cells = ["v." + l.id for l in loci]
+    one_cells = ["e." + l.id for l in loci]
+    two_cells = []
+    blank = (0,) * len(regions)
+    d2_rows: list = [list(blank) for _ in loci]  # locus loops, summed below
+    tethers = []  # (1-cell, locus 0-cell, region 0-cell)
+    for j, r in enumerate(regions):
+        zero_cells.append("u." + r.id)
         two_cells.append("F." + r.id)
-        col = [0] * len(one_cells)
-        if not r.topology.orientable:
-            for i in range(1, r.topology.genus + 1):
-                col[o_index[f"x{i}." + r.id]] += 2
+        genus = r.topology.genus
+        if r.topology.orientable:
+            one_cells += [f"{h}{i}." + r.id for i in range(1, genus + 1) for h in "ab"]
+            d2_rows += [blank] * (2 * genus)
+        else:
+            one_cells += [f"x{i}." + r.id for i in range(1, genus + 1)]
+            d2_rows += [blank[:j] + (2,) + blank[j + 1:]] * genus
         for c in r.boundary_circles:
             slot = surface.circle_to_slot.get(c)
             if slot is None:
-                col[o_index["f." + c]] += 1
+                one_cells.append("f." + c)
+                d2_rows.append(blank[:j] + (1,) + blank[j + 1:])
             else:
-                locus = surface.locus(slot[0])
-                col[o_index["e." + locus.id]] += locus.signs[slot[1]] * locus.wrapping
-        d2_cols.append(col)
+                i = locus_row[slot[0]]
+                tethers.append((len(one_cells), i, len(loci) + j))
+                one_cells.append("t." + c)
+                d2_rows.append(blank)
+                d2_rows[i][j] += loci[i].signs[slot[1]] * loci[i].wrapping
 
-    d1 = IntegerMatrix.from_rows(list(zip(*d1_cols))) if d1_cols else \
-        IntegerMatrix.zero(len(zero_cells), 0)
-    d2 = IntegerMatrix.from_rows(list(zip(*d2_cols))) if d2_cols else \
-        IntegerMatrix.zero(len(one_cells), 0)
-    return ChainComplex(d1, d2, tuple(zero_cells), tuple(one_cells), tuple(two_cells))
+    d1_rows = [[0] * len(one_cells) for _ in zero_cells]
+    for col, v, u in tethers:
+        d1_rows[v][col], d1_rows[u][col] = 1, -1
+    return ChainComplex(IntegerMatrix(tuple(map(tuple, d1_rows))),
+                        IntegerMatrix(tuple(map(tuple, d2_rows))),
+                        tuple(zero_cells), tuple(one_cells), tuple(two_cells))
 
 
 @dataclass(frozen=True)
@@ -305,7 +281,7 @@ def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
     n0, n1, n2 = len(cx.zero_cells), len(cx.one_cells), len(cx.two_cells)
     r1 = n0 - connected_components(surface)
     snf2 = smith_normal_form(
-        IntegerMatrix.from_rows([row for row in cx.d2.entries if any(row)]))
+        IntegerMatrix(tuple(row for row in cx.d2.entries if any(row))))
     r2 = snf2.rank
     torsion1 = tuple(d for d in snf2.invariant_factors if d > 1)
     betti = (n0 - r1, (n1 - r1) - r2, n2 - r2)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IneligibleMoveError, ReplayError, TheoremViolationError
+from .errors import IneligibleMoveError, ModeError, ReplayError, TheoremViolationError
 from .isomorphism import SymmetryMode, canonical_form, canonical_hash
 from .model import (
     ANNULUS,
@@ -103,22 +103,14 @@ class MoveRecord:
         return len(self.steps)
 
 
-def _fresh_id(prefix: str, taken) -> str:
+def _fresh_ids(prefix: str, taken, count: int) -> list[str]:
+    """``count`` ids ``prefix<n>`` numbered on from the largest numeric
+    suffix among the ``taken`` ids with that prefix."""
     best = 0
     for t in taken:
-        if t.startswith(prefix) and t[len(prefix):].isdigit():
+        if t.startswith(prefix) and t[len(prefix):].isdecimal():
             best = max(best, int(t[len(prefix):]))
-    return f"{prefix}{best + 1}"
-
-
-def _fresh_ids(prefix: str, taken, count: int) -> list[str]:
-    out = []
-    taken = set(taken)
-    for _ in range(count):
-        nid = _fresh_id(prefix, taken)
-        taken.add(nid)
-        out.append(nid)
-    return out
+    return [f"{prefix}{best + i}" for i in range(1, count + 1)]
 
 
 def _cut_at_slot(locus: BranchLocus, p: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -137,8 +129,8 @@ def _cut_at_gap(locus: BranchLocus, g: int) -> tuple[tuple[str, ...], tuple[int,
 
 def _replace(surface: MultibranchedSurface, *, drop_regions=(), drop_loci=(),
              new_regions=(), new_loci=()) -> MultibranchedSurface:
-    regions = tuple(r for r in surface.regions if r.id not in set(drop_regions))
-    loci = tuple(l for l in surface.loci if l.id not in set(drop_loci))
+    regions = tuple(r for r in surface.regions if r.id not in drop_regions)
+    loci = tuple(l for l in surface.loci if l.id not in drop_loci)
     return MultibranchedSurface(regions + tuple(new_regions),
                                 loci + tuple(new_loci), surface.mode)
 
@@ -166,7 +158,7 @@ def _splice(surface, region, kind):
         if not slots:
             raise IneligibleMoveError(
                 f"contracting {r.id} would leave locus {locus_id} bare")
-        new_id = _fresh_id("b", surface.locus_by_id)
+        (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
         merged = BranchLocus(new_id, 2, slots, tuple(-eta_m * s for s in signs))
         return _replace(surface, drop_regions=(r.id,), drop_loci=(locus_id,),
                         new_loci=(merged,))
@@ -184,7 +176,7 @@ def _splice(surface, region, kind):
             raise IneligibleMoveError(
                 f"contracting {r.id} would leave a bare circle")
         factor = -eta_a * eta_b
-        new_id = _fresh_id("b", surface.locus_by_id)
+        (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
         merged = BranchLocus(new_id, 1, s0 + s1, g0 + tuple(factor * s for s in g1))
         return _replace(surface, drop_regions=(r.id,), drop_loci=(loc0, loc1),
                         new_loci=(merged,))
@@ -202,7 +194,7 @@ def _splice(surface, region, kind):
     slots = lu.slots[:pu] + arc + lu.slots[pu + 1:]
     signs = (lu.signs[:pu] + tuple(factor * s for s in arc_signs)
              + lu.signs[pu + 1:])
-    new_id = _fresh_id("b", surface.locus_by_id)
+    (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
     merged = BranchLocus(new_id, lu.wrapping, slots, signs)
     return _replace(surface, drop_regions=(r.id,), drop_loci=(ln.id, lu.id),
                     new_loci=(merged,))
@@ -277,55 +269,48 @@ def apply_xi(surface: MultibranchedSurface, choice: XIChoice) -> MultibranchedSu
         raise IneligibleMoveError(f"{choice} is not available")
     l = surface.locus(choice.locus_id)
     k = len(l.slots)
-    taken_circles = set(surface.circle_to_region)
+    c_a, c_b = _fresh_ids("c", surface.circle_to_region, 2)
+    id_a, id_b = _fresh_ids("b", surface.locus_by_id, 2)
+    (region_id,) = _fresh_ids("r", surface.region_by_id, 1)
 
     if isinstance(choice, NormalSplit):
         ga, gb = choice.gap_a, choice.gap_b
         idx_low = [(ga + 1 + i) % k for i in range(gb - ga)]
         idx_high = [(gb + 1 + i) % k for i in range(k - (gb - ga))]
-        c_high, c_low = _fresh_ids("c", taken_circles, 2)
-        id_high, id_low = _fresh_ids("b", surface.locus_by_id, 2)
         locus_high = BranchLocus(
-            id_high, 1,
-            tuple(l.slots[i] for i in idx_high) + (c_high,),
+            id_a, 1,
+            tuple(l.slots[i] for i in idx_high) + (c_a,),
             tuple(l.signs[i] for i in idx_high) + (1,))
         locus_low = BranchLocus(
-            id_low, 1,
-            tuple(l.slots[i] for i in idx_low) + (c_low,),
+            id_b, 1,
+            tuple(l.slots[i] for i in idx_low) + (c_b,),
             tuple(-l.signs[i] for i in idx_low) + (1,))
-        region = Region(_fresh_id("r", surface.region_by_id), ANNULUS,
-                        (c_high, c_low))
         return _replace(surface, drop_loci=(l.id,),
-                        new_regions=(region,), new_loci=(locus_high, locus_low))
+                        new_regions=(Region(region_id, ANNULUS, (c_a, c_b)),),
+                        new_loci=(locus_high, locus_low))
 
     if isinstance(choice, QuasiSplit):
         start, length = choice.start, choice.length
         arc = [(start + i) % k for i in range(length)]
         rest = [(start + length + i) % k for i in range(k - length)]
-        c_p, c_q = _fresh_ids("c", taken_circles, 2)
-        id_p, id_q = _fresh_ids("b", surface.locus_by_id, 2)
         locus_p = BranchLocus(
-            id_p, 1,
-            tuple(l.slots[i] for i in arc) + (c_p,),
+            id_a, 1,
+            tuple(l.slots[i] for i in arc) + (c_a,),
             tuple(-l.signs[i] for i in arc) + (1,))
         locus_q = BranchLocus(
-            id_q, l.wrapping,
-            (c_q,) + tuple(l.slots[i] for i in rest),
+            id_b, l.wrapping,
+            (c_b,) + tuple(l.slots[i] for i in rest),
             (1,) + tuple(l.signs[i] for i in rest))
-        region = Region(_fresh_id("r", surface.region_by_id), ANNULUS, (c_p, c_q))
         return _replace(surface, drop_loci=(l.id,),
-                        new_regions=(region,), new_loci=(locus_p, locus_q))
+                        new_regions=(Region(region_id, ANNULUS, (c_a, c_b)),),
+                        new_loci=(locus_p, locus_q))
 
-    # MoebiusSplit
-    g = choice.cut_gap
-    slots, signs = _cut_at_gap(l, g)
-    c_m = _fresh_id("c", taken_circles)
-    id_p = _fresh_id("b", surface.locus_by_id)
-    locus_p = BranchLocus(id_p, 1, slots + (c_m,),
-                          tuple(-s for s in signs) + (1,))
-    region = Region(_fresh_id("r", surface.region_by_id), MOEBIUS, (c_m,))
+    # MoebiusSplit: one new circle and one new locus
+    slots, signs = _cut_at_gap(l, choice.cut_gap)
+    locus_p = BranchLocus(id_a, 1, slots + (c_a,), tuple(-s for s in signs) + (1,))
     return _replace(surface, drop_loci=(l.id,),
-                    new_regions=(region,), new_loci=(locus_p,))
+                    new_regions=(Region(region_id, MOEBIUS, (c_a,)),),
+                    new_loci=(locus_p,))
 
 
 def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> MultibranchedSurface:
@@ -372,8 +357,11 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     enumeration order) at each step.  ``exhaustive`` explores all maximal
     spreading sequences and returns the endpoint with the least canonical
     form; :func:`all_maximal_spreadings` exposes the full set.
-    Returns ``(surface, MoveRecord)``.
+    Returns ``(surface, MoveRecord)``.  XI-moves are strict-only, so a
+    minor-mode surface raises :class:`ModeError`.
     """
+    if surface.mode is not ValidityMode.STRICT:
+        raise ModeError("spreading by XI-moves is defined on strict surfaces")
     if policy == "exhaustive":
         results = all_maximal_spreadings(surface)
         key = lambda pair: canonical_form(pair[0], SymmetryMode.ROTATIONAL).data
@@ -402,6 +390,8 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
 def all_maximal_spreadings(surface: MultibranchedSurface):
     """All maximally spread endpoints reachable by XI-moves, one per
     isomorphism class (rotational), each with a witnessing record."""
+    if surface.mode is not ValidityMode.STRICT:
+        raise ModeError("spreading by XI-moves is defined on strict surfaces")
     out = {}
     seen = set()
     stack = [(surface, ())]

@@ -6,6 +6,12 @@ row/column reduction in the library.  Ranks are computed over the rationals
 with exact fractions, and determinants with fraction-free Bareiss
 elimination.
 
+The chain complex oracle is the library's earlier three-pass builder: it
+lists the cells first, then reads each tether's ends back from its label,
+and builds both boundary matrices as column lists that it transposes
+through the checked ``IntegerMatrix.from_rows``.  The library's one-pass
+builder must reproduce its labels and entries exactly.
+
 The canonical labelling oracle is a plain backtracker: it finds the
 connected components by its own breadth-first search, and in each component
 it expands every candidate (locus, direction, rotation, locus potential)
@@ -20,6 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from mbs.algebra import ChainComplex, IntegerMatrix
 from mbs.errors import UnknownIdError
 from mbs.isomorphism import SymmetryMode, _Labeling
 from mbs.model import MultibranchedSurface
@@ -94,6 +101,74 @@ def homology_from_matrices(d1_rows, d2_rows, n_zero, n_one, n_two):
         if d2_rows else ()
     betti = (n_zero - r1, (n_one - r1) - r2, n_two - r2)
     return betti, torsion1
+
+
+def reference_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
+    zero_cells: list[str] = []
+    one_cells: list[str] = []
+    two_cells: list[str] = []
+    z_index: dict[str, int] = {}
+    o_index: dict[str, int] = {}
+
+    def add0(label):
+        z_index[label] = len(zero_cells)
+        zero_cells.append(label)
+
+    def add1(label):
+        o_index[label] = len(one_cells)
+        one_cells.append(label)
+
+    for l in surface.loci:
+        add0("v." + l.id)
+    for r in surface.regions:
+        add0("u." + r.id)
+    for l in surface.loci:
+        add1("e." + l.id)
+    for r in surface.regions:
+        if r.topology.orientable:
+            for i in range(1, r.topology.genus + 1):
+                add1(f"a{i}." + r.id)
+                add1(f"b{i}." + r.id)
+        else:
+            for i in range(1, r.topology.genus + 1):
+                add1(f"x{i}." + r.id)
+        for c in r.boundary_circles:
+            if c in surface.circle_to_slot:
+                add1("t." + c)
+            else:
+                add1("f." + c)
+
+    d1_cols = []
+    for label in one_cells:
+        col = [0] * len(zero_cells)
+        if label.startswith("t."):
+            c = label[2:]
+            locus_id, _ = surface.circle_to_slot[c]
+            col[z_index["v." + locus_id]] += 1
+            col[z_index["u." + surface.circle_to_region[c]]] -= 1
+        d1_cols.append(col)
+
+    d2_cols = []
+    for r in surface.regions:
+        two_cells.append("F." + r.id)
+        col = [0] * len(one_cells)
+        if not r.topology.orientable:
+            for i in range(1, r.topology.genus + 1):
+                col[o_index[f"x{i}." + r.id]] += 2
+        for c in r.boundary_circles:
+            slot = surface.circle_to_slot.get(c)
+            if slot is None:
+                col[o_index["f." + c]] += 1
+            else:
+                locus = surface.locus(slot[0])
+                col[o_index["e." + locus.id]] += locus.signs[slot[1]] * locus.wrapping
+        d2_cols.append(col)
+
+    d1 = IntegerMatrix.from_rows(list(zip(*d1_cols))) if d1_cols else \
+        IntegerMatrix.zero(len(zero_cells), 0)
+    d2 = IntegerMatrix.from_rows(list(zip(*d2_cols))) if d2_cols else \
+        IntegerMatrix.zero(len(one_cells), 0)
+    return ChainComplex(d1, d2, tuple(zero_cells), tuple(one_cells), tuple(two_cells))
 
 
 def _components(surface: MultibranchedSurface):

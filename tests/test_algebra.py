@@ -19,11 +19,14 @@ from mbs import (
     disjoint_union,
     euler_characteristic,
     homology_profile,
+    moebius_annulus,
+    quasi_pure,
     random_surface,
     smith_normal_form,
+    theta,
     validate,
 )
-from oracles import det_bareiss, invariant_factors_by_minors
+from oracles import det_bareiss, invariant_factors_by_minors, reference_chain_complex
 
 
 def matrix_as_dict(cx):
@@ -45,6 +48,14 @@ def test_snf_identity():
 def test_snf_small_example():
     dec = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     assert dec.S.diagonal == (2, 4)
+
+
+def test_from_rows_keeps_its_checks():
+    with pytest.raises(ValueError, match="ragged"):
+        IntegerMatrix.from_rows([[1, 2], [3]])
+    matrix = IntegerMatrix.from_rows([[True, 2]])
+    assert matrix.entries == ((1, 2),)
+    assert all(type(x) is int for x in matrix.entries[0])
 
 
 def test_snf_zero_matrix():
@@ -116,6 +127,35 @@ def test_qn_boundary_matrices(qn):
         ("e.bn", "F.A"): 1, ("e.bp", "F.A"): 3,
         ("e.bn", "F.C"): 2,
     }
+
+
+def union_of_random_pieces(pieces, mode=ValidityMode.STRICT):
+    rng = random.Random(f"union/{pieces}")
+    return reduce(
+        lambda acc, i: disjoint_union(
+            acc, random_surface(rng.randrange(10**6), 25, mode), ("", f"p{i}.")),
+        range(1, pieces), random_surface(rng.randrange(10**6), 25, mode))
+
+
+def test_chain_complex_matches_reference():
+    """The one-pass builder against the earlier three-pass one: same labels,
+    same cell order, same entries, all plain ints."""
+    surfaces = [random_surface(seed, 3 + seed % 28, mode)
+                for seed in range(1, 201)
+                for mode in (ValidityMode.STRICT, ValidityMode.MINOR)]
+    surfaces += [theta(n) for n in (3, 4, 7)] + [theta(2, ValidityMode.MINOR)]
+    surfaces += [moebius_annulus(), quasi_pure()]
+    surfaces += [closed_surface(orientable, genus)
+                 for orientable, genus in ((True, 0), (True, 1), (True, 3),
+                                           (False, 1), (False, 2))]
+    surfaces.append(MultibranchedSurface((), (), ValidityMode.MINOR))
+    surfaces += [union_of_random_pieces(pieces) for pieces in (5, 10, 20)]
+    surfaces.append(union_of_random_pieces(5, ValidityMode.MINOR))
+    for surface in surfaces:
+        cx, ref = build_chain_complex(surface), reference_chain_complex(surface)
+        assert cx == ref
+        for m in (cx.d1, cx.d2):
+            assert all(type(x) is int for row in m.entries for x in row)
 
 
 def test_d1_d2_compose_to_zero():
@@ -219,11 +259,7 @@ def test_homology_matches_sympy_on_unions(pieces):
         return [int(f) for f in invariant_factors(Matrix(m.entries), domain=ZZ)
                 if f != 0]
 
-    rng = random.Random(f"union/{pieces}")
-    surface = reduce(
-        lambda acc, i: disjoint_union(
-            acc, random_surface(rng.randrange(10**6), 25), ("", f"p{i}.")),
-        range(1, pieces), random_surface(rng.randrange(10**6), 25))
+    surface = union_of_random_pieces(pieces)
     cx = build_chain_complex(surface)
     f1, f2 = factors(cx.d1), factors(cx.d2)
     r1, r2 = len(f1), len(f2)

@@ -232,6 +232,18 @@ def test_cli_normalize(tmp_path, capsys, theta3):
     output_validator().validate(payload)
 
 
+@pytest.mark.parametrize("policy", ["first", "exhaustive"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_cli_normalize_minor_mode_is_usage_error(tmp_path, capsys, policy, n):
+    path = write(tmp_path, "t.json", theta(n, ValidityMode.MINOR))
+    code = main(["normalize", path, "--policy", policy])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_minor(tmp_path, capsys):
     theta3m = theta(3).in_mode(ValidityMode.MINOR)
     torus = contract_region(remove_region(theta3m, "r1"), "r2")

@@ -1,11 +1,16 @@
 import pytest
 
 from mbs import (
+    ANNULUS,
+    BranchLocus,
     IneligibleMoveError,
     IXSite,
+    ModeError,
     MoebiusSplit,
+    MultibranchedSurface,
     NormalSplit,
     QuasiSplit,
+    Region,
     RegionClass,
     SymmetryMode,
     ValidityMode,
@@ -29,7 +34,7 @@ from mbs import (
     theta,
     validate,
 )
-from mbs.moves import all_maximal_spreadings
+from mbs.moves import _fresh_ids, all_maximal_spreadings
 
 
 def cyclic_equal(seq, other):
@@ -236,6 +241,54 @@ def test_maximally_spread_policies(mb):
     assert len(endpoints) == 1
     with pytest.raises(ValueError):
         maximally_spread(merged, policy="bogus")
+
+
+@pytest.mark.parametrize("policy", ["first", "exhaustive"])
+def test_spreading_requires_strict_mode(policy, mb):
+    # a two-slot normal locus is spreadable by its profile but has no XI choice
+    for surface in (theta(2, ValidityMode.MINOR), theta(4, ValidityMode.MINOR),
+                    mb.in_mode(ValidityMode.MINOR)):
+        with pytest.raises(ModeError):
+            maximally_spread(surface, policy=policy)
+
+
+def test_all_maximal_spreadings_requires_strict_mode():
+    for n in (2, 4):
+        with pytest.raises(ModeError):
+            all_maximal_spreadings(theta(n, ValidityMode.MINOR))
+
+
+def test_all_maximal_spreadings_theta5():
+    # several spreading orders reach one intermediate class, so the search
+    # meets states it has already expanded
+    start = theta(5)
+    endpoints = all_maximal_spreadings(start)
+    assert len(endpoints) == 3
+    for i, (a, _) in enumerate(endpoints):
+        for b, _ in endpoints[i + 1:]:
+            assert are_isomorphic(a, b, SymmetryMode.ROTATIONAL) is None
+    for spread, record in endpoints:
+        assert is_maximally_spread_surface(spread)
+        assert replay(start, record) == spread
+
+
+def test_fresh_ids_continue_from_largest_suffix():
+    taken = {"c3", "c10", "cx", "r1.a"}
+    assert _fresh_ids("c", taken, 2) == ["c11", "c12"]
+    assert _fresh_ids("r", taken, 1) == ["r1"]
+    assert _fresh_ids("c", {"c\u00b2", "c3"}, 1) == ["c4"]  # not a decimal suffix
+    # a NormalSplit numbers on from the largest suffix of each kind of id
+    surface = MultibranchedSurface(
+        (Region("r2", ANNULUS, ("c3", "c4")), Region("r9", ANNULUS, ("c10", "cx")),
+         Region("rx", ANNULUS, ("c1", "c2")), Region("r1.a", ANNULUS, ("d1", "d2"))),
+        (BranchLocus("b1", 1, ("c3", "c10", "c1", "d1")),
+         BranchLocus("b7", 1, ("c4", "cx", "c2", "d2"))))
+    assert validate(surface) == []
+    after = apply_xi(surface, NormalSplit("b1", 0, 2))
+    assert after.regions[-1] == Region("r10", ANNULUS, ("c11", "c12"))
+    assert after.loci[-2:] == (
+        BranchLocus("b8", 1, ("d1", "c3", "c11"), (1, 1, 1)),
+        BranchLocus("b9", 1, ("c10", "c1", "c12"), (-1, -1, 1)))
 
 
 def test_maximally_spread_records_replay():

@@ -78,8 +78,27 @@ def test_search_component_mismatch(theta3):
 def test_search_exhausts_gracefully(theta3):
     big = theta(6)
     outcome = search_equivalence(theta3, big)
-    # same homology profile family is not guaranteed; accept either verdict
-    assert isinstance(outcome, (InvariantMismatch, ExhaustedWithinBudget))
+    # Euler characteristic and components agree; homology tells them apart
+    assert outcome == InvariantMismatch("homology_profile")
+
+
+def test_search_rejects_on_euler_characteristic(theta3):
+    outcome = search_equivalence(theta3, random_surface(1, 12))
+    assert outcome == InvariantMismatch("euler_characteristic")
+
+
+def test_search_reports_exhausted_state_space():
+    budget = SearchBudget(max_depth=30, max_cell_count=7)
+    outcome = search_equivalence(random_surface(1, 9), random_surface(65, 13), budget)
+    assert outcome == ExhaustedWithinBudget("state space exhausted within budget")
+
+
+def test_search_reports_exhausted_depth():
+    start = theta(4)
+    walked, _ = random_walk(start, 3, 4)
+    outcome = search_equivalence(start, walked, SearchBudget(max_depth=1),
+                                 SymmetryMode.ROTATIONAL)
+    assert outcome == ExhaustedWithinBudget("depth budget exhausted")
 
 
 def test_random_walk_length_zero(theta3):
