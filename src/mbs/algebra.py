@@ -48,10 +48,6 @@ class IntegerMatrix:
                 raise ValueError("ragged rows")
         return IntegerMatrix(rows)
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix(tuple((0,) * cols for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)

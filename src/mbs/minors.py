@@ -118,9 +118,6 @@ def contract_region(surface: MultibranchedSurface, region_id: str) -> Multibranc
     if kind not in IX_ELIGIBLE:
         raise IneligibleMoveError(
             f"region {region_id} is {kind.value}; not contractible")
-    if not _contraction_eligible(surface, region_id):
-        raise IneligibleMoveError(
-            f"contracting {region_id} would leave a bare circle")
     return _splice(surface, surface.region(region_id), kind)
 
 

@@ -4,9 +4,12 @@ Conventions used throughout:
 
 * Slot positions of a locus are indexed ``0..k-1`` in stored cyclic order.
 * Gap ``g`` sits between ``slots[g]`` and ``slots[(g+1) % k]``.
-* ``linear cut at slot p``: the cycle with slot ``p`` removed, read from
-  ``p+1`` onwards (``k-1`` entries).  ``linear cut at gap g``: the full
-  cycle read from ``g+1`` onwards (``k`` entries).
+* Every cut and split reads its slots with ``_arc(locus, start, length,
+  sign)``: ``length`` consecutive slots from ``start`` onwards (cyclically),
+  their signs multiplied by ``sign``.  Cutting at slot ``p`` keeps the
+  ``k-1`` slots from ``p+1`` on; cutting at gap ``g`` reads all ``k`` slots
+  from ``g+1`` on.  Signs transported through a collapse or reversed onto
+  a fresh locus enter as ``sign``.
 
 An IX-move contracts an eligible region onto its core circle and splices
 the affected slot cycles; orientation signs are transported through the
@@ -113,18 +116,14 @@ def _fresh_ids(prefix: str, taken, count: int) -> list[str]:
     return [f"{prefix}{best + i}" for i in range(1, count + 1)]
 
 
-def _cut_at_slot(locus: BranchLocus, p: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+def _arc(locus: BranchLocus, start: int, length: int,
+         sign: int = 1) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """``length`` consecutive slots of ``locus`` read cyclically from
+    ``start``, and their signs times ``sign``."""
     k = len(locus.slots)
-    order = [(p + 1 + i) % k for i in range(k - 1)]
+    order = [(start + i) % k for i in range(length)]
     return (tuple(locus.slots[i] for i in order),
-            tuple(locus.signs[i] for i in order))
-
-
-def _cut_at_gap(locus: BranchLocus, g: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    k = len(locus.slots)
-    order = [(g + 1 + i) % k for i in range(k)]
-    return (tuple(locus.slots[i] for i in order),
-            tuple(locus.signs[i] for i in order))
+            tuple(sign * locus.signs[i] for i in order))
 
 
 def _replace(surface: MultibranchedSurface, *, drop_regions=(), drop_loci=(),
@@ -153,13 +152,12 @@ def _splice(surface, region, kind):
         (c,) = r.boundary_circles
         locus_id, p = surface.circle_to_slot[c]
         locus = surface.locus(locus_id)
-        eta_m = locus.signs[p]
-        slots, signs = _cut_at_slot(locus, p)
+        slots, signs = _arc(locus, p + 1, len(locus.slots) - 1, -locus.signs[p])
         if not slots:
             raise IneligibleMoveError(
                 f"contracting {r.id} would leave locus {locus_id} bare")
         (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
-        merged = BranchLocus(new_id, 2, slots, tuple(-eta_m * s for s in signs))
+        merged = BranchLocus(new_id, 2, slots, signs)
         return _replace(surface, drop_regions=(r.id,), drop_loci=(locus_id,),
                         new_loci=(merged,))
 
@@ -169,15 +167,13 @@ def _splice(surface, region, kind):
     l0, l1 = surface.locus(loc0), surface.locus(loc1)
 
     if kind is RegionClass.NORMAL_ANNULUS:
-        eta_a, eta_b = l0.signs[p0], l1.signs[p1]
-        s0, g0 = _cut_at_slot(l0, p0)
-        s1, g1 = _cut_at_slot(l1, p1)
+        s0, g0 = _arc(l0, p0 + 1, len(l0.slots) - 1)
+        s1, g1 = _arc(l1, p1 + 1, len(l1.slots) - 1, -l0.signs[p0] * l1.signs[p1])
         if not s0 and not s1:
             raise IneligibleMoveError(
                 f"contracting {r.id} would leave a bare circle")
-        factor = -eta_a * eta_b
         (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
-        merged = BranchLocus(new_id, 1, s0 + s1, g0 + tuple(factor * s for s in g1))
+        merged = BranchLocus(new_id, 1, s0 + s1, g0 + g1)
         return _replace(surface, drop_regions=(r.id,), drop_loci=(loc0, loc1),
                         new_loci=(merged,))
 
@@ -186,14 +182,11 @@ def _splice(surface, region, kind):
         ln, pn, lu, pu = l0, p0, l1, p1
     else:
         ln, pn, lu, pu = l1, p1, l0, p0
-    eta_n, eta_u = ln.signs[pn], lu.signs[pu]
-    arc, arc_signs = _cut_at_slot(ln, pn)
+    arc, arc_signs = _arc(ln, pn + 1, len(ln.slots) - 1, -ln.signs[pn] * lu.signs[pu])
     if not arc and len(lu.slots) == 1:
         raise IneligibleMoveError(f"contracting {r.id} would leave a bare circle")
-    factor = -eta_n * eta_u
     slots = lu.slots[:pu] + arc + lu.slots[pu + 1:]
-    signs = (lu.signs[:pu] + tuple(factor * s for s in arc_signs)
-             + lu.signs[pu + 1:])
+    signs = lu.signs[:pu] + arc_signs + lu.signs[pu + 1:]
     (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
     merged = BranchLocus(new_id, lu.wrapping, slots, signs)
     return _replace(surface, drop_regions=(r.id,), drop_loci=(ln.id, lu.id),
@@ -224,39 +217,27 @@ def enumerate_xi(surface: MultibranchedSurface, locus_id: str) -> list[XIChoice]
 
     Normal locus of cycle length k: every unordered gap pair whose two arcs
     both keep at least two slots.  Unnormal non-pure locus: every consecutive
-    arc of length ``2 <= a <= k`` whose complement keeps degree >= 3 (for
-    ``a == k`` each cut gap is a distinct choice), plus one Moebius reversal
-    per cut gap when the wrapping is exactly 2.  Pure and normal-tribranched
-    loci admit none.
+    arc of length ``2 <= a < k`` (the locus left behind keeps degree >= 4),
+    the whole cycle ``a == k`` when the wrapping is at least 3 (each cut gap
+    is a distinct choice), plus one Moebius reversal per cut gap when the
+    wrapping is exactly 2.  Pure and normal-tribranched loci admit none.
+    Choices come in ``(start, length)`` order, Moebius reversals last.
     """
     l = surface.locus(locus_id)
     k = len(l.slots)
     w = l.wrapping
-    choices: list[XIChoice] = []
     if w == 1:
-        for ga in range(k):
-            for gb in range(ga + 1, k):
-                a = gb - ga
-                b = k - a
-                if a >= 2 and b >= 2:
-                    choices.append(NormalSplit(locus_id, ga, gb))
-        return choices
+        # both arcs keep at least two slots
+        return [NormalSplit(locus_id, ga, gb) for ga in range(k)
+                for gb in range(ga + 2, k) if gb - ga <= k - 2]
     if k < 2:
-        return choices
-    for start in range(k):
-        for length in range(2, k + 1):
-            if length < k:
-                remaining_degree = (k - length + 1) * w
-                if remaining_degree < 3:
-                    continue
-                choices.append(QuasiSplit(locus_id, start, length))
-            else:
-                if w >= 3:
-                    choices.append(QuasiSplit(locus_id, start, k))
-    choices.sort(key=lambda ch: (ch.start, ch.length))
+        return []
+    longest = k if w >= 3 else k - 1  # the whole cycle needs wrapping >= 3
+    choices: list[XIChoice] = [QuasiSplit(locus_id, start, length)
+                               for start in range(k)
+                               for length in range(2, longest + 1)]
     if w == 2:
-        for g in range(k):
-            choices.append(MoebiusSplit(locus_id, g))
+        choices += [MoebiusSplit(locus_id, g) for g in range(k)]
     return choices
 
 
@@ -275,42 +256,24 @@ def apply_xi(surface: MultibranchedSurface, choice: XIChoice) -> MultibranchedSu
 
     if isinstance(choice, NormalSplit):
         ga, gb = choice.gap_a, choice.gap_b
-        idx_low = [(ga + 1 + i) % k for i in range(gb - ga)]
-        idx_high = [(gb + 1 + i) % k for i in range(k - (gb - ga))]
-        locus_high = BranchLocus(
-            id_a, 1,
-            tuple(l.slots[i] for i in idx_high) + (c_a,),
-            tuple(l.signs[i] for i in idx_high) + (1,))
-        locus_low = BranchLocus(
-            id_b, 1,
-            tuple(l.slots[i] for i in idx_low) + (c_b,),
-            tuple(-l.signs[i] for i in idx_low) + (1,))
-        return _replace(surface, drop_loci=(l.id,),
-                        new_regions=(Region(region_id, ANNULUS, (c_a, c_b)),),
-                        new_loci=(locus_high, locus_low))
-
-    if isinstance(choice, QuasiSplit):
+        high, high_signs = _arc(l, gb + 1, k - (gb - ga))
+        low, low_signs = _arc(l, ga + 1, gb - ga, -1)
+        region = Region(region_id, ANNULUS, (c_a, c_b))
+        new_loci = (BranchLocus(id_a, 1, high + (c_a,), high_signs + (1,)),
+                    BranchLocus(id_b, 1, low + (c_b,), low_signs + (1,)))
+    elif isinstance(choice, QuasiSplit):
         start, length = choice.start, choice.length
-        arc = [(start + i) % k for i in range(length)]
-        rest = [(start + length + i) % k for i in range(k - length)]
-        locus_p = BranchLocus(
-            id_a, 1,
-            tuple(l.slots[i] for i in arc) + (c_a,),
-            tuple(-l.signs[i] for i in arc) + (1,))
-        locus_q = BranchLocus(
-            id_b, l.wrapping,
-            (c_b,) + tuple(l.slots[i] for i in rest),
-            (1,) + tuple(l.signs[i] for i in rest))
-        return _replace(surface, drop_loci=(l.id,),
-                        new_regions=(Region(region_id, ANNULUS, (c_a, c_b)),),
-                        new_loci=(locus_p, locus_q))
-
-    # MoebiusSplit: one new circle and one new locus
-    slots, signs = _cut_at_gap(l, choice.cut_gap)
-    locus_p = BranchLocus(id_a, 1, slots + (c_a,), tuple(-s for s in signs) + (1,))
-    return _replace(surface, drop_loci=(l.id,),
-                    new_regions=(Region(region_id, MOEBIUS, (c_a,)),),
-                    new_loci=(locus_p,))
+        arc, arc_signs = _arc(l, start, length, -1)
+        rest, rest_signs = _arc(l, start + length, k - length)
+        region = Region(region_id, ANNULUS, (c_a, c_b))
+        new_loci = (BranchLocus(id_a, 1, arc + (c_a,), arc_signs + (1,)),
+                    BranchLocus(id_b, l.wrapping, (c_b,) + rest, (1,) + rest_signs))
+    else:  # MoebiusSplit: one new circle and one new locus
+        slots, signs = _arc(l, choice.cut_gap + 1, k, -1)
+        region = Region(region_id, MOEBIUS, (c_a,))
+        new_loci = (BranchLocus(id_a, 1, slots + (c_a,), signs + (1,)),)
+    return _replace(surface, drop_loci=(l.id,), new_regions=(region,),
+                    new_loci=new_loci)
 
 
 def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> MultibranchedSurface:
@@ -350,6 +313,13 @@ def spread_potential(surface: MultibranchedSurface) -> int:
     return total
 
 
+def _xi_choices(surface: MultibranchedSurface, loci):
+    """The XI choices of ``loci``, locus by locus: spreading goes on
+    exactly where this offers one."""
+    for l in loci:
+        yield from enumerate_xi(surface, l.id)
+
+
 def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     """Apply XI-moves until every locus is non-spreadable.
 
@@ -373,12 +343,10 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     current = surface
     steps = []
     while True:
-        spreadable = [l.id for l in current.loci
-                      if locus_profile(current, l.id).is_spreadable]
-        if not spreadable:
+        by_id = sorted(current.loci, key=lambda l: l.id)
+        choice = next(_xi_choices(current, by_id), None)
+        if choice is None:
             break
-        locus_id = min(spreadable)
-        choice = enumerate_xi(current, locus_id)[0]
         after = apply_xi(current, choice)
         steps.append(MoveStep.of(choice, current, after))
         current = after
@@ -398,19 +366,17 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
     while stack:
         current, steps = stack.pop()
         key = canonical_form(current, SymmetryMode.ROTATIONAL).data
-        spreadable = [l.id for l in current.loci
-                      if locus_profile(current, l.id).is_spreadable]
-        if not spreadable:
+        choices = list(_xi_choices(current, current.loci))
+        if not choices:
             if key not in out:
                 out[key] = (current, MoveRecord(steps))
             continue
         if key in seen:
             continue
         seen.add(key)
-        for locus_id in spreadable:
-            for choice in enumerate_xi(current, locus_id):
-                after = apply_xi(current, choice)
-                stack.append((after, steps + (MoveStep.of(choice, current, after),)))
+        for choice in choices:
+            after = apply_xi(current, choice)
+            stack.append((after, steps + (MoveStep.of(choice, current, after),)))
     return list(out.values())
 
 

@@ -115,38 +115,10 @@ class _Side:
         return list(reversed(surfaces)), list(reversed(moves))
 
 
-def _expand(side: _Side, other: _Side, budget: SearchBudget, deadline: float,
-            state_counter: list[int]):
-    """Advance one BFS level; returns a meeting key or None, plus a flag
-    telling whether the budget was exhausted."""
-    new_frontier: list[bytes] = []
-    for key in sorted(side.frontier):
-        surface = side.tree[key][0]
-        for move, after in neighbors(surface):
-            if time.monotonic() > deadline:
-                return None, True
-            if after.cell_count > budget.max_cell_count:
-                continue
-            after_key = canonical_form(after, SymmetryMode.ROTATIONAL).data
-            if after_key in side.tree:
-                continue
-            if state_counter[0] >= budget.max_states:
-                return None, True
-            side.tree[after_key] = (after, key, move)
-            state_counter[0] += 1
-            new_frontier.append(after_key)
-            if after_key in other.tree:
-                side.frontier = new_frontier
-                side.depth += 1
-                return after_key, False
-    side.frontier = new_frontier
-    side.depth += 1
-    return None, False
-
-
-def _invert_backward_chain(meet_surface, backward_surfaces):
+def _invert_backward_chain(meet_surface, backward_surfaces, deadline: float):
     """Turn the backward chain (target ... meet) into forward moves from a
-    representative of the meet class down to the target class.
+    representative of the meet class down to the target class, or None when
+    the deadline passes first.
 
     Every move has a reverse move, so from any surface in the class of
     ``backward_surfaces[i]`` some neighbor lands in the class of
@@ -158,6 +130,8 @@ def _invert_backward_chain(meet_surface, backward_surfaces):
     for i in range(len(backward_surfaces) - 2, -1, -1):
         want = canonical_form(backward_surfaces[i], SymmetryMode.ROTATIONAL).data
         for move, after in neighbors(current):
+            if time.monotonic() > deadline:
+                return None
             if canonical_form(after, SymmetryMode.ROTATIONAL).data == want:
                 moves.append((move, current, after))
                 current = after
@@ -187,28 +161,45 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
         return Found(MoveRecord(()))
 
     side_x, side_y = _Side(x), _Side(y)
-    counter = [2]
+    states = 2
     meet = None
-    exhausted = False
-    while meet is None and not exhausted:
-        if not side_x.frontier and not side_y.frontier:
-            return ExhaustedWithinBudget("state space exhausted within budget")
-        if side_x.depth >= budget.max_depth and side_y.depth >= budget.max_depth:
-            return ExhaustedWithinBudget("depth budget exhausted")
-        sides = sorted((side_x, side_y), key=lambda s: (len(s.frontier), s is side_y))
-        side = next((s for s in sides
-                     if s.frontier and s.depth < budget.max_depth), None)
-        if side is None:
-            return ExhaustedWithinBudget("depth budget exhausted")
+    while meet is None:
+        live = [s for s in (side_x, side_y)
+                if s.frontier and s.depth < budget.max_depth]
+        if not live:
+            return ExhaustedWithinBudget(
+                "depth budget exhausted" if side_x.frontier or side_y.frontier
+                else "state space exhausted within budget")
+        # advance the smaller frontier by one BFS level
+        side = min(live, key=lambda s: (len(s.frontier), s is side_y))
         other = side_y if side is side_x else side_x
-        meet, exhausted = _expand(side, other, budget, deadline, counter)
-    if meet is None:
-        return ExhaustedWithinBudget("state or time budget exhausted")
+        parents, side.frontier = sorted(side.frontier), []
+        side.depth += 1
+        level = ((parent, move, after) for parent in parents
+                 for move, after in neighbors(side.tree[parent][0]))
+        for parent, move, after in level:
+            if time.monotonic() > deadline:
+                return ExhaustedWithinBudget("state or time budget exhausted")
+            if after.cell_count > budget.max_cell_count:
+                continue
+            key = canonical_form(after, SymmetryMode.ROTATIONAL).data
+            if key in side.tree:
+                continue
+            if states >= budget.max_states:
+                return ExhaustedWithinBudget("state or time budget exhausted")
+            side.tree[key] = (after, parent, move)
+            states += 1
+            side.frontier.append(key)
+            if key in other.tree:
+                meet = key
+                break
 
     fwd_surfaces, fwd_moves = side_x.chain(meet)
     bwd_surfaces, _ = side_y.chain(meet)
 
-    inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces)
+    inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, deadline)
+    if inverted is None:
+        return ExhaustedWithinBudget("state or time budget exhausted")
     forward = zip(fwd_moves, fwd_surfaces, fwd_surfaces[1:])
     record = MoveRecord(tuple(MoveStep.of(move, before, after)
                               for move, before, after in [*forward, *inverted]))

@@ -165,9 +165,9 @@ def reference_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
         d2_cols.append(col)
 
     d1 = IntegerMatrix.from_rows(list(zip(*d1_cols))) if d1_cols else \
-        IntegerMatrix.zero(len(zero_cells), 0)
+        IntegerMatrix(((),) * len(zero_cells))
     d2 = IntegerMatrix.from_rows(list(zip(*d2_cols))) if d2_cols else \
-        IntegerMatrix.zero(len(one_cells), 0)
+        IntegerMatrix(((),) * len(one_cells))
     return ChainComplex(d1, d2, tuple(zero_cells), tuple(one_cells), tuple(two_cells))
 
 

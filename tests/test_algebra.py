@@ -59,7 +59,7 @@ def test_from_rows_keeps_its_checks():
 
 
 def test_snf_zero_matrix():
-    dec = smith_normal_form(IntegerMatrix.zero(3, 2))
+    dec = smith_normal_form(IntegerMatrix.from_rows([[0, 0]] * 3))
     assert dec.S.is_zero()
     assert dec.S.rows == 3 and dec.S.cols == 2
 

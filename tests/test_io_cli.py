@@ -5,6 +5,11 @@ import jsonschema
 import pytest
 
 from mbs import (
+    IXSite,
+    MoebiusSplit,
+    NormalSplit,
+    QuasiSplit,
+    RegionClass,
     SchemaError,
     SymmetryMode,
     ValidityMode,
@@ -105,9 +110,25 @@ def test_parse_rejects_bad_format_and_mode():
 def test_move_document_roundtrip(theta3):
     from mbs.search import neighbors
 
-    for move, _ in neighbors(apply_ix(theta3, enumerate_ix(theta3)[0])):
+    moves = [move for move, _ in neighbors(apply_ix(theta3, enumerate_ix(theta3)[0]))]
+    # one of every kind, the quasi split included
+    moves += [IXSite("r1", RegionClass.NORMAL_ANNULUS), NormalSplit("b1", 0, 2),
+              QuasiSplit("b2", 1, 3), MoebiusSplit("b3", 2)]
+    for move in moves:
         doc = mbs_io.move_to_document(move)
         assert mbs_io.document_to_move(doc) == move
+
+
+def test_move_document_rejects_unknown_variant_and_class():
+    with pytest.raises(SchemaError, match="unknown variant"):
+        mbs_io.document_to_move({"move": "xi", "variant": "twist", "locus": "b1"})
+    with pytest.raises(SchemaError, match="unknown region class"):
+        mbs_io.document_to_move({"move": "ix", "region": "r1", "kind": "torus"})
+
+
+def test_parse_rejects_invalid_utf8():
+    with pytest.raises(SchemaError, match="invalid UTF-8"):
+        parse(b'{"format": "mbs/1", "mode": "\xff"}')
 
 
 def test_record_document_roundtrip(mb):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 
@@ -349,3 +350,30 @@ def test_locus_without_slots_raises_mbs_error(theta3):
                      lambda: are_isomorphic(theta3, empty, mode)):
             with pytest.raises(MbsError, match="locus E has no slots"):
                 call()
+
+
+def test_certificate_verify_rejects_each_tampering():
+    ch, rv = chiral_surface(), chiral_surface(True)
+    x = disjoint_union(theta(3), ch)
+    y = scramble(disjoint_union(theta(3), rv), 4)
+    cert = are_isomorphic(x, y, SymmetryMode.MIRROR)
+    assert cert is not None and cert.verify(x, y)
+    a_circle = next(iter(cert.circle_map))
+    a_region = next(iter(cert.region_map))
+    theta_locus = next(l.id for l in x.loci if l.id != "B")
+    # an incomplete map makes apply raise KeyError
+    incomplete = {c: d for c, d in cert.circle_map.items() if c != a_circle}
+    assert not dataclasses.replace(cert, circle_map=incomplete).verify(x, y)
+    # the image keeps x's validity mode
+    assert not cert.verify(x, y.in_mode(ValidityMode.MINOR))
+    wrong_region = {**cert.region_map, a_region: "nowhere"}
+    assert not dataclasses.replace(cert, region_map=wrong_region).verify(x, y)
+    flipped = cert.locus_flips ^ {theta_locus}
+    assert not dataclasses.replace(cert, locus_flips=flipped).verify(x, y)
+    # the chiral locus is reversed, which ROTATIONAL forbids
+    assert not dataclasses.replace(cert, mode=SymmetryMode.ROTATIONAL).verify(x, y)
+    # one component reversed and the other not, which MIRROR forbids
+    same, mixed = disjoint_union(ch, ch), disjoint_union(ch, rv)
+    per_locus = are_isomorphic(same, mixed, SymmetryMode.DIHEDRAL_PER_LOCUS)
+    assert per_locus is not None and per_locus.verify(same, mixed)
+    assert not dataclasses.replace(per_locus, mode=SymmetryMode.MIRROR).verify(same, mixed)

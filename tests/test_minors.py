@@ -101,7 +101,7 @@ def test_contract_rejects_closing(qn):
 def test_contract_rejects_bare_circle_outcome():
     mbm = moebius_annulus().in_mode(ValidityMode.MINOR)
     lonely = remove_region(mbm, "C")  # Moebius band on a degree-1 locus
-    with pytest.raises(IneligibleMoveError):
+    with pytest.raises(IneligibleMoveError, match="would leave locus b bare"):
         contract_region(lonely, "M")
 
 

@@ -34,6 +34,7 @@ def test_fixtures_are_valid(theta3, mb, qn):
     assert validate(mb) == []
     assert validate(qn) == []
     assert validate(closed_surface(False, 1)) == []
+    assert validate(one_boundary_surface()) == []
 
 
 def test_theta2_strict_violation():
@@ -53,6 +54,45 @@ def test_dangling_slot_is_a_violation():
     locus = BranchLocus("b", 3, ("x", "ghost"))
     report = validate(MultibranchedSurface((r,), (locus,)))
     assert any(v.rule == "dangling-slot" for v in report)
+
+
+TORUS_1 = RegionTopology(True, 1, 1)
+
+
+def one_boundary_surface(regions=(Region("r", TORUS_1, ("x",)),),
+                         loci=(BranchLocus("b", 3, ("x",)),)):
+    return MultibranchedSurface(tuple(regions), tuple(loci))
+
+
+BAD_SURFACES = {
+    "duplicate-region-id": one_boundary_surface(
+        regions=(Region("r", TORUS_1, ("x",)), Region("r", TORUS_1, ("y",))),
+        loci=(BranchLocus("b", 3, ("x",)), BranchLocus("c", 3, ("y",)))),
+    "duplicate-circle-id": one_boundary_surface(
+        regions=(Region("r", TORUS_1, ("x",)), Region("s", TORUS_1, ("x",)))),
+    "duplicate-locus-id": one_boundary_surface(
+        regions=(Region("r", TORUS_1, ("x",)), Region("s", TORUS_1, ("y",))),
+        loci=(BranchLocus("b", 3, ("x",)), BranchLocus("b", 3, ("y",)))),
+    "negative-genus": one_boundary_surface(
+        regions=(Region("r", RegionTopology(True, -1, 1), ("x",)),)),
+    "negative-boundary-count": one_boundary_surface(
+        regions=(Region("r", RegionTopology(True, 1, -1), ("x",)),)),
+    "boundary-count-mismatch": one_boundary_surface(
+        regions=(Region("r", RegionTopology(True, 1, 2), ("x",)),)),
+    "wrapping-positive": one_boundary_surface(loci=(BranchLocus("b", 0, ("x",)),)),
+    "empty-locus": one_boundary_surface(
+        loci=(BranchLocus("b", 3, ("x",)), BranchLocus("e", 1, ()))),
+    "sign-length": one_boundary_surface(loci=(BranchLocus("b", 3, ("x",), (1, 1)),)),
+    "sign-value": one_boundary_surface(loci=(BranchLocus("b", 3, ("x",), (2,)),)),
+    "slot-repeat": one_boundary_surface(loci=(BranchLocus("b", 3, ("x", "x")),)),
+    "slot-conflict": one_boundary_surface(
+        loci=(BranchLocus("b", 3, ("x",)), BranchLocus("c", 3, ("x",)))),
+}
+
+
+@pytest.mark.parametrize("rule", BAD_SURFACES)
+def test_validate_reports_rule(rule):
+    assert rule in {v.rule for v in validate(BAD_SURFACES[rule])}
 
 
 def test_unattached_circle_strict_only():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from mbs import (
@@ -7,11 +9,13 @@ from mbs import (
     IXSite,
     ModeError,
     MoebiusSplit,
+    MoveRecord,
     MultibranchedSurface,
     NormalSplit,
     QuasiSplit,
     Region,
     RegionClass,
+    ReplayError,
     SymmetryMode,
     ValidityMode,
     apply_ih,
@@ -29,6 +33,7 @@ from mbs import (
     locus_profile,
     maximally_spread,
     random_surface,
+    random_walk,
     replay,
     spread_potential,
     theta,
@@ -298,6 +303,17 @@ def test_maximally_spread_records_replay():
         assert is_maximally_spread_surface(spread)
         assert len(record) <= spread_potential(surface)
         assert replay(surface, record) == spread
+
+
+def test_replay_rejects_wrong_hashes(theta3):
+    _, record = random_walk(theta3, seed=1, length=2)
+    first, second = record.steps
+    bad_before = dataclasses.replace(first, hash_before=first.hash_before ^ 1)
+    with pytest.raises(ReplayError, match="before step 0"):
+        replay(theta3, MoveRecord((bad_before, second)))
+    bad_after = dataclasses.replace(second, hash_after=second.hash_after ^ 1)
+    with pytest.raises(ReplayError, match="after step 1"):
+        replay(theta3, MoveRecord((first, bad_after)))
 
 
 def test_apply_ih_fixtures(theta3, mb, qn):

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -147,3 +148,24 @@ def test_time_limit_counts_from_entry(monkeypatch):
     monkeypatch.setattr(mbs.search, "homology_profile", slow_profile)
     outcome = search_equivalence(start, walked, budget)
     assert isinstance(outcome, ExhaustedWithinBudget)
+
+
+def test_time_limit_holds_through_chain_inversion(monkeypatch):
+    start = theta(4)
+    walked, _ = random_walk(start, seed=2, length=2)
+    budget = SearchBudget(max_depth=2, time_limit=0.2)
+    plain = mbs.search.neighbors
+    inverting = []
+
+    def slow_when_inverting(surface):
+        if sys._getframe(1).f_code.co_name == "_invert_backward_chain":
+            inverting.append(surface)
+            time.sleep(0.3)
+        return plain(surface)
+
+    # the search meets quickly, then labelling one neighbour list in the
+    # chain inversion passes the deadline
+    monkeypatch.setattr(mbs.search, "neighbors", slow_when_inverting)
+    outcome = search_equivalence(start, walked, budget)
+    assert inverting
+    assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
