@@ -12,18 +12,22 @@ incidence matrix of the region-locus graph (the tethers are its edges); it
 is totally unimodular, so it adds no torsion and its rank is ``vertices -
 components``.  Only locus-loop, crosscap and free-loop rows of ``d2`` can be
 non-zero, and zero rows change neither rank nor invariant factors, so they
-are dropped before the reduction.
+are dropped.  Each non-zero row meets the regions of one connected
+component only, so ``d2`` is block-diagonal by component: each block is
+reduced on its own, the ranks add up, and the blocks' invariant factors
+merge into one divisibility chain through ``diag(a, b) ~ diag(gcd, lcm)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ModeError
 from .model import (
     MultibranchedSurface,
     ValidityMode,
-    connected_components,
+    component_partition,
     euler_characteristic,
 )
 
@@ -95,9 +99,10 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     """Diagonalise over the integers by row/column reduction.
 
     Pivots are chosen as the smallest non-zero absolute value (ties broken
-    by position) which keeps entry growth moderate; the final pass enforces
-    the divisibility chain and non-negative diagonal.  The output is
-    deterministic for a given input.
+    by row-major position, so the search stops at the first unit) which
+    keeps entry growth moderate; the final pass enforces the divisibility
+    chain and non-negative diagonal.  The output is deterministic for a
+    given input.
     """
     m, n = matrix.rows, matrix.cols
     a = [list(row) for row in matrix.entries]
@@ -133,9 +138,12 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     def pick_pivot(t):
         best = None
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                x = abs(a[i][j])
+                x = abs(row[j])
                 if x and (best is None or x < best[0]):
+                    if x == 1:
+                        return 1, i, j
                     best = (x, i, j)
         return best
 
@@ -202,6 +210,45 @@ class ChainComplex:
     two_cells: tuple[str, ...]
 
 
+def _cells(surface: MultibranchedSurface):
+    """Cell labels, the rows of ``d2`` and the tethers, without ``d1``.
+
+    Each ``d2`` row maps the index of each region its 1-cell meets to the
+    coefficient (which may sum to zero); a tether is (1-cell index, locus
+    0-cell index, region 0-cell index).
+    """
+    loci, regions = surface.loci, surface.regions
+    locus_row = {l.id: i for i, l in enumerate(loci)}
+    zero_cells = ["v." + l.id for l in loci]
+    one_cells = ["e." + l.id for l in loci]
+    two_cells = []
+    d2_rows: list[dict[int, int]] = [{} for _ in loci]  # locus loops, summed below
+    tethers = []
+    for j, r in enumerate(regions):
+        zero_cells.append("u." + r.id)
+        two_cells.append("F." + r.id)
+        genus = r.topology.genus
+        if r.topology.orientable:
+            one_cells += [f"{h}{i}." + r.id for i in range(1, genus + 1) for h in "ab"]
+            d2_rows += [{} for _ in range(2 * genus)]
+        else:
+            one_cells += [f"x{i}." + r.id for i in range(1, genus + 1)]
+            d2_rows += [{j: 2} for _ in range(genus)]
+        for c in r.boundary_circles:
+            slot = surface.circle_to_slot.get(c)
+            if slot is None:
+                one_cells.append("f." + c)
+                d2_rows.append({j: 1})
+            else:
+                i = locus_row[slot[0]]
+                tethers.append((len(one_cells), i, len(loci) + j))
+                one_cells.append("t." + c)
+                d2_rows.append({})
+                loop = d2_rows[i]
+                loop[j] = loop.get(j, 0) + loci[i].signs[slot[1]] * loci[i].wrapping
+    return zero_cells, one_cells, two_cells, d2_rows, tethers
+
+
 def build_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
     """CW structure of the surface complex.
 
@@ -211,41 +258,18 @@ def build_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
     boundary circle, and a free loop ``f.<circle>`` per unattached one.
     2-cells: one per region.
     """
-    loci, regions = surface.loci, surface.regions
-    locus_row = {l.id: i for i, l in enumerate(loci)}
-    zero_cells = ["v." + l.id for l in loci]
-    one_cells = ["e." + l.id for l in loci]
-    two_cells = []
-    blank = (0,) * len(regions)
-    d2_rows: list = [list(blank) for _ in loci]  # locus loops, summed below
-    tethers = []  # (1-cell, locus 0-cell, region 0-cell)
-    for j, r in enumerate(regions):
-        zero_cells.append("u." + r.id)
-        two_cells.append("F." + r.id)
-        genus = r.topology.genus
-        if r.topology.orientable:
-            one_cells += [f"{h}{i}." + r.id for i in range(1, genus + 1) for h in "ab"]
-            d2_rows += [blank] * (2 * genus)
-        else:
-            one_cells += [f"x{i}." + r.id for i in range(1, genus + 1)]
-            d2_rows += [blank[:j] + (2,) + blank[j + 1:]] * genus
-        for c in r.boundary_circles:
-            slot = surface.circle_to_slot.get(c)
-            if slot is None:
-                one_cells.append("f." + c)
-                d2_rows.append(blank[:j] + (1,) + blank[j + 1:])
-            else:
-                i = locus_row[slot[0]]
-                tethers.append((len(one_cells), i, len(loci) + j))
-                one_cells.append("t." + c)
-                d2_rows.append(blank)
-                d2_rows[i][j] += loci[i].signs[slot[1]] * loci[i].wrapping
-
+    zero_cells, one_cells, two_cells, d2_rows, tethers = _cells(surface)
     d1_rows = [[0] * len(one_cells) for _ in zero_cells]
     for col, v, u in tethers:
         d1_rows[v][col], d1_rows[u][col] = 1, -1
+    d2 = []
+    for row in d2_rows:
+        dense = [0] * len(two_cells)
+        for j, x in row.items():
+            dense[j] = x
+        d2.append(tuple(dense))
     return ChainComplex(IntegerMatrix(tuple(map(tuple, d1_rows))),
-                        IntegerMatrix(tuple(map(tuple, d2_rows))),
+                        IntegerMatrix(tuple(d2)),
                         tuple(zero_cells), tuple(one_cells), tuple(two_cells))
 
 
@@ -265,23 +289,60 @@ class HomologyProfile:
         return " + ".join(parts) if parts else "0"
 
 
+def _divisibility_chain(factors) -> tuple[int, ...]:
+    """The invariant factors greater than 1 of ``diag(*factors)``, for
+    positive ``factors`` in any order.
+
+    Insertion sort under ``diag(a, b) ~ diag(gcd(a, b), lcm(a, b))``: for
+    each prime the exchange puts the smaller exponent first, so the chain
+    comes out sorted by every prime at once, without factoring anything.
+    """
+    chain: list[int] = []
+    for x in factors:
+        if x == 1:
+            continue
+        chain.append(x)
+        j = len(chain) - 1
+        while j and chain[j] % chain[j - 1]:
+            a, b = chain[j - 1], chain[j]
+            g = gcd(a, b)
+            chain[j - 1], chain[j] = g, a // g * b
+            j -= 1
+    return tuple(d for d in chain if d > 1)
+
+
 def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
     """Integral homology of the complex.
 
     ``d1`` is a graph incidence matrix, so its rank is ``n0`` minus the
-    component count and it adds no torsion.  Only the non-zero rows of
-    ``d2`` go through the Smith normal form; zero rows change neither its
-    rank nor its invariant factors.
+    component count and it adds no torsion.  The non-zero rows of ``d2``
+    are grouped by the connected component of the regions they meet, and
+    each component's block goes through its own Smith normal form; zero
+    rows change neither rank nor invariant factors.  ``rank d2`` is the sum
+    of the block ranks, and the torsion of H1 is the blocks' invariant
+    factors merged into one divisibility chain.
     """
-    cx = build_chain_complex(surface)
-    n0, n1, n2 = len(cx.zero_cells), len(cx.one_cells), len(cx.two_cells)
-    r1 = n0 - connected_components(surface)
-    snf2 = smith_normal_form(
-        IntegerMatrix(tuple(row for row in cx.d2.entries if any(row))))
-    r2 = snf2.rank
-    torsion1 = tuple(d for d in snf2.invariant_factors if d > 1)
+    zero_cells, one_cells, two_cells, d2_rows, _ = _cells(surface)
+    n0, n1, n2 = len(zero_cells), len(one_cells), len(two_cells)
+    parts = component_partition(surface)
+    part_of = {r.id: k for k, (regions, _) in enumerate(parts) for r in regions}
+    column_part = [part_of[r.id] for r in surface.regions]
+    columns = [[] for _ in parts]
+    for j, k in enumerate(column_part):
+        columns[k].append(j)
+    blocks = [[] for _ in parts]
+    for row in d2_rows:
+        if any(row.values()):
+            blocks[column_part[next(iter(row))]].append(row)
+    r1, r2, factors = n0 - len(parts), 0, []
+    for cols, rows in zip(columns, blocks):
+        if rows:
+            snf = smith_normal_form(IntegerMatrix(tuple(
+                tuple(row.get(j, 0) for j in cols) for row in rows)))
+            r2 += snf.rank
+            factors += snf.invariant_factors
     betti = (n0 - r1, (n1 - r1) - r2, n2 - r2)
-    return HomologyProfile(betti=betti, torsion=((), torsion1, ()))
+    return HomologyProfile(betti=betti, torsion=((), _divisibility_chain(factors), ()))
 
 
 @dataclass(frozen=True)

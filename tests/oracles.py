@@ -12,6 +12,11 @@ and builds both boundary matrices as column lists that it transposes
 through the checked ``IntegerMatrix.from_rows``.  The library's one-pass
 builder must reproduce its labels and entries exactly.
 
+The Smith normal form reference is the library's reduction before its pivot
+search returned early on a unit, and the homology reference is the library's
+earlier single reduction of the whole ``d2``; the library must reproduce
+the decompositions of the first and the profiles of the second exactly.
+
 The canonical labelling oracle is a plain backtracker: it finds the
 connected components by its own breadth-first search, and in each component
 it expands every candidate (locus, direction, rotation, locus potential)
@@ -26,10 +31,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from mbs.algebra import ChainComplex, IntegerMatrix
+from mbs.algebra import ChainComplex, HomologyProfile, IntegerMatrix, SmithDecomposition
 from mbs.errors import UnknownIdError
 from mbs.isomorphism import SymmetryMode, _Labeling
-from mbs.model import MultibranchedSurface
+from mbs.model import MultibranchedSurface, connected_components
 
 
 def det_bareiss(rows) -> int:
@@ -169,6 +174,114 @@ def reference_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
     d2 = IntegerMatrix.from_rows(list(zip(*d2_cols))) if d2_cols else \
         IntegerMatrix(((),) * len(one_cells))
     return ChainComplex(d1, d2, tuple(zero_cells), tuple(one_cells), tuple(two_cells))
+
+
+def reference_smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
+    """The library's Smith normal form before ``pick_pivot`` returned early
+    on an entry of absolute value 1, kept verbatim: the library must give
+    the same ``S``, ``U`` and ``V``."""
+    m, n = matrix.rows, matrix.cols
+    a = [list(row) for row in matrix.entries]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, factor):
+        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, factor):
+        for row in a:
+            row[dst] += factor * row[src]
+        for row in v:
+            row[dst] += factor * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def pick_pivot(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = abs(a[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        picked = pick_pivot(t)
+        if picked is None:
+            break
+        _, pi, pj = picked
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        # one pass of floor-quotient clearing; any non-zero remainder is a
+        # strictly smaller entry, so re-picking the pivot makes progress
+        # without the coefficient blow-up of in-pass Euclid swapping
+        clean = True
+        for i in range(t + 1, m):
+            if a[i][t]:
+                add_row(t, i, -(a[i][t] // a[t][t]))
+                if a[i][t]:
+                    clean = False
+        for j in range(t + 1, n):
+            if a[t][j]:
+                add_col(t, j, -(a[t][j] // a[t][t]))
+                if a[t][j]:
+                    clean = False
+        if not clean:
+            continue
+        # make the pivot divide everything below-right
+        p = a[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        if p < 0:
+            negate_row(t)
+        t += 1
+
+    return SmithDecomposition(
+        S=IntegerMatrix(tuple(map(tuple, a))),
+        U=IntegerMatrix(tuple(map(tuple, u))),
+        V=IntegerMatrix(tuple(map(tuple, v))),
+    )
+
+
+def reference_homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
+    """The library's earlier homology: one Smith normal form over every
+    non-zero row of the whole ``d2``, with ``rank d1`` read off the component
+    count.  The library's per-component reduction must give the same
+    profile."""
+    cx = reference_chain_complex(surface)
+    n0, n1, n2 = len(cx.zero_cells), len(cx.one_cells), len(cx.two_cells)
+    r1 = n0 - connected_components(surface)
+    snf2 = reference_smith_normal_form(
+        IntegerMatrix(tuple(row for row in cx.d2.entries if any(row))))
+    r2 = snf2.rank
+    torsion1 = tuple(d for d in snf2.invariant_factors if d > 1)
+    betti = (n0 - r1, (n1 - r1) - r2, n2 - r2)
+    return HomologyProfile(betti=betti, torsion=((), torsion1, ()))
 
 
 def _components(surface: MultibranchedSurface):

@@ -3,6 +3,7 @@ from functools import reduce
 
 import pytest
 
+import mbs.algebra
 from mbs import (
     BranchLocus,
     IntegerMatrix,
@@ -26,7 +27,15 @@ from mbs import (
     theta,
     validate,
 )
-from oracles import det_bareiss, invariant_factors_by_minors, reference_chain_complex
+from mbs.algebra import _divisibility_chain
+from mbs.model import component_partition
+from oracles import (
+    det_bareiss,
+    invariant_factors_by_minors,
+    reference_chain_complex,
+    reference_homology_profile,
+    reference_smith_normal_form,
+)
 
 
 def matrix_as_dict(cx):
@@ -85,7 +94,9 @@ def test_snf_random_matrices_verified():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         matrix = IntegerMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-        verify_decomposition(matrix, smith_normal_form(matrix))
+        dec = smith_normal_form(matrix)
+        verify_decomposition(matrix, dec)
+        assert dec == reference_smith_normal_form(matrix)
 
 
 def test_snf_matches_minor_oracle():
@@ -93,8 +104,10 @@ def test_snf_matches_minor_oracle():
     for _ in range(120):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        dec = smith_normal_form(IntegerMatrix.from_rows(rows))
+        matrix = IntegerMatrix.from_rows(rows)
+        dec = smith_normal_form(matrix)
         assert list(dec.invariant_factors) == invariant_factors_by_minors(rows)
+        assert dec == reference_smith_normal_form(matrix)
 
 
 def test_snf_deterministic():
@@ -102,6 +115,21 @@ def test_snf_deterministic():
     a = smith_normal_form(IntegerMatrix.from_rows(rows))
     b = smith_normal_form(IntegerMatrix.from_rows(rows))
     assert a == b
+
+
+def corpus():
+    """Corpus seeds 1..200 in both validity modes."""
+    return [random_surface(seed, 3 + seed % 28, mode)
+            for seed in range(1, 201)
+            for mode in (ValidityMode.STRICT, ValidityMode.MINOR)]
+
+
+def test_snf_matches_reference_on_corpus_d2():
+    """The early exit on a unit pivot picks the entry the full scan picked,
+    so ``S``, ``U`` and ``V`` are those of the reference reduction."""
+    for surface in corpus():
+        d2 = build_chain_complex(surface).d2
+        assert smith_normal_form(d2) == reference_smith_normal_form(d2)
 
 
 def test_theta3_boundary_matrices(theta3):
@@ -268,3 +296,68 @@ def test_homology_matches_sympy_on_unions(pieces):
     assert all(abs(f) == 1 for f in f1)
     assert profile.betti == (n0 - r1, n1 - r1 - r2, n2 - r2)
     assert profile.torsion == ((), tuple(abs(f) for f in f2 if abs(f) > 1), ())
+
+
+def sympy_chain(blocks):
+    """The invariant factors greater than 1 of the block-diagonal matrix of
+    ``blocks``, by sympy."""
+    from sympy import ZZ, Matrix, diag
+    from sympy.matrices.normalforms import invariant_factors
+
+    whole = diag(*(Matrix(b) for b in blocks))
+    return tuple(abs(int(f)) for f in invariant_factors(whole, domain=ZZ) if abs(f) > 1)
+
+
+@pytest.mark.parametrize("blocks, chain", [
+    ([[[2]], [[3]]], (6,)),
+    ([[[4]], [[6]]], (2, 12)),
+    ([[[2]], [[2]], [[4]]], (2, 2, 4)),
+    ([[[2**61 - 1]], [[2**31 - 1]]], ((2**61 - 1) * (2**31 - 1),)),
+    ([[[6, 0], [0, 6 * (2**61 - 1)]], [[4, 2], [0, 8]]], (2, 2, 6, 48 * (2**61 - 1))),
+    ([[[1, 0], [0, 9]], [[0, 0]], [[3, 0], [0, 12]]], (3, 3, 36)),
+])
+def test_divisibility_chain_merges_blocks(blocks, chain):
+    """A wrong merge can keep the torsion's product; the chain itself is
+    pinned against sympy on the block-diagonal matrix."""
+    pytest.importorskip("sympy")
+    factors = [d for b in blocks
+               for d in smith_normal_form(IntegerMatrix.from_rows(b)).invariant_factors]
+    assert _divisibility_chain(factors) == chain == sympy_chain(blocks)
+
+
+def test_union_torsion_is_merged(mb, qn):
+    # Z/4 (Moebius band) + Z/6 (quasi-pure) is Z/2 + Z/12, not Z/4 + Z/6
+    assert homology_profile(disjoint_union(mb, qn)).torsion == ((), (2, 12), ())
+
+
+@pytest.mark.parametrize("pieces", [5, 10, 20, 40])
+def test_homology_matches_single_reduction_on_unions(pieces):
+    surface = union_of_random_pieces(pieces)
+    assert homology_profile(surface) == reference_homology_profile(surface)
+
+
+def test_homology_matches_single_reduction():
+    surfaces = corpus()
+    surfaces += [union_of_random_pieces(5, ValidityMode.MINOR),
+                 theta(2, ValidityMode.MINOR), moebius_annulus(), quasi_pure(),
+                 MultibranchedSurface((), (), ValidityMode.MINOR)]
+    surfaces += [closed_surface(orientable, genus)
+                 for orientable, genus in ((True, 0), (True, 1), (True, 3),
+                                           (False, 1), (False, 2))]
+    for surface in surfaces:
+        assert homology_profile(surface) == reference_homology_profile(surface)
+
+
+def test_homology_reduces_each_component_alone(monkeypatch):
+    surface = union_of_random_pieces(20)
+    parts = component_partition(surface)
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(mbs.algebra, "smith_normal_form", counted)
+    assert homology_profile(surface) == reference_homology_profile(surface)
+    assert 1 < len(calls) <= len(parts)
+    assert max(m.cols for m in calls) <= max(len(regions) for regions, _ in parts)
