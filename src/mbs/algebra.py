@@ -27,7 +27,6 @@ from .errors import ModeError
 from .model import (
     MultibranchedSurface,
     ValidityMode,
-    component_partition,
     euler_characteristic,
 )
 
@@ -317,30 +316,27 @@ def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
     ``d1`` is a graph incidence matrix, so its rank is ``n0`` minus the
     component count and it adds no torsion.  The non-zero rows of ``d2``
     are grouped by the connected component of the regions they meet, and
-    each component's block goes through its own Smith normal form; zero
-    rows change neither rank nor invariant factors.  ``rank d2`` is the sum
-    of the block ranks, and the torsion of H1 is the blocks' invariant
-    factors merged into one divisibility chain.
+    each component's block, over the columns its rows name, goes through
+    its own Smith normal form; zero rows and columns change neither rank
+    nor invariant factors.  ``rank d2`` is the sum of the block ranks, and
+    the torsion of H1 is the blocks' invariant factors merged into one
+    divisibility chain.
     """
     zero_cells, one_cells, two_cells, d2_rows, _ = _cells(surface)
     n0, n1, n2 = len(zero_cells), len(one_cells), len(two_cells)
-    parts = component_partition(surface)
+    parts = surface.components
     part_of = {r.id: k for k, (regions, _) in enumerate(parts) for r in regions}
-    column_part = [part_of[r.id] for r in surface.regions]
-    columns = [[] for _ in parts]
-    for j, k in enumerate(column_part):
-        columns[k].append(j)
-    blocks = [[] for _ in parts]
+    blocks: dict[int, list] = {}
     for row in d2_rows:
         if any(row.values()):
-            blocks[column_part[next(iter(row))]].append(row)
+            blocks.setdefault(part_of[surface.regions[next(iter(row))].id], []).append(row)
     r1, r2, factors = n0 - len(parts), 0, []
-    for cols, rows in zip(columns, blocks):
-        if rows:
-            snf = smith_normal_form(IntegerMatrix(tuple(
-                tuple(row.get(j, 0) for j in cols) for row in rows)))
-            r2 += snf.rank
-            factors += snf.invariant_factors
+    for rows in blocks.values():
+        cols = sorted({j for row in rows for j in row})
+        snf = smith_normal_form(IntegerMatrix(tuple(
+            tuple(row.get(j, 0) for j in cols) for row in rows)))
+        r2 += snf.rank
+        factors += snf.invariant_factors
     betti = (n0 - r1, (n1 - r1) - r2, n2 - r2)
     return HomologyProfile(betti=betti, torsion=((), _divisibility_chain(factors), ()))
 

@@ -227,6 +227,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rand(args) -> int:
+    if args.length < 0:
+        raise MbsError(f"--length must be non-negative (got {args.length})")
     surface = random_surface(args.seed, args.size, ValidityMode(args.mode))
     if args.length:
         surface, _ = random_walk(surface, args.seed, args.length)
@@ -301,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--length", type=int, default=0,
-                   help="optional random walk length applied after generation")
+                   help="optional random walk length applied after generation "
+                        "(needs a strict surface)")
     p.add_argument("--mode", choices=("strict", "minor"), default="strict")
     p.set_defaults(func=_cmd_rand)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 from .errors import FixtureError
@@ -17,10 +18,10 @@ from .model import (
 )
 
 
-def theta(n: int, mode: ValidityMode = ValidityMode.STRICT) -> MultibranchedSurface:
+def theta(n: int = 3, mode: ValidityMode = ValidityMode.STRICT) -> MultibranchedSurface:
     """Two loci of wrapping 1 joined by n parallel annuli (theta-graph times circle).
 
-    Constructed for any n >= 1; strict validity requires n >= 3.
+    Constructed for any n; valid for n >= 1 in minor mode, n >= 3 in strict.
     """
     regions = tuple(
         Region(f"r{i}", ANNULUS, (f"r{i}.a", f"r{i}.b")) for i in range(1, n + 1)
@@ -48,48 +49,40 @@ def quasi_pure(mode: ValidityMode = ValidityMode.STRICT) -> MultibranchedSurface
     return MultibranchedSurface((a, c), (bn, bp), mode)
 
 
+def _validated(name: str, surface: MultibranchedSurface) -> MultibranchedSurface:
+    """``surface``, or FixtureError quoting every rule it breaks."""
+    issues = validate(surface)
+    if issues:
+        raise FixtureError(f"{name} is not a valid {surface.mode.value} surface: "
+                           + "; ".join(str(v) for v in issues))
+    return surface
+
+
 def closed_surface(orientable: bool, genus: int,
                    mode: ValidityMode = ValidityMode.MINOR) -> MultibranchedSurface:
-    """A single closed region and no loci (minor mode only)."""
-    if mode is ValidityMode.STRICT:
-        raise FixtureError("closed regions are minor-mode only")
-    if not orientable and genus < 1:
-        raise FixtureError("non-orientable surface needs genus >= 1")
-    if genus < 0:
-        raise FixtureError("genus must be non-negative")
+    """A single closed region and no loci; raises FixtureError unless the
+    surface is valid, which needs minor mode."""
     s = Region("s", RegionTopology(orientable, genus, 0), ())
-    return MultibranchedSurface((s,), (), mode)
+    return _validated("closed_surface", MultibranchedSurface((s,), (), mode))
+
+
+_BUILDERS = {"theta": theta, "mb": moebius_annulus, "qn": quasi_pure,
+             "closed_surface": closed_surface}
 
 
 def build_fixture(name: str, **params) -> MultibranchedSurface:
-    """Dispatch on fixture name; raises FixtureError on unknown names or
-    parameters that would not yield a valid surface in the requested mode."""
-    mode = params.pop("mode", None)
-    if name == "theta":
-        n = params.pop("n", 3)
-        mode = mode or ValidityMode.STRICT
-        if params:
-            raise FixtureError(f"unexpected parameters {sorted(params)}")
-        if mode is ValidityMode.STRICT and n < 3:
-            raise FixtureError(f"theta({n}) is invalid in strict mode (locus degree {n})")
-        if n < 1:
-            raise FixtureError("theta needs n >= 1")
-        return theta(n, mode)
-    if name == "mb":
-        if params:
-            raise FixtureError(f"unexpected parameters {sorted(params)}")
-        return moebius_annulus(mode or ValidityMode.STRICT)
-    if name == "qn":
-        if params:
-            raise FixtureError(f"unexpected parameters {sorted(params)}")
-        return quasi_pure(mode or ValidityMode.STRICT)
-    if name == "closed_surface":
-        orientable = params.pop("orientable")
-        genus = params.pop("genus")
-        if params:
-            raise FixtureError(f"unexpected parameters {sorted(params)}")
-        return closed_surface(orientable, genus, mode or ValidityMode.MINOR)
-    raise FixtureError(f"unknown fixture {name!r}")
+    """Build the named fixture from its builder's parameters; raises
+    FixtureError on unknown names, unexpected or missing parameters, and
+    surfaces that :func:`~mbs.model.validate` rejects in the requested mode."""
+    try:
+        builder = _BUILDERS[name]
+    except KeyError:
+        raise FixtureError(f"unknown fixture {name!r}") from None
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise FixtureError(f"{name}: {exc}") from None
+    return _validated(name, builder(**params))
 
 
 def disjoint_union(x: MultibranchedSurface, y: MultibranchedSurface,

@@ -50,7 +50,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import MbsError, UnknownIdError
-from .model import MultibranchedSurface, component_partition
+from .model import MultibranchedSurface
 
 FORMAT_PREFIX = b"mbscf2"
 
@@ -219,11 +219,11 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
         passes = ((1,), (-1,))
     else:
         passes = ((1,),)
-    components = component_partition(surface)
     best = None
     for directions in passes:
         parts = sorted((label_component(regions, loci, directions)
-                        for regions, loci in components), key=lambda part: part[0])
+                        for regions, loci in surface.components),
+                       key=lambda part: part[0])
         code = (0 if surface.mode.value == "strict" else 1,) + \
             tuple(x for part in parts for x in part[0])
         if best is None or code < best.code:

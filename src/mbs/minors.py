@@ -7,6 +7,10 @@ reduction chain up to isomorphism.  Both reductions strictly decrease
 absence of a chain is definitive when that set fits into the budget and a
 budget truncation otherwise.
 
+A contraction is the IX-move's splice evaluated with minor-mode degree
+rules, and :mod:`mbs.moves` also decides which regions are contractible:
+the IX-eligible ones whose contraction leaves the merged locus a slot.
+
 The obstruction screen computes the two cheap necessary conditions aligned
 with the known non-embeddable families (a non-orientable closed region, and
 the gcd of the wrapping numbers); it is not a decision procedure for sphere
@@ -27,7 +31,7 @@ from .model import (
     ValidityMode,
     classify_region,
 )
-from .moves import IX_ELIGIBLE, _splice
+from .moves import IX_ELIGIBLE, _leaves_a_slot, _splice
 from .search import SearchBudget
 
 
@@ -69,26 +73,15 @@ def _require_minor(surface: MultibranchedSurface):
         raise ModeError("reductions are defined on minor-mode surfaces")
 
 
-def _contraction_eligible(surface: MultibranchedSurface, region_id: str) -> bool:
-    kind = classify_region(surface, region_id)
-    if kind not in IX_ELIGIBLE:
-        return False
-    r = surface.region(region_id)
-    # contracting may not leave a bare circle (a locus with no slots)
-    loci = [surface.circle_to_slot[c][0] for c in r.boundary_circles]
-    total = sum(len(surface.locus(l).slots) for l in set(loci))
-    return total - len(r.boundary_circles) >= 1
-
-
 def enumerate_reductions(surface: MultibranchedSurface) -> list[ReductionStep]:
-    """Every region as a removal plus every eligible region as a contraction."""
+    """Every region as a removal plus every contractible region as a
+    contraction."""
     _require_minor(surface)
-    steps: list[ReductionStep] = []
-    for r in sorted(surface.regions, key=lambda r: r.id):
-        steps.append(RemoveRegion(r.id))
-    for r in sorted(surface.regions, key=lambda r: r.id):
-        if _contraction_eligible(surface, r.id):
-            steps.append(ContractRegion(r.id))
+    regions = sorted(surface.regions, key=lambda r: r.id)
+    steps: list[ReductionStep] = [RemoveRegion(r.id) for r in regions]
+    steps += [ContractRegion(r.id) for r in regions
+              if classify_region(surface, r.id) in IX_ELIGIBLE
+              and _leaves_a_slot(surface, r)]
     return steps
 
 

@@ -163,6 +163,37 @@ class MultibranchedSurface:
                 out[c] = (l.id, i)
         return out
 
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[Region, ...], tuple[BranchLocus, ...]], ...]:
+        """The connected components of the region-locus incidence graph.
+
+        Each component is its regions and its loci in presentation order.
+        Components come in order of their first region; a locus none of
+        whose slots names a region's circle is a component of its own, and
+        these follow in presentation order.  Computed once per surface.
+        """
+        parent = {r.id: r.id for r in self.regions}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        anchors = []  # per locus: the region of its first known circle
+        for l in self.loci:
+            owners = [self.circle_to_region[c] for c in l.slots
+                      if c in self.circle_to_region]
+            for other in owners[1:]:
+                parent[find(other)] = find(owners[0])
+            anchors.append(owners[0] if owners else None)
+        parts: dict = {}  # keyed by root region id, or by the lone locus
+        for r in self.regions:
+            parts.setdefault(find(r.id), ([], []))[0].append(r)
+        for l, anchor in zip(self.loci, anchors):
+            parts.setdefault(l if anchor is None else find(anchor), ([], []))[1].append(l)
+        return tuple((tuple(rs), tuple(ls)) for rs, ls in parts.values())
+
     @property
     def cell_count(self) -> int:
         """Size measure: regions + loci + total slots."""
@@ -329,36 +360,6 @@ def euler_characteristic(surface: MultibranchedSurface) -> int:
     return sum(r.topology.euler for r in surface.regions)
 
 
-def component_partition(
-        surface: MultibranchedSurface) -> list[tuple[list[Region], list[BranchLocus]]]:
-    """The connected components of the region-locus incidence graph, each as
-    its regions and its loci in presentation order.  Slots naming no
-    region's circle join nothing."""
-    parent: dict[str, str] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r in surface.regions:
-        parent["r:" + r.id] = "r:" + r.id
-    for l in surface.loci:
-        parent["l:" + l.id] = "l:" + l.id
-    for l in surface.loci:
-        for c in l.slots:
-            owner = surface.circle_to_region.get(c)
-            if owner is not None:
-                parent[find("l:" + l.id)] = find("r:" + owner)
-    parts: dict[str, tuple[list, list]] = {}
-    for r in surface.regions:
-        parts.setdefault(find("r:" + r.id), ([], []))[0].append(r)
-    for l in surface.loci:
-        parts.setdefault(find("l:" + l.id), ([], []))[1].append(l)
-    return list(parts.values())
-
-
 def connected_components(surface: MultibranchedSurface) -> int:
     """Number of connected components of the region-locus incidence graph."""
-    return len(component_partition(surface))
+    return len(surface.components)

@@ -145,17 +145,25 @@ def enumerate_ix(surface: MultibranchedSurface) -> list[IXSite]:
     return sites
 
 
+def _leaves_a_slot(surface: MultibranchedSurface, region: Region) -> bool:
+    """Contracting ``region`` leaves the merged locus a slot: the loci its
+    circles attach to hold more slots than it has boundary circles."""
+    loci = {surface.circle_to_slot[c][0] for c in region.boundary_circles}
+    return sum(len(surface.locus(l).slots) for l in loci) > len(region.boundary_circles)
+
+
 def _splice(surface, region, kind):
     """Shared contraction engine for apply_ix and minor-mode contraction."""
     r = region
+    if not _leaves_a_slot(surface, r):
+        loci = "+".join(dict.fromkeys(surface.circle_to_slot[c][0]
+                                      for c in r.boundary_circles))
+        raise IneligibleMoveError(f"contracting {r.id} would leave locus {loci} bare")
     if kind is RegionClass.NORMAL_MOEBIUS:
         (c,) = r.boundary_circles
         locus_id, p = surface.circle_to_slot[c]
         locus = surface.locus(locus_id)
         slots, signs = _arc(locus, p + 1, len(locus.slots) - 1, -locus.signs[p])
-        if not slots:
-            raise IneligibleMoveError(
-                f"contracting {r.id} would leave locus {locus_id} bare")
         (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
         merged = BranchLocus(new_id, 2, slots, signs)
         return _replace(surface, drop_regions=(r.id,), drop_loci=(locus_id,),
@@ -169,9 +177,6 @@ def _splice(surface, region, kind):
     if kind is RegionClass.NORMAL_ANNULUS:
         s0, g0 = _arc(l0, p0 + 1, len(l0.slots) - 1)
         s1, g1 = _arc(l1, p1 + 1, len(l1.slots) - 1, -l0.signs[p0] * l1.signs[p1])
-        if not s0 and not s1:
-            raise IneligibleMoveError(
-                f"contracting {r.id} would leave a bare circle")
         (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
         merged = BranchLocus(new_id, 1, s0 + s1, g0 + g1)
         return _replace(surface, drop_regions=(r.id,), drop_loci=(loc0, loc1),
@@ -183,8 +188,6 @@ def _splice(surface, region, kind):
     else:
         ln, pn, lu, pu = l1, p1, l0, p0
     arc, arc_signs = _arc(ln, pn + 1, len(ln.slots) - 1, -ln.signs[pn] * lu.signs[pu])
-    if not arc and len(lu.slots) == 1:
-        raise IneligibleMoveError(f"contracting {r.id} would leave a bare circle")
     slots = lu.slots[:pu] + arc + lu.slots[pu + 1:]
     signs = lu.signs[:pu] + arc_signs + lu.signs[pu + 1:]
     (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)

@@ -13,10 +13,11 @@ import time
 from dataclasses import dataclass
 
 from .algebra import homology_profile
-from .errors import TheoremViolationError
+from .errors import ModeError, TheoremViolationError
 from .isomorphism import SymmetryMode, are_isomorphic, canonical_form
 from .model import (
     MultibranchedSurface,
+    ValidityMode,
     connected_components,
     euler_characteristic,
 )
@@ -64,7 +65,10 @@ SearchOutcome = Found | ExhaustedWithinBudget | InvariantMismatch
 
 def neighbors(surface: MultibranchedSurface):
     """All one-move successors: IX results by region id, then XI results by
-    (locus id, enumeration order).  Deterministic."""
+    (locus id, enumeration order).  Deterministic.  The moves are defined
+    on strict surfaces, so a minor-mode surface raises :class:`ModeError`."""
+    if surface.mode is not ValidityMode.STRICT:
+        raise ModeError("IX- and XI-moves are defined on strict surfaces")
     out: list[tuple[MoveDescriptor, MultibranchedSurface]] = []
     for site in enumerate_ix(surface):
         out.append((site, apply_move(surface, site)))
@@ -77,7 +81,8 @@ def neighbors(surface: MultibranchedSurface):
 def random_walk(surface: MultibranchedSurface, seed: int, length: int):
     """Uniform random move walk of at most ``length`` steps, deterministic in
     the seed.  A surface without successors ends the walk early.  Returns
-    ``(surface, MoveRecord)``; the record replays."""
+    ``(surface, MoveRecord)``; the record replays.  A walk of length at
+    least 1 needs a strict surface (see :func:`neighbors`)."""
     rng = random.Random(f"walk/{seed}")
     current = surface
     steps = []
@@ -148,7 +153,8 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
 
     Quick-rejects on Euler characteristic, component count and homology;
     otherwise meets in the middle over rotational canonical hashes.  A found
-    sequence is verified by replay before it is returned.
+    sequence is verified by replay before it is returned.  Minor-mode
+    surfaces that pass the quick checks raise :class:`ModeError`.
     """
     deadline = time.monotonic() + budget.time_limit
     if euler_characteristic(x) != euler_characteristic(y):

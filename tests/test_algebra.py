@@ -28,7 +28,6 @@ from mbs import (
     validate,
 )
 from mbs.algebra import _divisibility_chain
-from mbs.model import component_partition
 from oracles import (
     det_bareiss,
     invariant_factors_by_minors,
@@ -350,7 +349,7 @@ def test_homology_matches_single_reduction():
 
 def test_homology_reduces_each_component_alone(monkeypatch):
     surface = union_of_random_pieces(20)
-    parts = component_partition(surface)
+    parts = surface.components
     calls = []
 
     def counted(matrix):

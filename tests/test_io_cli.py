@@ -309,6 +309,26 @@ def test_cli_gen_theta_and_rand(tmp_path, capsys, theta3):
     assert validate(parse(json.dumps(doc))) == []
 
 
+def test_cli_rand_walk_needs_a_strict_surface(capsys):
+    errors = set()
+    for seed in range(1, 9):
+        code = main(["rand", "--seed", str(seed), "--size", "20", "--mode", "minor",
+                     "--length", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        errors.add(captured.err)
+    assert errors == {"error: IX- and XI-moves are defined on strict surfaces\n"}
+
+
+def test_cli_rand_negative_length_is_usage_error(capsys):
+    code = main(["rand", "--seed", "5", "--size", "12", "--length", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--length" in captured.err and "Traceback" not in captured.err
+    code, doc = run(capsys, "rand", "--seed", "5", "--size", "12", "--length", "0")
+    assert code == 0
+
+
 def test_cli_gen_invalid_params(capsys):
     code = main(["gen", "theta", "--n", "2"])
     assert code == 2

@@ -18,6 +18,7 @@ from mbs import (
     less_than,
     moebius_annulus,
     obstruction_screen,
+    quasi_pure,
     random_surface,
     remove_region,
     theta,
@@ -103,6 +104,28 @@ def test_contract_rejects_bare_circle_outcome():
     lonely = remove_region(mbm, "C")  # Moebius band on a degree-1 locus
     with pytest.raises(IneligibleMoveError, match="would leave locus b bare"):
         contract_region(lonely, "M")
+
+
+def contractible(surface, region_id):
+    try:
+        contract_region(surface, region_id)
+    except IneligibleMoveError:
+        return False
+    return True
+
+
+def test_listed_contractions_are_exactly_the_contractible_regions():
+    surfaces = [random_surface(seed, 1 + seed % 25, ValidityMode.MINOR)
+                for seed in range(1, 301)]
+    surfaces += [theta(n, ValidityMode.MINOR) for n in range(1, 5)]
+    surfaces += [moebius_annulus(ValidityMode.MINOR), quasi_pure(ValidityMode.MINOR)]
+    for surface in surfaces:
+        listed = [s.region_id for s in enumerate_reductions(surface)
+                  if isinstance(s, ContractRegion)]
+        assert listed == sorted(r.id for r in surface.regions
+                                if contractible(surface, r.id))
+    with pytest.raises(IneligibleMoveError, match="would leave locus b1\\+b2 bare"):
+        contract_region(theta(1, ValidityMode.MINOR), "r1")
 
 
 def test_reduction_outputs_always_valid_minor():

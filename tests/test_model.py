@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 from mbs import (
@@ -7,19 +9,24 @@ from mbs import (
     Region,
     RegionClass,
     RegionTopology,
+    SymmetryMode,
     UnknownIdError,
     ValidityMode,
     build_fixture,
+    canonical_form,
     classify_region,
     closed_surface,
     connected_components,
     disjoint_union,
     euler_characteristic,
+    homology_profile,
     locus_profile,
     random_surface,
+    random_walk,
     theta,
     validate,
 )
+from oracles import _components
 
 
 def test_topology_euler():
@@ -194,6 +201,95 @@ def test_build_fixture_dispatch(theta3, mb):
                       mode=ValidityMode.STRICT)
     with pytest.raises(FixtureError):
         build_fixture("does-not-exist")
+    with pytest.raises(FixtureError):
+        build_fixture("mb", n=3)
+    with pytest.raises(FixtureError):
+        build_fixture("closed_surface", genus=1)
+
+
+FIXTURE_CASES = [("theta", {"n": n}, lambda mode, n=n: theta(n, mode)) for n in range(-1, 7)]
+FIXTURE_CASES += [
+    ("closed_surface", {"orientable": o, "genus": g},
+     lambda mode, o=o, g=g: MultibranchedSurface(
+         (Region("s", RegionTopology(o, g, 0), ()),), (), mode))
+    for o in (True, False) for g in range(-1, 3)]
+
+
+@pytest.mark.parametrize("mode", list(ValidityMode))
+def test_build_fixture_raises_exactly_on_validate_report(mode):
+    for name, params, build in FIXTURE_CASES:
+        issues = validate(build(mode))
+        if not issues:
+            assert build_fixture(name, mode=mode, **params) == build(mode)
+            continue
+        with pytest.raises(FixtureError) as caught:
+            build_fixture(name, mode=mode, **params)
+        assert all(str(v) in str(caught.value) for v in issues), (name, params)
+
+
+def partition_ids(components):
+    return [({r.id for r in regions}, {l.id for l in loci})
+            for regions, loci in components]
+
+
+def partition_corpus():
+    surfaces = []
+    for seed in range(1, 201):
+        for mode in ValidityMode:
+            surfaces.append(random_surface(seed, 3 + seed % 28, mode))
+        surfaces.append(random_walk(surfaces[-2], seed, 4)[0])
+    chain = surfaces[0]
+    for i, piece in enumerate(surfaces[1:40:3], start=1):
+        chain = disjoint_union(chain, piece.in_mode(chain.mode), ("", f"p{i}."))
+        surfaces.append(chain)
+    return surfaces
+
+
+def test_components_match_oracle():
+    for surface in partition_corpus():
+        got = surface.components
+        oracle = [(set(regions), {l.id for l in loci})
+                  for regions, loci in _components(surface)]
+        # both list components in order of their first region
+        assert partition_ids(got) == oracle
+        position = {x.id: i for i, x in enumerate(surface.regions + surface.loci)}
+        for regions, loci in got:
+            assert [position[x.id] for x in regions + loci] == \
+                sorted(position[x.id] for x in regions + loci)
+        assert isinstance(got, tuple) and all(
+            isinstance(regions, tuple) and isinstance(loci, tuple) for regions, loci in got)
+
+
+def test_components_of_unknown_slots_and_empty_surface():
+    a = Region("a", TORUS_1, ("x",))
+    b = Region("b", TORUS_1, ("y",))
+    surface = MultibranchedSurface(
+        (a, b), (BranchLocus("ghost", 1, ("g1", "g2")), BranchLocus("bx", 3, ("x", "g3")),
+                 BranchLocus("by", 3, ("y",))), ValidityMode.MINOR)
+    assert partition_ids(surface.components) == [
+        ({"a"}, {"bx"}), ({"b"}, {"by"}), (set(), {"ghost"})]
+    assert connected_components(surface) == 3
+    assert MultibranchedSurface((), (), ValidityMode.MINOR).components == ()
+
+
+@pytest.mark.parametrize("mode", list(ValidityMode))
+def test_components_computed_once(monkeypatch, mode):
+    calls = []
+    original = MultibranchedSurface.__dict__["components"].func
+
+    def counted(surface):
+        calls.append(surface)
+        return original(surface)
+
+    prop = cached_property(counted)
+    prop.__set_name__(MultibranchedSurface, "components")
+    monkeypatch.setattr(MultibranchedSurface, "components", prop)
+    surface = disjoint_union(random_surface(7, 30, mode), random_surface(8, 30, mode))
+    homology_profile(surface)
+    connected_components(surface)
+    for symmetry in SymmetryMode:
+        canonical_form(surface, symmetry)
+    assert len(calls) == 1
 
 
 def test_random_surface_deterministic_and_valid():

@@ -8,8 +8,10 @@ from mbs import (
     ExhaustedWithinBudget,
     Found,
     InvariantMismatch,
+    ModeError,
     SearchBudget,
     SymmetryMode,
+    ValidityMode,
     apply_ix,
     are_isomorphic,
     enumerate_ix,
@@ -36,6 +38,20 @@ def test_neighbor_counts(theta3, mb, qn):
     assert len(neighbors(merged)) == 2
     assert len(neighbors(qn)) == 1
     assert len(neighbors(mb)) == 1
+
+
+def test_moves_on_minor_surfaces_raise_mode_error(theta3):
+    with pytest.raises(ModeError):
+        neighbors(theta(4, ValidityMode.MINOR))
+    minor = random_surface(4, 20, ValidityMode.MINOR)  # has no IX or XI site
+    with pytest.raises(ModeError):
+        random_walk(minor, 4, 3)
+    walked, record = random_walk(minor, 4, 0)
+    assert walked is minor and len(record) == 0
+    merged = apply_ix(theta3, enumerate_ix(theta3)[0])
+    with pytest.raises(ModeError):  # passes every quick check
+        search_equivalence(theta3.in_mode(ValidityMode.MINOR),
+                           merged.in_mode(ValidityMode.MINOR))
 
 
 def test_neighbors_deterministic(theta3):
