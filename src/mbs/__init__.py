@@ -4,20 +4,14 @@ Validation and invariants, integer homology via Smith normal form, the
 IX/XI/IH move calculus with maximal-spreading normalization, canonical
 forms and isomorphism certificates, bounded move-equivalence search, and
 the minor partial order with obstruction screens.
+
+``import mbs`` loads the data model, its errors and the ``mbs/1`` format.
+Every other layer loads on first use of one of its names (PEP 562), so a
+CLI command pays only for the layers it runs.
 """
 
-from .algebra import (
-    ChainComplex,
-    DecompositionSummary,
-    HomologyProfile,
-    IntegerMatrix,
-    SmithDecomposition,
-    boundary_euler,
-    build_chain_complex,
-    decomposition_summary,
-    homology_profile,
-    smith_normal_form,
-)
+from importlib import import_module as _import_module
+
 from .errors import (
     FixtureError,
     IneligibleMoveError,
@@ -28,37 +22,7 @@ from .errors import (
     TheoremViolationError,
     UnknownIdError,
 )
-from .fixtures import (
-    build_fixture,
-    closed_surface,
-    disjoint_union,
-    moebius_annulus,
-    quasi_pure,
-    random_surface,
-    theta,
-)
 from .io import load, parse, serialize
-from .isomorphism import (
-    CanonicalForm,
-    IsoCertificate,
-    SymmetryMode,
-    are_isomorphic,
-    canonical_form,
-    canonical_hash,
-)
-from .minors import (
-    ContractRegion,
-    MinorOutcome,
-    ObstructionFlags,
-    RemoveRegion,
-    contract_region,
-    enumerate_reductions,
-    is_minor,
-    less_than,
-    obstruction_screen,
-    remove_region,
-    tilde_equivalent,
-)
 from .model import (
     ANNULUS,
     MOEBIUS,
@@ -75,33 +39,63 @@ from .model import (
     locus_profile,
     validate,
 )
-from .moves import (
-    IXSite,
-    MoebiusSplit,
-    MoveRecord,
-    MoveStep,
-    NormalSplit,
-    QuasiSplit,
-    apply_ih,
-    apply_ix,
-    apply_move,
-    apply_xi,
-    enumerate_ix,
-    enumerate_xi,
-    is_maximally_spread_region,
-    is_maximally_spread_surface,
-    maximally_spread,
-    replay,
-    spread_potential,
-)
-from .search import (
-    ExhaustedWithinBudget,
-    Found,
-    InvariantMismatch,
-    SearchBudget,
-    neighbors,
-    random_walk,
-    search_equivalence,
-)
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it, imported on first access
+_LAZY = {
+    name: module
+    for module, names in {
+        "algebra": (
+            "ChainComplex", "DecompositionSummary", "HomologyProfile",
+            "IntegerMatrix", "SmithDecomposition", "boundary_euler",
+            "build_chain_complex", "decomposition_summary", "homology_profile",
+            "smith_normal_form",
+        ),
+        "fixtures": (
+            "build_fixture", "closed_surface", "disjoint_union",
+            "moebius_annulus", "quasi_pure", "random_surface", "theta",
+        ),
+        "isomorphism": (
+            "CanonicalForm", "IsoCertificate", "SymmetryMode", "are_isomorphic",
+            "canonical_form", "canonical_hash",
+        ),
+        "minors": (
+            "ContractRegion", "MinorOutcome", "ObstructionFlags", "RemoveRegion",
+            "contract_region", "enumerate_reductions", "is_minor", "less_than",
+            "obstruction_screen", "remove_region", "tilde_equivalent",
+        ),
+        "moves": (
+            "IXSite", "MoebiusSplit", "MoveRecord", "MoveStep", "NormalSplit",
+            "QuasiSplit", "apply_ih", "apply_ix", "apply_move", "apply_xi",
+            "enumerate_ix", "enumerate_xi", "is_maximally_spread_region",
+            "is_maximally_spread_surface", "maximally_spread", "replay",
+            "spread_potential",
+        ),
+        "search": (
+            "ExhaustedWithinBudget", "Found", "InvariantMismatch", "SearchBudget",
+            "neighbors", "random_walk", "search_equivalence",
+        ),
+    }.items()
+    for name in names
+}
+_SUBMODULES = ("algebra", "cli", "errors", "fixtures", "io", "isomorphism",
+               "minors", "model", "moves", "search")
+
+__all__ = sorted([name for name in globals()
+                  if not name.startswith("_") and name not in _SUBMODULES]
+                 + list(_LAZY))
+
+
+def __getattr__(name):
+    # Not cached in globals(): the package hands out the defining module's
+    # current binding, also after something rebinds it there.
+    if name in _LAZY:
+        return getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

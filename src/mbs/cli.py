@@ -12,25 +12,15 @@ import json
 import sys
 
 from . import io
-from .algebra import (
-    boundary_euler,
-    decomposition_summary,
-    euler_characteristic,
-    homology_profile,
-)
 from .errors import MbsError, SchemaError
-from .fixtures import build_fixture, random_surface
-from .isomorphism import SymmetryMode, are_isomorphic, canonical_hash
-from .minors import enumerate_reductions, is_minor, obstruction_screen
-from .model import ValidityMode, connected_components, validate
-from .moves import apply_move, enumerate_ix, enumerate_xi, maximally_spread
-from .search import (
-    Found,
-    InvariantMismatch,
-    SearchBudget,
-    random_walk,
-    search_equivalence,
+from .model import (
+    ValidityMode,
+    connected_components,
+    euler_characteristic,
+    validate,
 )
+
+# Each command imports the layers it runs, so a command loads only those.
 
 OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
 
@@ -49,8 +39,10 @@ def _load(path):
     return surface
 
 
-def _budget(**limits) -> SearchBudget:
+def _budget(**limits):
     """The search budget from the flags; a non-positive one is a usage error."""
+    from .search import SearchBudget
+
     try:
         return SearchBudget(**limits)
     except ValueError as exc:
@@ -62,7 +54,14 @@ def _add_symmetry_flag(parser, default="mirror"):
                         choices=("rotational", "mirror", "dihedral"))
 
 
+def _add_time_limit_flag(parser):
+    parser.add_argument("--time-limit", type=float, default=10.0,
+                        help="seconds before the search gives up (exit 3)")
+
+
 def _homology_payload(surface):
+    from .algebra import homology_profile
+
     profile = homology_profile(surface)
     return {
         "betti": list(profile.betti),
@@ -93,6 +92,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .algebra import boundary_euler, decomposition_summary
+    from .isomorphism import SymmetryMode, canonical_hash
+
     surface = _load(args.file)
     strict = surface.mode is ValidityMode.STRICT
     payload = {
@@ -117,6 +119,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_moves_list(args) -> int:
+    from .moves import enumerate_ix, enumerate_xi
+
     surface = _load(args.file)
     xi = []
     for locus in sorted(surface.loci, key=lambda l: l.id):
@@ -128,6 +132,8 @@ def _cmd_moves_list(args) -> int:
 
 
 def _cmd_moves_apply(args) -> int:
+    from .moves import apply_move
+
     surface = _load(args.file)
     try:
         doc = json.loads(args.move)
@@ -140,6 +146,8 @@ def _cmd_moves_apply(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .moves import maximally_spread
+
     surface = _load(args.file)
     result, record = maximally_spread(surface, policy=args.policy)
     _emit({"command": "normalize",
@@ -150,6 +158,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .isomorphism import SymmetryMode, are_isomorphic
+
     x = _load(args.file_a)
     y = _load(args.file_b)
     mode = SymmetryMode(args.symmetry)
@@ -161,10 +171,13 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .isomorphism import SymmetryMode
+    from .search import Found, InvariantMismatch, search_equivalence
+
     x = _load(args.file_a)
     y = _load(args.file_b)
     budget = _budget(max_depth=args.max_depth, max_states=args.max_states,
-                     max_cell_count=args.max_cells)
+                     max_cell_count=args.max_cells, time_limit=args.time_limit)
     outcome = search_equivalence(x, y, budget, SymmetryMode(args.symmetry))
     if isinstance(outcome, Found):
         _emit({"command": "equiv", "outcome": "found",
@@ -180,9 +193,13 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_minor(args) -> int:
+    from .isomorphism import SymmetryMode
+    from .minors import is_minor
+
     x = _load(args.file_a)
     y = _load(args.file_b)
-    outcome = is_minor(x, y, _budget(max_states=args.max_states),
+    outcome = is_minor(x, y, _budget(max_states=args.max_states,
+                                     time_limit=args.time_limit),
                        SymmetryMode(args.symmetry))
     if outcome.found:
         steps = [{"op": type(s).__name__, "region": s.region_id}
@@ -197,6 +214,8 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_screen(args) -> int:
+    from .minors import enumerate_reductions, obstruction_screen
+
     surface = _load(args.file)
     flags = obstruction_screen(surface)
     reductions = enumerate_reductions(surface) \
@@ -213,6 +232,8 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .fixtures import build_fixture
+
     params = {}
     if args.name == "theta":
         params["n"] = args.n
@@ -227,10 +248,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rand(args) -> int:
+    from .fixtures import random_surface
+
     if args.length < 0:
         raise MbsError(f"--length must be non-negative (got {args.length})")
     surface = random_surface(args.seed, args.size, ValidityMode(args.mode))
     if args.length:
+        from .search import random_walk
+
         surface, _ = random_walk(surface, args.seed, args.length)
     _emit(io.surface_to_document(surface))
     return OK
@@ -278,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=4)
     p.add_argument("--max-states", type=int, default=5000)
     p.add_argument("--max-cells", type=int, default=80)
+    _add_time_limit_flag(p)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("minor", help="bounded minor search (is A a minor of B?)")
@@ -285,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     _add_symmetry_flag(p)
     p.add_argument("--max-states", type=int, default=5000)
+    _add_time_limit_flag(p)
     p.set_defaults(func=_cmd_minor)
 
     p = sub.add_parser("screen", help="obstruction screening flags")

@@ -27,18 +27,10 @@ from .model import (
     BranchLocus,
     MultibranchedSurface,
     Region,
+    RegionClass,
     RegionTopology,
     ValidityMode,
 )
-from .moves import (
-    IXSite,
-    MoebiusSplit,
-    MoveRecord,
-    MoveStep,
-    NormalSplit,
-    QuasiSplit,
-)
-from .model import RegionClass
 
 FORMAT = "mbs/1"
 
@@ -182,8 +174,12 @@ def load(path) -> MultibranchedSurface:
 
 
 # -- move descriptors and records ------------------------------------------
+# These import mbs.moves when called, so that reading and writing surfaces
+# does not load the move layer.
 
 def move_to_document(move) -> dict:
+    from .moves import IXSite, MoebiusSplit, NormalSplit, QuasiSplit
+
     if isinstance(move, IXSite):
         return {"move": "ix", "region": move.region_id, "kind": move.kind.value}
     if isinstance(move, NormalSplit):
@@ -199,6 +195,8 @@ def move_to_document(move) -> dict:
 
 
 def document_to_move(doc):
+    from .moves import IXSite, MoebiusSplit, NormalSplit, QuasiSplit
+
     _check_keys(doc, ("move",),
                 ("region", "kind", "variant", "locus", "gap_a", "gap_b",
                  "start", "length", "cut_gap"), "$")
@@ -229,14 +227,18 @@ def document_to_move(doc):
     raise SchemaError(f"unknown variant {variant!r}", "$.variant")
 
 
-def record_to_document(record: MoveRecord) -> list:
+def record_to_document(record) -> list:
+    """The steps of a :class:`~mbs.moves.MoveRecord` as a JSON list."""
     return [{"move": move_to_document(step.move),
              "hash_before": step.hash_before,
              "hash_after": step.hash_after}
             for step in record.steps]
 
 
-def document_to_record(doc) -> MoveRecord:
+def document_to_record(doc):
+    """The :class:`~mbs.moves.MoveRecord` a JSON list of steps describes."""
+    from .moves import MoveRecord, MoveStep
+
     _expect(isinstance(doc, list), "expected a list of steps", "$")
     steps = []
     for i, item in enumerate(doc):

@@ -134,9 +134,17 @@ def _replace(surface: MultibranchedSurface, *, drop_regions=(), drop_loci=(),
                                 loci + tuple(new_loci), surface.mode)
 
 
+def _require_strict(surface: MultibranchedSurface) -> None:
+    """The one statement of the rule that IX- and XI-moves, and so listing
+    them and spreading, need a strict surface."""
+    if surface.mode is not ValidityMode.STRICT:
+        raise ModeError("IX- and XI-moves are defined on strict surfaces")
+
+
 def enumerate_ix(surface: MultibranchedSurface) -> list[IXSite]:
     """All regions along which an IX-move is defined: normal and quasi-normal
     annulus regions and normal Moebius regions, ordered by region id."""
+    _require_strict(surface)
     sites = []
     for r in sorted(surface.regions, key=lambda r: r.id):
         kind = classify_region(surface, r.id)
@@ -205,8 +213,7 @@ def apply_ix(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
     turns its locus into a wrapping-2 locus of degree ``2 (d1-1)``.  The
     merged locus is always spreadable.
     """
-    if surface.mode is not ValidityMode.STRICT:
-        raise IneligibleMoveError("IX-moves are defined on strict surfaces")
+    _require_strict(surface)
     kind = classify_region(surface, site.region_id)
     if kind is not site.kind or kind not in IX_ELIGIBLE:
         raise IneligibleMoveError(
@@ -226,6 +233,7 @@ def enumerate_xi(surface: MultibranchedSurface, locus_id: str) -> list[XIChoice]
     wrapping is exactly 2.  Pure and normal-tribranched loci admit none.
     Choices come in ``(start, length)`` order, Moebius reversals last.
     """
+    _require_strict(surface)
     l = surface.locus(locus_id)
     k = len(l.slots)
     w = l.wrapping
@@ -247,8 +255,7 @@ def enumerate_xi(surface: MultibranchedSurface, locus_id: str) -> list[XIChoice]
 def apply_xi(surface: MultibranchedSurface, choice: XIChoice) -> MultibranchedSurface:
     """Perform the chosen reversal, creating a fresh normal or quasi-normal
     annulus region or a fresh normal Moebius region."""
-    if surface.mode is not ValidityMode.STRICT:
-        raise IneligibleMoveError("XI-moves are defined on strict surfaces")
+    _require_strict(surface)
     if choice not in enumerate_xi(surface, choice.locus_id):
         raise IneligibleMoveError(f"{choice} is not available")
     l = surface.locus(choice.locus_id)
@@ -333,8 +340,7 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     Returns ``(surface, MoveRecord)``.  XI-moves are strict-only, so a
     minor-mode surface raises :class:`ModeError`.
     """
-    if surface.mode is not ValidityMode.STRICT:
-        raise ModeError("spreading by XI-moves is defined on strict surfaces")
+    _require_strict(surface)
     if policy == "exhaustive":
         results = all_maximal_spreadings(surface)
         key = lambda pair: canonical_form(pair[0], SymmetryMode.ROTATIONAL).data
@@ -361,8 +367,7 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
 def all_maximal_spreadings(surface: MultibranchedSurface):
     """All maximally spread endpoints reachable by XI-moves, one per
     isomorphism class (rotational), each with a witnessing record."""
-    if surface.mode is not ValidityMode.STRICT:
-        raise ModeError("spreading by XI-moves is defined on strict surfaces")
+    _require_strict(surface)
     out = {}
     seen = set()
     stack = [(surface, ())]

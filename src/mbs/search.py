@@ -13,11 +13,10 @@ import time
 from dataclasses import dataclass
 
 from .algebra import homology_profile
-from .errors import ModeError, TheoremViolationError
+from .errors import TheoremViolationError
 from .isomorphism import SymmetryMode, are_isomorphic, canonical_form
 from .model import (
     MultibranchedSurface,
-    ValidityMode,
     connected_components,
     euler_characteristic,
 )
@@ -41,7 +40,7 @@ class SearchBudget:
 
     def __post_init__(self):
         if min(self.max_depth, self.max_states, self.max_cell_count) < 1 \
-                or self.time_limit <= 0:
+                or not self.time_limit > 0:  # NaN never times out
             raise ValueError("all budget components must be positive")
 
 
@@ -67,8 +66,6 @@ def neighbors(surface: MultibranchedSurface):
     """All one-move successors: IX results by region id, then XI results by
     (locus id, enumeration order).  Deterministic.  The moves are defined
     on strict surfaces, so a minor-mode surface raises :class:`ModeError`."""
-    if surface.mode is not ValidityMode.STRICT:
-        raise ModeError("IX- and XI-moves are defined on strict surfaces")
     out: list[tuple[MoveDescriptor, MultibranchedSurface]] = []
     for site in enumerate_ix(surface):
         out.append((site, apply_move(surface, site)))

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -15,8 +16,11 @@ from mbs import (
     ValidityMode,
     apply_ix,
     canonical_form,
+    closed_surface,
     contract_region,
+    disjoint_union,
     enumerate_ix,
+    maximally_spread,
     parse,
     random_walk,
     remove_region,
@@ -387,6 +391,59 @@ def test_cli_non_positive_budget_is_usage_error(tmp_path, capsys, command, flag)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "budget" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["equiv", "minor"])
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan"])
+def test_cli_non_positive_time_limit_is_usage_error(tmp_path, capsys, command,
+                                                    seconds):
+    mode = ValidityMode.MINOR if command == "minor" else ValidityMode.STRICT
+    path = write(tmp_path, "theta3.json", theta(3, mode))
+    code = main([command, path, path, f"--time-limit={seconds}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid search budget")
+    assert "Traceback" not in captured.err
+
+
+def _far_pair(command):
+    """x, y and flags for a search that needs far more than 0.2 s, with
+    every budget component but time out of reach."""
+    if command == "equiv":
+        spread, _ = maximally_spread(theta(6))
+        walked, _ = random_walk(spread, 2, 12)  # found after about 3.5 s
+        return spread, walked, ["--max-depth", "12", "--max-states", "1000000",
+                                "--max-cells", "200"]
+    minor = ValidityMode.MINOR
+    crosscaps = closed_surface(orientable=False, genus=5, mode=minor)
+    union = disjoint_union(theta(7, minor), theta(8, minor))
+    return crosscaps, union, ["--max-states", "1000000"]
+
+
+@pytest.mark.parametrize("command", ["equiv", "minor"])
+def test_cli_time_limit_ends_the_search(tmp_path, capsys, command):
+    x, y, flags = _far_pair(command)
+    a, b = write(tmp_path, "a.json", x), write(tmp_path, "b.json", y)
+    limit = 0.2
+    start = time.monotonic()
+    code = main([command, a, b, *flags, "--time-limit", str(limit)])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == 3 and json.loads(captured.out)["outcome"] == "exhausted"
+    assert "Traceback" not in captured.err
+    assert elapsed < limit + 0.5
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("list", []),
+    ("apply", ['{"move": "ix", "region": "r1", "kind": "normal_annulus"}']),
+])
+def test_cli_moves_refuse_a_minor_mode_file(tmp_path, capsys, subcommand, extra):
+    path = write(tmp_path, "t.json", theta(4, ValidityMode.MINOR))
+    code = main(["moves", subcommand, path, *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: IX- and XI-moves are defined on strict surfaces\n"
 
 
 @pytest.mark.parametrize("flag", ["--max-depth", "--max-cells"])

@@ -350,7 +350,16 @@ def test_moves_conserve_invariants():
             assert got == stats, move
 
 
-def test_moves_strict_only(theta3):
-    minor = theta3.in_mode(ValidityMode.MINOR)
-    with pytest.raises(IneligibleMoveError):
-        apply_ix(minor, enumerate_ix(minor)[0])
+def test_moves_strict_only():
+    strict = theta(4)
+    minor = strict.in_mode(ValidityMode.MINOR)
+    site = enumerate_ix(strict)[0]
+    choice = enumerate_xi(strict, "b1")[0]
+    refusals = (lambda: enumerate_ix(minor),
+                lambda: enumerate_xi(minor, "b1"),
+                lambda: apply_ix(minor, site),
+                lambda: apply_xi(minor, choice))
+    for refused in refusals:
+        with pytest.raises(ModeError,
+                           match="IX- and XI-moves are defined on strict surfaces"):
+            refused()
