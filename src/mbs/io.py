@@ -14,8 +14,12 @@ A surface document looks like::
 Slot lists are the normative cyclic order with an arbitrary basepoint that
 round-trips verbatim.  ``signs`` is optional and omitted when every sign is
 +1, so documents describing freshly built surfaces carry no extra field.
-Unknown fields are rejected.  Schema violations carry a JSON-pointer-style
-path; syntax errors carry line and column.
+
+The readers check the shape only: fields, types, non-empty string ids and
+one sign per slot.  Shape violations raise :class:`SchemaError` with a
+JSON-pointer-style path; syntax errors carry line and column.  Whether the
+surface is valid is for :func:`mbs.model.validate` to judge, and whether a
+move applies is for the move layer.
 """
 
 from __future__ import annotations
@@ -53,11 +57,9 @@ def _string(value, path):
     return value
 
 
-def _int(value, path, minimum=None):
+def _int(value, path):
     _expect(isinstance(value, int) and not isinstance(value, bool),
             "expected an integer", path)
-    if minimum is not None:
-        _expect(value >= minimum, f"expected an integer >= {minimum}", path)
     return value
 
 
@@ -99,58 +101,39 @@ def document_to_surface(doc) -> MultibranchedSurface:
     _expect(isinstance(doc["loci"], list), "expected a list", "$.loci")
 
     regions = []
-    region_ids = set()
-    circle_ids = set()
     for i, item in enumerate(doc["regions"]):
         path = f"$.regions[{i}]"
         _check_keys(item, ("id", "orientable", "genus", "boundaries"), (), path)
         rid = _string(item["id"], path + ".id")
-        _expect(rid not in region_ids, f"duplicate region id {rid!r}", path + ".id")
-        region_ids.add(rid)
         _expect(isinstance(item["orientable"], bool), "expected a boolean",
                 path + ".orientable")
-        genus = _int(item["genus"], path + ".genus", minimum=0)
+        genus = _int(item["genus"], path + ".genus")
         _expect(isinstance(item["boundaries"], list), "expected a list",
                 path + ".boundaries")
-        boundaries = []
-        for j, c in enumerate(item["boundaries"]):
-            cpath = f"{path}.boundaries[{j}]"
-            c = _string(c, cpath)
-            _expect(c not in circle_ids, f"duplicate circle id {c!r}", cpath)
-            circle_ids.add(c)
-            boundaries.append(c)
+        boundaries = tuple(_string(c, f"{path}.boundaries[{j}]")
+                           for j, c in enumerate(item["boundaries"]))
         topology = RegionTopology(item["orientable"], genus, len(boundaries))
-        regions.append(Region(rid, topology, tuple(boundaries)))
+        regions.append(Region(rid, topology, boundaries))
 
     loci = []
-    locus_ids = set()
-    slot_ids = set()
     for i, item in enumerate(doc["loci"]):
         path = f"$.loci[{i}]"
         _check_keys(item, ("id", "wrapping", "slots"), ("signs",), path)
         lid = _string(item["id"], path + ".id")
-        _expect(lid not in locus_ids, f"duplicate locus id {lid!r}", path + ".id")
-        locus_ids.add(lid)
-        wrapping = _int(item["wrapping"], path + ".wrapping", minimum=1)
-        _expect(isinstance(item["slots"], list) and item["slots"],
-                "expected a non-empty list", path + ".slots")
-        slots = []
-        for j, c in enumerate(item["slots"]):
-            cpath = f"{path}.slots[{j}]"
-            c = _string(c, cpath)
-            _expect(c not in slot_ids, f"circle {c!r} fills two slots", cpath)
-            slot_ids.add(c)
-            slots.append(c)
-        signs = (1,) * len(slots)
+        wrapping = _int(item["wrapping"], path + ".wrapping")
+        _expect(isinstance(item["slots"], list), "expected a list", path + ".slots")
+        slots = tuple(_string(c, f"{path}.slots[{j}]")
+                      for j, c in enumerate(item["slots"]))
+        signs = ()
         if "signs" in item:
             spath = path + ".signs"
             _expect(isinstance(item["signs"], list), "expected a list", spath)
+            # shape, not a rule: BranchLocus would read empty signs as all +1
             _expect(len(item["signs"]) == len(slots),
                     "signs must match slots in length", spath)
-            for j, s in enumerate(item["signs"]):
-                _expect(s in (1, -1), "signs must be 1 or -1", f"{spath}[{j}]")
-            signs = tuple(item["signs"])
-        loci.append(BranchLocus(lid, wrapping, tuple(slots), signs))
+            signs = tuple(_int(s, f"{spath}[{j}]")
+                          for j, s in enumerate(item["signs"]))
+        loci.append(BranchLocus(lid, wrapping, slots, signs))
 
     return MultibranchedSurface(tuple(regions), tuple(loci), mode)
 
@@ -213,17 +196,17 @@ def document_to_move(doc):
     if variant == "normal_split":
         _check_keys(doc, ("move", "variant", "locus", "gap_a", "gap_b"), (), "$")
         return NormalSplit(_string(doc["locus"], "$.locus"),
-                           _int(doc["gap_a"], "$.gap_a", 0),
-                           _int(doc["gap_b"], "$.gap_b", 0))
+                           _int(doc["gap_a"], "$.gap_a"),
+                           _int(doc["gap_b"], "$.gap_b"))
     if variant == "quasi_split":
         _check_keys(doc, ("move", "variant", "locus", "start", "length"), (), "$")
         return QuasiSplit(_string(doc["locus"], "$.locus"),
-                          _int(doc["start"], "$.start", 0),
-                          _int(doc["length"], "$.length", 2))
+                          _int(doc["start"], "$.start"),
+                          _int(doc["length"], "$.length"))
     if variant == "moebius_split":
         _check_keys(doc, ("move", "variant", "locus", "cut_gap"), (), "$")
         return MoebiusSplit(_string(doc["locus"], "$.locus"),
-                            _int(doc["cut_gap"], "$.cut_gap", 0))
+                            _int(doc["cut_gap"], "$.cut_gap"))
     raise SchemaError(f"unknown variant {variant!r}", "$.variant")
 
 

@@ -273,7 +273,7 @@ def validate(surface: MultibranchedSurface) -> list[ValidationIssue]:
             add("empty-locus", l.id, "locus has no slots")
         if len(l.signs) != len(l.slots):
             add("sign-length", l.id, f"{len(l.signs)} signs for {len(l.slots)} slots")
-        if any(s not in (1, -1) for s in l.signs):
+        if any(type(s) is not int or s not in (1, -1) for s in l.signs):
             add("sign-value", l.id, "signs must be +1 or -1")
         if strict and l.degree < 3:
             add("degree-too-small", l.id, f"locus degree {l.degree} < 3")

@@ -154,16 +154,27 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     surfaces that pass the quick checks raise :class:`ModeError`.
     """
     deadline = time.monotonic() + budget.time_limit
+    exhausted = ExhaustedWithinBudget("state or time budget exhausted")
     if euler_characteristic(x) != euler_characteristic(y):
         return InvariantMismatch("euler_characteristic")
     if connected_components(x) != connected_components(y):
         return InvariantMismatch("connected_components")
     if homology_profile(x) != homology_profile(y):
         return InvariantMismatch("homology_profile")
-    if canonical_form(x, mode).data == canonical_form(y, mode).data:
+    # a labelling may be slow, so the clock is read before each one
+    if time.monotonic() > deadline:
+        return exhausted
+    form_x = canonical_form(x, mode).data
+    if time.monotonic() > deadline:
+        return exhausted
+    if form_x == canonical_form(y, mode).data:
         return Found(MoveRecord(()))
-
-    side_x, side_y = _Side(x), _Side(y)
+    if time.monotonic() > deadline:
+        return exhausted
+    side_x = _Side(x)
+    if time.monotonic() > deadline:
+        return exhausted
+    side_y = _Side(y)
     states = 2
     meet = None
     while meet is None:
@@ -182,14 +193,14 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
                  for move, after in neighbors(side.tree[parent][0]))
         for parent, move, after in level:
             if time.monotonic() > deadline:
-                return ExhaustedWithinBudget("state or time budget exhausted")
+                return exhausted
             if after.cell_count > budget.max_cell_count:
                 continue
             key = canonical_form(after, SymmetryMode.ROTATIONAL).data
             if key in side.tree:
                 continue
             if states >= budget.max_states:
-                return ExhaustedWithinBudget("state or time budget exhausted")
+                return exhausted
             side.tree[key] = (after, parent, move)
             states += 1
             side.frontier.append(key)
@@ -202,7 +213,7 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
 
     inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, deadline)
     if inverted is None:
-        return ExhaustedWithinBudget("state or time budget exhausted")
+        return exhausted
     forward = zip(fwd_moves, fwd_surfaces, fwd_surfaces[1:])
     record = MoveRecord(tuple(MoveStep.of(move, before, after)
                               for move, before, after in [*forward, *inverted]))

@@ -26,6 +26,7 @@ from mbs import (
     remove_region,
     serialize,
     theta,
+    validate,
 )
 from mbs import io as mbs_io
 from mbs.cli import main
@@ -71,20 +72,74 @@ def test_serialized_documents_match_schema(theta3, mb):
         jsonschema.validate(json.loads(serialize(surface)), schema)
 
 
-def test_parse_rejects_duplicate_circle():
-    doc = json.loads(serialize(theta(3)))
-    doc["regions"][0]["boundaries"][1] = doc["regions"][0]["boundaries"][0]
-    with pytest.raises(SchemaError) as err:
-        parse(json.dumps(doc))
-    assert "duplicate circle" in str(err.value)
+def _set(path, value):
+    """A document edit: put ``value`` at ``path`` (a tuple of keys)."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
 
 
-def test_parse_rejects_zero_wrapping():
+# The reader checks the mbs/1 shape only; each of these documents is
+# well-formed but breaks one model rule, which validate owns.
+MOVED_RULES = {
+    "duplicate-region-id": _set(("regions", 1, "id"), "r1"),
+    "duplicate-circle-id": _set(("regions", 0, "boundaries", 1), "r1.a"),
+    "duplicate-locus-id": _set(("loci", 1, "id"), "b1"),
+    "slot-repeat": _set(("loci", 0, "slots", 1), "r1.a"),
+    "slot-conflict": _set(("loci", 1, "slots", 0), "r1.a"),
+    "negative-genus": _set(("regions", 0, "genus"), -1),
+    "wrapping-positive": _set(("loci", 0, "wrapping"), 0),
+    "empty-locus": lambda doc: doc["loci"].append(
+        {"id": "e", "wrapping": 1, "slots": []}),
+    "sign-value": _set(("loci", 0, "signs"), [1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("rule", MOVED_RULES)
+def test_parse_leaves_rule_to_validate(tmp_path, capsys, rule):
     doc = json.loads(serialize(theta(3)))
-    doc["loci"][0]["wrapping"] = 0
+    MOVED_RULES[rule](doc)
+    surface = parse(json.dumps(doc))
+    assert rule in {v.rule for v in validate(surface)}
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run(capsys, "validate", str(path))
+    assert code == 1 and not payload["valid"]
+    assert rule in [v["rule"] for v in payload["violations"]]
+    output_validator().validate(payload)
+    for argv in (["invariants", str(path)], ["moves", "list", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"[{rule}]" in captured.err
+
+
+@pytest.mark.parametrize("sign", [True, 1.0])
+def test_parse_rejects_non_integer_sign(sign):
+    doc = json.loads(serialize(theta(3)))
+    doc["loci"][0]["signs"] = [sign, 1, -1]
     with pytest.raises(SchemaError) as err:
         parse(json.dumps(doc))
-    assert "$.loci[0].wrapping" in str(err.value)
+    assert err.value.path == "$.loci[0].signs[0]"
+
+
+@pytest.mark.parametrize("move", [
+    {"move": "xi", "variant": "normal_split", "locus": "b1", "gap_a": -1, "gap_b": 1},
+    {"move": "xi", "variant": "quasi_split", "locus": "b1", "start": 0, "length": 1},
+], ids=["negative-gap", "length-1"])
+def test_cli_moves_apply_refuses_unavailable_parameters(tmp_path, capsys, move):
+    doc = json.loads(serialize(theta(4)))
+    if move["variant"] == "quasi_split":
+        doc["loci"][0]["wrapping"] = 2  # an unnormal locus admits quasi splits
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code = main(["moves", "apply", str(path), json.dumps(move)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not available" in captured.err and "Traceback" not in captured.err
 
 
 def test_parse_rejects_unknown_fields():

@@ -102,6 +102,13 @@ def test_validate_reports_rule(rule):
     assert rule in {v.rule for v in validate(BAD_SURFACES[rule])}
 
 
+def test_boolean_sign_breaks_sign_value():
+    r = Region("r", RegionTopology(True, 0, 3), ("x", "y", "z"))
+    locus = BranchLocus("b", 1, ("x", "y", "z"), (True, 1, -1))
+    report = validate(MultibranchedSurface((r,), (locus,)))
+    assert "sign-value" in {v.rule for v in report}
+
+
 def test_unattached_circle_strict_only():
     r = Region("r", RegionTopology(True, 1, 2), ("x", "y"))
     locus = BranchLocus("b", 3, ("x",))

@@ -166,6 +166,24 @@ def test_time_limit_counts_from_entry(monkeypatch):
     assert isinstance(outcome, ExhaustedWithinBudget)
 
 
+def test_time_limit_is_read_before_each_labelling(monkeypatch):
+    start = theta(4)
+    walked, _ = random_walk(start, seed=2, length=2)
+    budget = SearchBudget(max_depth=2, time_limit=0.2)
+    plain = mbs.search.canonical_form
+
+    def slow_form(surface, mode):
+        time.sleep(0.3)
+        return plain(surface, mode)
+
+    # one labelling passes the deadline; the next three must not run
+    monkeypatch.setattr(mbs.search, "canonical_form", slow_form)
+    began = time.monotonic()
+    outcome = search_equivalence(start, walked, budget)
+    assert isinstance(outcome, ExhaustedWithinBudget)
+    assert time.monotonic() - began < 0.7
+
+
 def test_time_limit_holds_through_chain_inversion(monkeypatch):
     start = theta(4)
     walked, _ = random_walk(start, seed=2, length=2)
