@@ -135,11 +135,7 @@ def _cmd_moves_apply(args) -> int:
     from .moves import apply_move
 
     surface = _load(args.file)
-    try:
-        doc = json.loads(args.move)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    move = io.document_to_move(doc)
+    move = io.document_to_move(io._read_json(args.move))
     result = apply_move(surface, move)
     _emit(io.surface_to_document(result))
     return OK

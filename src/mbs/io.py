@@ -138,17 +138,24 @@ def document_to_surface(doc) -> MultibranchedSurface:
     return MultibranchedSurface(tuple(regions), tuple(loci), mode)
 
 
-def parse(data: bytes | str) -> MultibranchedSurface:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"invalid UTF-8: {exc}") from None
+def _read_json(data: bytes | str):
+    """The JSON value of ``data``; anything the decoder cannot read, such
+    as bad syntax, nesting too deep or an integer too long to convert,
+    raises :class:`SchemaError`."""
     try:
-        doc = json.loads(data)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"invalid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    return document_to_surface(doc)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"unreadable JSON: {exc}") from None
+
+
+def parse(data: bytes | str) -> MultibranchedSurface:
+    return document_to_surface(_read_json(data))
 
 
 def load(path) -> MultibranchedSurface:
@@ -178,36 +185,41 @@ def move_to_document(move) -> dict:
 
 
 def document_to_move(doc):
+    return _document_to_move(doc, "$")
+
+
+def _document_to_move(doc, path):
+    """The move descriptor ``doc`` describes; errors name paths under ``path``."""
     from .moves import IXSite, MoebiusSplit, NormalSplit, QuasiSplit
 
     _check_keys(doc, ("move",),
                 ("region", "kind", "variant", "locus", "gap_a", "gap_b",
-                 "start", "length", "cut_gap"), "$")
+                 "start", "length", "cut_gap"), path)
     if doc["move"] == "ix":
-        _check_keys(doc, ("move", "region", "kind"), (), "$")
+        _check_keys(doc, ("move", "region", "kind"), (), path)
         try:
             kind = RegionClass(doc["kind"])
         except ValueError:
-            raise SchemaError(f"unknown region class {doc['kind']!r}", "$.kind") \
+            raise SchemaError(f"unknown region class {doc['kind']!r}", path + ".kind") \
                 from None
-        return IXSite(_string(doc["region"], "$.region"), kind)
-    _expect(doc["move"] == "xi", "move must be 'ix' or 'xi'", "$.move")
+        return IXSite(_string(doc["region"], path + ".region"), kind)
+    _expect(doc["move"] == "xi", "move must be 'ix' or 'xi'", path + ".move")
     variant = doc.get("variant")
     if variant == "normal_split":
-        _check_keys(doc, ("move", "variant", "locus", "gap_a", "gap_b"), (), "$")
-        return NormalSplit(_string(doc["locus"], "$.locus"),
-                           _int(doc["gap_a"], "$.gap_a"),
-                           _int(doc["gap_b"], "$.gap_b"))
+        _check_keys(doc, ("move", "variant", "locus", "gap_a", "gap_b"), (), path)
+        return NormalSplit(_string(doc["locus"], path + ".locus"),
+                           _int(doc["gap_a"], path + ".gap_a"),
+                           _int(doc["gap_b"], path + ".gap_b"))
     if variant == "quasi_split":
-        _check_keys(doc, ("move", "variant", "locus", "start", "length"), (), "$")
-        return QuasiSplit(_string(doc["locus"], "$.locus"),
-                          _int(doc["start"], "$.start"),
-                          _int(doc["length"], "$.length"))
+        _check_keys(doc, ("move", "variant", "locus", "start", "length"), (), path)
+        return QuasiSplit(_string(doc["locus"], path + ".locus"),
+                          _int(doc["start"], path + ".start"),
+                          _int(doc["length"], path + ".length"))
     if variant == "moebius_split":
-        _check_keys(doc, ("move", "variant", "locus", "cut_gap"), (), "$")
-        return MoebiusSplit(_string(doc["locus"], "$.locus"),
-                            _int(doc["cut_gap"], "$.cut_gap"))
-    raise SchemaError(f"unknown variant {variant!r}", "$.variant")
+        _check_keys(doc, ("move", "variant", "locus", "cut_gap"), (), path)
+        return MoebiusSplit(_string(doc["locus"], path + ".locus"),
+                            _int(doc["cut_gap"], path + ".cut_gap"))
+    raise SchemaError(f"unknown variant {variant!r}", path + ".variant")
 
 
 def record_to_document(record) -> list:
@@ -227,7 +239,7 @@ def document_to_record(doc):
     for i, item in enumerate(doc):
         path = f"$[{i}]"
         _check_keys(item, ("move", "hash_before", "hash_after"), (), path)
-        steps.append(MoveStep(document_to_move(item["move"]),
+        steps.append(MoveStep(_document_to_move(item["move"], path + ".move"),
                               _int(item["hash_before"], path + ".hash_before"),
                               _int(item["hash_after"], path + ".hash_after")))
     return MoveRecord(tuple(steps))

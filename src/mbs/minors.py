@@ -111,7 +111,7 @@ def contract_region(surface: MultibranchedSurface, region_id: str) -> Multibranc
     if kind not in IX_ELIGIBLE:
         raise IneligibleMoveError(
             f"region {region_id} is {kind.value}; not contractible")
-    return _splice(surface, surface.region(region_id), kind)
+    return _splice(surface, surface.region(region_id), kind)[0]
 
 
 def apply_reduction(surface: MultibranchedSurface, step: ReductionStep):

@@ -14,9 +14,11 @@ Conventions used throughout:
 An IX-move contracts an eligible region onto its core circle and splices
 the affected slot cycles; orientation signs are transported through the
 collapse so that homology is preserved.  An XI-move is one of the finitely
-many reversals of an IX-move at a spreadable locus.  Applying the inverse
-choice of an XI right after an IX reproduces the input up to rotation of
-the stored cycles and fresh identifiers.
+many reversals of an IX-move at a spreadable locus.  The contraction
+engine ``_splice`` also names the XI choice that reverses it: the cut of
+the merged locus where the arcs were spliced.  Applied right after the IX,
+it reproduces the input up to rotation of the stored cycles and fresh
+identifiers; an IH-move applies the other choice instead.
 """
 
 from __future__ import annotations
@@ -161,47 +163,50 @@ def _leaves_a_slot(surface: MultibranchedSurface, region: Region) -> bool:
 
 
 def _splice(surface, region, kind):
-    """Shared contraction engine for apply_ix and minor-mode contraction."""
-    r = region
-    if not _leaves_a_slot(surface, r):
+    """Shared contraction engine for apply_ix and minor-mode contraction.
+
+    Returns the contracted surface and the XI choice that cuts the merged
+    locus where the arcs were spliced, which on a strict surface reverses
+    the contraction."""
+    if not _leaves_a_slot(surface, region):
         loci = "+".join(dict.fromkeys(surface.circle_to_slot[c][0]
-                                      for c in r.boundary_circles))
-        raise IneligibleMoveError(f"contracting {r.id} would leave locus {loci} bare")
+                                      for c in region.boundary_circles))
+        raise IneligibleMoveError(f"contracting {region.id} would leave locus {loci} bare")
+    (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
+    ends = [(surface.locus(l), p) for l, p in
+            (surface.circle_to_slot[c] for c in region.boundary_circles)]
     if kind is RegionClass.NORMAL_MOEBIUS:
-        (c,) = r.boundary_circles
-        locus_id, p = surface.circle_to_slot[c]
-        locus = surface.locus(locus_id)
-        slots, signs = _arc(locus, p + 1, len(locus.slots) - 1, -locus.signs[p])
-        (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
+        ((l, p),) = ends
+        slots, signs = _arc(l, p + 1, len(l.slots) - 1, -l.signs[p])
         merged = BranchLocus(new_id, 2, slots, signs)
-        return _replace(surface, drop_regions=(r.id,), drop_loci=(locus_id,),
-                        new_loci=(merged,))
-
-    c0, c1 = r.boundary_circles
-    loc0, p0 = surface.circle_to_slot[c0]
-    loc1, p1 = surface.circle_to_slot[c1]
-    l0, l1 = surface.locus(loc0), surface.locus(loc1)
-
-    if kind is RegionClass.NORMAL_ANNULUS:
+        reversal = MoebiusSplit(new_id, len(slots) - 1)
+    elif kind is RegionClass.NORMAL_ANNULUS:
+        (l0, p0), (l1, p1) = ends
         s0, g0 = _arc(l0, p0 + 1, len(l0.slots) - 1)
         s1, g1 = _arc(l1, p1 + 1, len(l1.slots) - 1, -l0.signs[p0] * l1.signs[p1])
-        (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
         merged = BranchLocus(new_id, 1, s0 + s1, g0 + g1)
-        return _replace(surface, drop_regions=(r.id,), drop_loci=(loc0, loc1),
-                        new_loci=(merged,))
+        reversal = NormalSplit(new_id, len(s0) - 1, len(s0) + len(s1) - 1)
+    else:  # quasi-normal: splice the normal side into the unnormal cycle in place
+        (ln, pn), (lu, pu) = ends if ends[0][0].wrapping == 1 else ends[::-1]
+        arc, arc_signs = _arc(ln, pn + 1, len(ln.slots) - 1,
+                              -ln.signs[pn] * lu.signs[pu])
+        merged = BranchLocus(new_id, lu.wrapping, lu.slots[:pu] + arc + lu.slots[pu + 1:],
+                             lu.signs[:pu] + arc_signs + lu.signs[pu + 1:])
+        reversal = QuasiSplit(new_id, pu, len(arc))
+    return _replace(surface, drop_regions=(region.id,),
+                    drop_loci=[l.id for l, _ in ends], new_loci=(merged,)), reversal
 
-    # quasi-normal: splice the normal side into the unnormal cycle in place
-    if l0.wrapping == 1:
-        ln, pn, lu, pu = l0, p0, l1, p1
-    else:
-        ln, pn, lu, pu = l1, p1, l0, p0
-    arc, arc_signs = _arc(ln, pn + 1, len(ln.slots) - 1, -ln.signs[pn] * lu.signs[pu])
-    slots = lu.slots[:pu] + arc + lu.slots[pu + 1:]
-    signs = lu.signs[:pu] + arc_signs + lu.signs[pu + 1:]
-    (new_id,) = _fresh_ids("b", surface.locus_by_id, 1)
-    merged = BranchLocus(new_id, lu.wrapping, slots, signs)
-    return _replace(surface, drop_regions=(r.id,), drop_loci=(ln.id, lu.id),
-                    new_loci=(merged,))
+
+def _ix(surface: MultibranchedSurface, site: IXSite):
+    """:func:`apply_ix`'s checks and contraction, with the reversing XI
+    choice :func:`_splice` returns."""
+    _require_strict(surface)
+    kind = classify_region(surface, site.region_id)
+    if kind is not site.kind or kind not in IX_ELIGIBLE:
+        raise IneligibleMoveError(
+            f"region {site.region_id} is {kind.value}, not an IX site of kind "
+            f"{site.kind.value}")
+    return _splice(surface, surface.region(site.region_id), kind)
 
 
 def apply_ix(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurface:
@@ -213,13 +218,7 @@ def apply_ix(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
     turns its locus into a wrapping-2 locus of degree ``2 (d1-1)``.  The
     merged locus is always spreadable.
     """
-    _require_strict(surface)
-    kind = classify_region(surface, site.region_id)
-    if kind is not site.kind or kind not in IX_ELIGIBLE:
-        raise IneligibleMoveError(
-            f"region {site.region_id} is {kind.value}, not an IX site of kind "
-            f"{site.kind.value}")
-    return _splice(surface, surface.region(site.region_id), kind)
+    return _ix(surface, site)[0]
 
 
 def enumerate_xi(surface: MultibranchedSurface, locus_id: str) -> list[XIChoice]:
@@ -389,30 +388,25 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
 
 
 def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurface:
-    """IX along a maximally spread region followed by the non-inverse XI.
+    """IX along a maximally spread region followed by the XI that does not
+    reverse it.
 
-    The merged locus must admit exactly two XI-moves; failing that aborts
-    loudly since it contradicts an invariant of the calculus.  The inverse
-    is detected by comparing rotational canonical forms with the input
-    rather than by slot provenance.
+    The merged locus must admit exactly two XI-moves, one of them the
+    reversal that the contraction names (the cut where its arcs were
+    spliced); failing that aborts loudly since it contradicts an invariant
+    of the calculus.  The other choice is applied, so no canonical form is
+    computed.
     """
     if not is_maximally_spread_region(surface, site.region_id):
         raise IneligibleMoveError(
             f"region {site.region_id} is not maximally spread")
-    merged = apply_ix(surface, site)
-    old_loci = set(surface.locus_by_id)
-    new_locus = next(l.id for l in merged.loci if l.id not in old_loci)
-    choices = enumerate_xi(merged, new_locus)
-    if len(choices) != 2:
+    merged, reversal = _ix(surface, site)
+    choices = enumerate_xi(merged, reversal.locus_id)
+    if len(choices) != 2 or reversal not in choices:
         raise TheoremViolationError(
-            f"merged locus {new_locus} admits {len(choices)} XI-moves, expected 2")
-    results = [apply_xi(merged, ch) for ch in choices]
-    key = canonical_form(surface, SymmetryMode.ROTATIONAL).data
-    for i, candidate in enumerate(results):
-        if canonical_form(candidate, SymmetryMode.ROTATIONAL).data == key:
-            return results[1 - i]
-    raise TheoremViolationError(
-        f"no XI-move at {new_locus} reverses the IX-move along {site.region_id}")
+            f"merged locus {reversal.locus_id} admits the XI-moves {choices}, "
+            f"expected two, one of them the reversal {reversal}")
+    return apply_xi(merged, choices[1 - choices.index(reversal)])
 
 
 def replay(surface: MultibranchedSurface, record: MoveRecord) -> MultibranchedSurface:

@@ -196,6 +196,20 @@ def test_record_document_roundtrip(mb):
     assert mbs_io.document_to_record(doc) == record
 
 
+@pytest.mark.parametrize("move, path", [
+    ({"move": "xi", "variant": "normal_split", "locus": "b1", "gap_a": "0",
+      "gap_b": 2}, "$[1].move.gap_a"),
+    (["ix"], "$[1].move"),
+], ids=["bad-gap", "not-an-object"])
+def test_record_document_error_names_the_step_move(mb, move, path):
+    _, record = random_walk(mb, seed=2, length=4)
+    doc = mbs_io.record_to_document(record)
+    doc[1]["move"] = move
+    with pytest.raises(SchemaError) as err:
+        mbs_io.document_to_record(doc)
+    assert err.value.path == path
+
+
 def write(tmp_path, name, surface):
     path = tmp_path / name
     path.write_bytes(serialize(surface))
@@ -398,6 +412,36 @@ def test_cli_schema_error_exit(tmp_path, capsys):
     path.write_text('{"format": "mbs/1"')
     assert main(["validate", str(path)]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+# JSON that is well-formed but that the decoder cannot read: nesting past
+# the recursion limit (1,000 deep is enough before Python 3.12, which lets
+# the decoder go deeper), and an integer past the int-from-string digit limit
+DEEP = "[" * 100_000 + "]" * 100_000
+LONG_GENUS = serialize(theta(3)).decode().replace('"genus": 0', '"genus": ' + "7" * 5000, 1)
+LONG_GAP = ('{"move": "xi", "variant": "normal_split", "locus": "b1", "gap_a": '
+            + "7" * 5000 + ', "gap_b": 2}')
+
+
+@pytest.mark.parametrize("text", [DEEP, LONG_GENUS], ids=["deep", "long-int"])
+def test_parse_unreadable_json_is_a_schema_error(text):
+    with pytest.raises(SchemaError, match="unreadable JSON"):
+        parse(text)
+
+
+@pytest.mark.parametrize("surface_text, move_text", [
+    (DEEP, DEEP), (LONG_GENUS, LONG_GAP)], ids=["deep", "long-int"])
+def test_cli_unreadable_json_is_a_schema_error(tmp_path, capsys, surface_text,
+                                               move_text):
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_text(surface_text)
+    good = write(tmp_path, "t.json", theta(3))
+    for argv in (["validate", str(unreadable)], ["moves", "apply", good, move_text]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("schema error:"), argv
+        assert "Traceback" not in captured.err, argv
 
 
 DANGLING_COMMANDS = [

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 
 import pytest
 
+import mbs.isomorphism
 from mbs import (
     ANNULUS,
     BranchLocus,
@@ -22,6 +24,7 @@ from mbs import (
     apply_ix,
     apply_xi,
     are_isomorphic,
+    canonical_hash,
     classify_region,
     connected_components,
     enumerate_ix,
@@ -32,6 +35,8 @@ from mbs import (
     is_maximally_spread_surface,
     locus_profile,
     maximally_spread,
+    moebius_annulus,
+    quasi_pure,
     random_surface,
     random_walk,
     replay,
@@ -39,7 +44,8 @@ from mbs import (
     theta,
     validate,
 )
-from mbs.moves import _fresh_ids, all_maximal_spreadings
+from mbs.moves import _fresh_ids, _ix, all_maximal_spreadings
+from test_move_golden import golden_corpus
 
 
 def cyclic_equal(seq, other):
@@ -334,6 +340,52 @@ def test_apply_ih_requires_maximally_spread(theta3):
     with pytest.raises(IneligibleMoveError):
         apply_ih(wide, site)
     del spreadable
+
+
+def test_splice_names_the_reversal():
+    """The XI choice the contraction names is offered at the merged locus
+    and undoes the IX-move up to rotation."""
+    checked = 0
+    for surface in golden_corpus():
+        for site in enumerate_ix(surface):
+            merged, reversal = _ix(surface, site)
+            assert reversal in enumerate_xi(merged, reversal.locus_id), (surface, site)
+            undone = apply_xi(merged, reversal)
+            assert are_isomorphic(undone, surface, SymmetryMode.ROTATIONAL) is not None, \
+                (surface, site)
+            checked += 1
+    assert checked == 418
+
+
+# sha256 over the rotational hashes (8 bytes, big-endian) of every apply_ih
+# result below, recorded when apply_ih still told the reversal apart by
+# comparing canonical forms
+IH_DIGEST = "a75ced7e065fb15d5dfcff774ce16bd3683c1a92b59013022286921bb33b778d"
+
+
+def test_apply_ih_classes_match_digest():
+    surfaces = [random_surface(seed, 3 + seed % 28) for seed in range(1, 101)]
+    surfaces += [theta(n) for n in range(3, 7)] + [moebius_annulus(), quasi_pure()]
+    digest = hashlib.sha256()
+    sites = 0
+    for surface in surfaces:
+        spread, _ = maximally_spread(surface)
+        for site in enumerate_ix(spread):
+            result = apply_ih(spread, site)
+            digest.update(canonical_hash(result, SymmetryMode.ROTATIONAL).to_bytes(8, "big"))
+            sites += 1
+    assert sites == 170
+    assert digest.hexdigest() == IH_DIGEST
+
+
+def test_apply_ih_runs_no_labelling():
+    spread, _ = maximally_spread(random_surface(54, 27))
+    sites = enumerate_ix(spread)
+    assert sites
+    mbs.isomorphism._canonical.cache_clear()
+    for site in sites:
+        apply_ih(spread, site)
+    assert mbs.isomorphism._canonical.cache_info().misses == 0
 
 
 def test_moves_conserve_invariants():
