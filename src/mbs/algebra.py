@@ -2,20 +2,23 @@
 
 The chain complex uses one vertex and one loop per locus, one vertex per
 region, one handle pair (or crosscap loop) per unit of genus, one tether per
-boundary circle, and one 2-cell per region.  The 2-cell of a region with
-attached boundary circles contributes ``sign * wrapping`` to the loop of
-each locus it meets (plus ``2 x_m`` per crosscap when non-orientable), so
-the boundary matrices stay linear in the size of the surface.
+boundary circle, and one 2-cell per region.  The 2-cell of a region adds
+``sign * wrapping`` to the loop of each locus it meets, 2 to each of its
+crosscap loops and 1 to each free loop.
 
 Homology needs a Smith normal form of ``d2`` only.  ``d1`` is the signed
 incidence matrix of the region-locus graph (the tethers are its edges); it
 is totally unimodular, so it adds no torsion and its rank is ``vertices -
-components``.  Only locus-loop, crosscap and free-loop rows of ``d2`` can be
-non-zero, and zero rows change neither rank nor invariant factors, so they
-are dropped.  Each non-zero row meets the regions of one connected
-component only, so ``d2`` is block-diagonal by component: each block is
-reduced on its own, the ranks add up, and the blocks' invariant factors
-merge into one divisibility chain through ``diag(a, b) ~ diag(gcd, lcm)``.
+components``.  Handle and tether rows of ``d2`` are zero, and a region's
+crosscap rows are all equal, as are its free-loop rows.  Row operations
+turn equal rows into one row and zero rows, and zero rows change neither
+rank nor invariant factors.  So homology builds one row per locus loop and
+at most one crosscap row and one free-loop row per region, and counts cells
+by arithmetic: its cost does not grow with genus.  Each row meets the
+regions of one connected component only, so ``d2`` is block-diagonal by
+component: each block is reduced on its own, the ranks add up, and the
+blocks' invariant factors merge into one divisibility chain through
+``diag(a, b) ~ diag(gcd, lcm)``.
 """
 
 from __future__ import annotations
@@ -209,45 +212,6 @@ class ChainComplex:
     two_cells: tuple[str, ...]
 
 
-def _cells(surface: MultibranchedSurface):
-    """Cell labels, the rows of ``d2`` and the tethers, without ``d1``.
-
-    Each ``d2`` row maps the index of each region its 1-cell meets to the
-    coefficient (which may sum to zero); a tether is (1-cell index, locus
-    0-cell index, region 0-cell index).
-    """
-    loci, regions = surface.loci, surface.regions
-    locus_row = {l.id: i for i, l in enumerate(loci)}
-    zero_cells = ["v." + l.id for l in loci]
-    one_cells = ["e." + l.id for l in loci]
-    two_cells = []
-    d2_rows: list[dict[int, int]] = [{} for _ in loci]  # locus loops, summed below
-    tethers = []
-    for j, r in enumerate(regions):
-        zero_cells.append("u." + r.id)
-        two_cells.append("F." + r.id)
-        genus = r.topology.genus
-        if r.topology.orientable:
-            one_cells += [f"{h}{i}." + r.id for i in range(1, genus + 1) for h in "ab"]
-            d2_rows += [{} for _ in range(2 * genus)]
-        else:
-            one_cells += [f"x{i}." + r.id for i in range(1, genus + 1)]
-            d2_rows += [{j: 2} for _ in range(genus)]
-        for c in r.boundary_circles:
-            slot = surface.circle_to_slot.get(c)
-            if slot is None:
-                one_cells.append("f." + c)
-                d2_rows.append({j: 1})
-            else:
-                i = locus_row[slot[0]]
-                tethers.append((len(one_cells), i, len(loci) + j))
-                one_cells.append("t." + c)
-                d2_rows.append({})
-                loop = d2_rows[i]
-                loop[j] = loop.get(j, 0) + loci[i].signs[slot[1]] * loci[i].wrapping
-    return zero_cells, one_cells, two_cells, d2_rows, tethers
-
-
 def build_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
     """CW structure of the surface complex.
 
@@ -257,19 +221,42 @@ def build_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
     boundary circle, and a free loop ``f.<circle>`` per unattached one.
     2-cells: one per region.
     """
-    zero_cells, one_cells, two_cells, d2_rows, tethers = _cells(surface)
-    d1_rows = [[0] * len(one_cells) for _ in zero_cells]
+    loci, regions = surface.loci, surface.regions
+    locus_row = {l.id: i for i, l in enumerate(loci)}
+    n2 = len(regions)
+    zero_cells = ["v." + l.id for l in loci] + ["u." + r.id for r in regions]
+    one_cells = ["e." + l.id for l in loci]
+    d2 = [[0] * n2 for _ in loci]
+    tethers = []  # (1-cell, locus 0-cell, region 0-cell)
+    for j, r in enumerate(regions):
+        genus = r.topology.genus
+        if r.topology.orientable:
+            one_cells += [f"{h}{i}." + r.id for i in range(1, genus + 1) for h in "ab"]
+            d2 += [[0] * n2 for _ in range(2 * genus)]
+        else:
+            one_cells += [f"x{i}." + r.id for i in range(1, genus + 1)]
+            crosscap = [0] * n2
+            crosscap[j] = 2
+            d2 += [crosscap[:] for _ in range(genus)]
+        for c in r.boundary_circles:
+            slot = surface.circle_to_slot.get(c)
+            row = [0] * n2
+            if slot is None:
+                one_cells.append("f." + c)
+                row[j] = 1
+            else:
+                i = locus_row[slot[0]]
+                tethers.append((len(one_cells), i, len(loci) + j))
+                one_cells.append("t." + c)
+                d2[i][j] += loci[i].signs[slot[1]] * loci[i].wrapping
+            d2.append(row)
+    d1 = [[0] * len(one_cells) for _ in zero_cells]
     for col, v, u in tethers:
-        d1_rows[v][col], d1_rows[u][col] = 1, -1
-    d2 = []
-    for row in d2_rows:
-        dense = [0] * len(two_cells)
-        for j, x in row.items():
-            dense[j] = x
-        d2.append(tuple(dense))
-    return ChainComplex(IntegerMatrix(tuple(map(tuple, d1_rows))),
-                        IntegerMatrix(tuple(d2)),
-                        tuple(zero_cells), tuple(one_cells), tuple(two_cells))
+        d1[v][col], d1[u][col] = 1, -1
+    return ChainComplex(IntegerMatrix(tuple(map(tuple, d1))),
+                        IntegerMatrix(tuple(map(tuple, d2))),
+                        tuple(zero_cells), tuple(one_cells),
+                        tuple("F." + r.id for r in regions))
 
 
 @dataclass(frozen=True)
@@ -311,30 +298,43 @@ def _divisibility_chain(factors) -> tuple[int, ...]:
 
 
 def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
-    """Integral homology of the complex.
+    """Integral homology of the complex, from the rows of ``d2`` that can
+    change it (see the module docstring) and cell counts by arithmetic.
 
-    ``d1`` is a graph incidence matrix, so its rank is ``n0`` minus the
-    component count and it adds no torsion.  The non-zero rows of ``d2``
-    are grouped by the connected component of the regions they meet, and
-    each component's block, over the columns its rows name, goes through
-    its own Smith normal form; zero rows and columns change neither rank
-    nor invariant factors.  ``rank d2`` is the sum of the block ranks, and
-    the torsion of H1 is the blocks' invariant factors merged into one
+    Each component's block, over the columns its rows name, goes through
+    its own Smith normal form.  ``rank d2`` is the sum of the block ranks,
+    and the torsion of H1 is the blocks' invariant factors merged into one
     divisibility chain.
     """
-    zero_cells, one_cells, two_cells, d2_rows, _ = _cells(surface)
-    n0, n1, n2 = len(zero_cells), len(one_cells), len(two_cells)
+    loci, regions = surface.loci, surface.regions
+    locus_row = {l.id: i for i, l in enumerate(loci)}
+    rows: list[dict[int, int]] = [{} for _ in loci]  # locus loops, summed below
+    n0, n1, n2 = len(loci) + len(regions), len(loci), len(regions)
+    for j, r in enumerate(regions):
+        genus, free = r.topology.genus, False
+        n1 += len(r.boundary_circles) + (2 * genus if r.topology.orientable else genus)
+        if genus and not r.topology.orientable:
+            rows.append({j: 2})
+        for c in r.boundary_circles:
+            slot = surface.circle_to_slot.get(c)
+            if slot is None:
+                free = True
+            else:
+                i = locus_row[slot[0]]
+                rows[i][j] = rows[i].get(j, 0) + loci[i].signs[slot[1]] * loci[i].wrapping
+        if free:
+            rows.append({j: 1})
     parts = surface.components
-    part_of = {r.id: k for k, (regions, _) in enumerate(parts) for r in regions}
+    part_of = {r.id: k for k, (part, _) in enumerate(parts) for r in part}
     blocks: dict[int, list] = {}
-    for row in d2_rows:
+    for row in rows:
         if any(row.values()):
-            blocks.setdefault(part_of[surface.regions[next(iter(row))].id], []).append(row)
+            blocks.setdefault(part_of[regions[next(iter(row))].id], []).append(row)
     r1, r2, factors = n0 - len(parts), 0, []
-    for rows in blocks.values():
-        cols = sorted({j for row in rows for j in row})
+    for block in blocks.values():
+        cols = sorted({j for row in block for j in row})
         snf = smith_normal_form(IntegerMatrix(tuple(
-            tuple(row.get(j, 0) for j in cols) for row in rows)))
+            tuple(row.get(j, 0) for j in cols) for row in block)))
         r2 += snf.rank
         factors += snf.invariant_factors
     betti = (n0 - r1, (n1 - r1) - r2, n2 - r2)

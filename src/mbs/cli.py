@@ -59,17 +59,6 @@ def _add_time_limit_flag(parser):
                         help="seconds before the search gives up (exit 3)")
 
 
-def _homology_payload(surface):
-    from .algebra import homology_profile
-
-    profile = homology_profile(surface)
-    return {
-        "betti": list(profile.betti),
-        "torsion": [list(t) for t in profile.torsion],
-        "groups": [profile.group_text(q) for q in range(3)],
-    }
-
-
 def _certificate_payload(cert):
     return {
         "regions": dict(sorted(cert.region_map.items())),
@@ -92,20 +81,21 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    from .algebra import boundary_euler, decomposition_summary
+    from .algebra import boundary_euler, decomposition_summary, homology_profile
     from .isomorphism import SymmetryMode, canonical_hash
 
     surface = _load(args.file)
-    strict = surface.mode is ValidityMode.STRICT
+    profile = homology_profile(surface)
     payload = {
         "command": "invariants",
         "euler_characteristic": euler_characteristic(surface),
         "connected_components": connected_components(surface),
         "cell_count": surface.cell_count,
-        "homology": _homology_payload(surface),
+        "homology": {"betti": list(profile.betti),
+                     "torsion": [list(t) for t in profile.torsion]},
         "canonical_hash": canonical_hash(surface, SymmetryMode(args.symmetry)),
     }
-    if strict:
+    if surface.mode is ValidityMode.STRICT:
         d = decomposition_summary(surface)
         payload["decomposition"] = {
             "solid_tori": d.solid_torus_count,
@@ -114,20 +104,22 @@ def _cmd_invariants(args) -> int:
             "characteristic_annuli": d.characteristic_annuli_count,
         }
         payload["boundary_euler"] = boundary_euler(surface)
-    _emit(payload)
+    try:  # an invariant can outgrow the digit limit of int-to-text conversion
+        payload["homology"]["groups"] = [profile.group_text(q) for q in range(3)]
+        _emit(payload)
+    except ValueError as exc:
+        raise MbsError(f"cannot print the invariants of {args.file}: {exc}") from None
     return OK
 
 
 def _cmd_moves_list(args) -> int:
-    from .moves import enumerate_ix, enumerate_xi
+    from .moves import IXSite, _moves
 
     surface = _load(args.file)
-    xi = []
-    for locus in sorted(surface.loci, key=lambda l: l.id):
-        xi += [io.move_to_document(c) for c in enumerate_xi(surface, locus.id)]
-    _emit({"command": "moves-list",
-           "ix": [io.move_to_document(s) for s in enumerate_ix(surface)],
-           "xi": xi})
+    ix, xi = [], []
+    for move in _moves(surface):
+        (ix if isinstance(move, IXSite) else xi).append(io.move_to_document(move))
+    _emit({"command": "moves-list", "ix": ix, "xi": xi})
     return OK
 
 

@@ -329,6 +329,14 @@ def _xi_choices(surface: MultibranchedSurface, loci):
         yield from enumerate_xi(surface, l.id)
 
 
+def _moves(surface: MultibranchedSurface):
+    """Every move of a strict surface in the one order that the search,
+    random walks, ``mbs moves list`` and spreading share: IX sites by region
+    id, then XI choices by locus id and enumeration order."""
+    yield from enumerate_ix(surface)
+    yield from _xi_choices(surface, sorted(surface.loci, key=lambda l: l.id))
+
+
 def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     """Apply XI-moves until every locus is non-spreadable.
 
@@ -351,8 +359,7 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     current = surface
     steps = []
     while True:
-        by_id = sorted(current.loci, key=lambda l: l.id)
-        choice = next(_xi_choices(current, by_id), None)
+        choice = next((m for m in _moves(current) if not isinstance(m, IXSite)), None)
         if choice is None:
             break
         after = apply_xi(current, choice)

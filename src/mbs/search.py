@@ -21,12 +21,10 @@ from .model import (
     euler_characteristic,
 )
 from .moves import (
-    MoveDescriptor,
     MoveRecord,
     MoveStep,
+    _moves,
     apply_move,
-    enumerate_ix,
-    enumerate_xi,
     replay,
 )
 
@@ -63,16 +61,10 @@ SearchOutcome = Found | ExhaustedWithinBudget | InvariantMismatch
 
 
 def neighbors(surface: MultibranchedSurface):
-    """All one-move successors: IX results by region id, then XI results by
-    (locus id, enumeration order).  Deterministic.  The moves are defined
-    on strict surfaces, so a minor-mode surface raises :class:`ModeError`."""
-    out: list[tuple[MoveDescriptor, MultibranchedSurface]] = []
-    for site in enumerate_ix(surface):
-        out.append((site, apply_move(surface, site)))
-    for locus in sorted(surface.loci, key=lambda l: l.id):
-        for choice in enumerate_xi(surface, locus.id):
-            out.append((choice, apply_move(surface, choice)))
-    return out
+    """All one-move successors, in the move order of the move layer (IX
+    sites first).  Deterministic.  The moves are defined on strict
+    surfaces, so a minor-mode surface raises :class:`ModeError`."""
+    return [(move, apply_move(surface, move)) for move in _moves(surface)]
 
 
 def random_walk(surface: MultibranchedSurface, seed: int, length: int):
@@ -84,10 +76,11 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
     current = surface
     steps = []
     for _ in range(length):
-        options = neighbors(current)
-        if not options:
+        moves = list(_moves(current))
+        if not moves:
             break
-        move, after = options[rng.randrange(len(options))]
+        move = moves[rng.randrange(len(moves))]
+        after = apply_move(current, move)
         steps.append(MoveStep.of(move, current, after))
         current = after
     return current, MoveRecord(tuple(steps))

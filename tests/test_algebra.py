@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import mbs.algebra
 from mbs import (
     BranchLocus,
+    HomologyProfile,
     IntegerMatrix,
     ModeError,
     MultibranchedSurface,
@@ -360,3 +363,52 @@ def test_homology_reduces_each_component_alone(monkeypatch):
     assert homology_profile(surface) == reference_homology_profile(surface)
     assert 1 < len(calls) <= len(parts)
     assert max(m.cols for m in calls) <= max(len(regions) for regions, _ in parts)
+
+
+def with_topology(surface, region, orientable, genus):
+    """``surface`` with ``region`` given the genus and orientability."""
+    topology = RegionTopology(orientable, genus, region.topology.boundary_count)
+    return MultibranchedSurface(
+        tuple(dataclasses.replace(r, topology=topology) if r is region else r
+              for r in surface.regions), surface.loci, surface.mode)
+
+
+def test_homology_matches_single_reduction_on_genus_grid(monkeypatch):
+    """Genus 0..6 of both orientabilities on every region of small surfaces,
+    against the reduction of every non-zero row of ``d2``.  The reduced rows
+    are at most one per locus loop, plus one crosscap row and one free-loop
+    row per region, whatever the genus."""
+    reduced = []
+
+    def counted(matrix):
+        reduced.append(matrix.rows)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(mbs.algebra, "smith_normal_form", counted)
+    for mode in ValidityMode:
+        bases = [theta(3, mode), theta(4, mode), moebius_annulus(mode), quasi_pure(mode)]
+        bases += [random_surface(s, 12 + s % 10, mode) for s in range(1, 40)]
+        for base in bases:
+            for region in base.regions:
+                for orientable in (True, False):
+                    for genus in range(7):
+                        surface = with_topology(base, region, orientable, genus)
+                        reduced.clear()
+                        assert homology_profile(surface) == \
+                            reference_homology_profile(surface), (region.id, genus)
+                        crosscaps = sum(not r.topology.orientable and r.topology.genus > 0
+                                        for r in surface.regions)
+                        free = sum(any(c not in surface.circle_to_slot
+                                       for c in r.boundary_circles)
+                                   for r in surface.regions)
+                        assert sum(reduced) <= len(surface.loci) + crosscaps + free
+
+
+def test_homology_cost_does_not_grow_with_genus(theta3):
+    start = time.perf_counter()
+    profile = homology_profile(closed_surface(False, 20_000))
+    assert time.perf_counter() - start < 2.0
+    assert profile == HomologyProfile((1, 19_999, 0), ((), (2,), ()))
+    (r1,) = [r for r in theta3.regions if r.id == "r1"]
+    profile = homology_profile(with_topology(theta3, r1, False, 10**9))
+    assert profile == HomologyProfile((1, 10**9 + 2, 1), ((), (2,), ()))

@@ -22,6 +22,7 @@ from mbs import (
     enumerate_ix,
     maximally_spread,
     parse,
+    quasi_pure,
     random_walk,
     remove_region,
     serialize,
@@ -230,6 +231,28 @@ def test_cli_invariants_theta3(tmp_path, capsys, theta3):
     assert payload["homology"]["betti"] == [1, 3, 2]
     assert payload["homology"]["groups"] == ["Z", "Z + Z + Z", "Z + Z"]
     output_validator().validate(payload)
+
+
+def test_cli_invariants_of_a_high_genus_surface(tmp_path, capsys):
+    path = write(tmp_path, "k.json", closed_surface(False, 20_000))
+    start = time.monotonic()
+    code, payload = run(capsys, "invariants", path)
+    assert time.monotonic() - start < 5.0
+    assert code == 0 and payload["homology"]["betti"] == [1, 19_999, 0]
+
+
+def test_cli_invariants_too_long_to_print_is_a_usage_error(tmp_path, capsys):
+    # a wrapping of 4,300 digits reads back, but the torsion 2w has 4,301
+    doc = json.loads(serialize(quasi_pure()))
+    (locus,) = [l for l in doc["loci"] if l["id"] == "bp"]
+    locus["wrapping"] = int("9" * 4300)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code = main(["invariants", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_validate(tmp_path, capsys, theta3):

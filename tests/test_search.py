@@ -124,6 +124,20 @@ def test_random_walk_length_zero(theta3):
     assert len(record) == 0
 
 
+def test_random_walk_applies_only_the_drawn_move(theta3, monkeypatch):
+    expected = random_walk(theta3, seed=7, length=5)
+    applied = []
+
+    def counted(surface, move):
+        applied.append(move)
+        return mbs.moves.apply_move(surface, move)
+
+    monkeypatch.setattr(mbs.search, "apply_move", counted)
+    walked = random_walk(theta3, seed=7, length=5)
+    assert walked == expected
+    assert applied == [step.move for step in walked[1].steps]
+
+
 def test_random_walk_deterministic(theta3):
     a = random_walk(theta3, seed=7, length=5)
     b = random_walk(theta3, seed=7, length=5)
