@@ -28,9 +28,10 @@ the same labeling as expanding every child.  A component without loci is a
 single region, and its code is (0, 1) and that region's table row.  The
 surface's code is the validity-mode flag followed by the sorted component
 codes, so equal bytes in one mode hold exactly for isomorphic surfaces, and
-identical components never multiply the search.  Under MIRROR every
-component of one pass reads in the same direction and the lesser pass wins:
-the reversal is global, never chosen per component.
+identical components never multiply the search.  The MIRROR labeling is
+the lesser of the rotational labeling and one reversed pass, in which every
+component reads backwards: the reversal is global, never chosen per
+component.
 
 The labeling that realises the least encoding records, per locus, where the
 encoding starts reading its cycle, in which direction, and the sign
@@ -87,7 +88,9 @@ class _Labeling:
     p_region: dict
 
 
-def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
+def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]) -> _Labeling:
+    """The least labeling of one pass: every locus reads in one of
+    ``directions`` (1 forward, -1 reversed)."""
     for l in surface.loci:
         if not l.slots:
             raise MbsError(f"locus {l.id} has no slots")
@@ -144,7 +147,7 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
             potentials = (1, -1)
         return tuple(block), potentials, fresh
 
-    def label_component(regions, loci, directions):
+    def label_component(regions, loci):
         """The least code of one connected component, with the locus
         sequence, region numbers and potentials that realise it."""
         if not loci:
@@ -211,35 +214,30 @@ def _search_canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Lab
             (len(loci), len(regions)), [], {}, {})
         return best
 
-    if mode is SymmetryMode.DIHEDRAL_PER_LOCUS:
-        passes = ((1, -1),)
-    elif mode is SymmetryMode.MIRROR:
-        # one reversal for the whole surface: every component of a pass
-        # reads in the same direction
-        passes = ((1,), (-1,))
-    else:
-        passes = ((1,),)
-    best = None
-    for directions in passes:
-        parts = sorted((label_component(regions, loci, directions)
-                        for regions, loci in surface.components),
-                       key=lambda part: part[0])
-        code = (0 if surface.mode.value == "strict" else 1,) + \
-            tuple(x for part in parts for x in part[0])
-        if best is None or code < best.code:
-            locus_seq, region_number, p_region = [], {}, {}
-            for _, chosen, numbers, potentials in parts:
-                locus_seq += chosen
-                offset = len(region_number)
-                region_number.update((rid, offset + n) for rid, n in numbers.items())
-                p_region.update(potentials)
-            best = _Labeling(code, tuple(locus_seq), region_number, p_region)
-    return best
+    parts = sorted((label_component(regions, loci)
+                    for regions, loci in surface.components),
+                   key=lambda part: part[0])
+    code = (0 if surface.mode.value == "strict" else 1,) + \
+        tuple(x for part in parts for x in part[0])
+    locus_seq, region_number, p_region = [], {}, {}
+    for _, chosen, numbers, potentials in parts:
+        locus_seq += chosen
+        offset = len(region_number)
+        region_number.update((rid, offset + n) for rid, n in numbers.items())
+        p_region.update(potentials)
+    return _Labeling(code, tuple(locus_seq), region_number, p_region)
 
 
 @lru_cache(maxsize=8192)
 def _canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
-    return _search_canonical(surface, mode)
+    if mode is SymmetryMode.ROTATIONAL:
+        return _search_canonical(surface, (1,))
+    if mode is SymmetryMode.DIHEDRAL_PER_LOCUS:
+        return _search_canonical(surface, (1, -1))
+    # one reversal for the whole surface: every component of the reversed
+    # pass reads backwards, and a tie keeps the rotational labeling
+    return min(_canonical(surface, SymmetryMode.ROTATIONAL),
+               _search_canonical(surface, (-1,)), key=lambda labeling: labeling.code)
 
 
 def canonical_form(surface: MultibranchedSurface, mode: SymmetryMode) -> CanonicalForm:
@@ -403,8 +401,6 @@ class IsoCertificate:
             locus_flips=locus_flips,
             circle_flips=circle_flips,
         )
-
-
 
 
 def are_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,

@@ -255,6 +255,18 @@ def test_cli_invariants_too_long_to_print_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+
+def test_cli_invariants_too_many_betti_to_print_is_a_usage_error(tmp_path, capsys):
+    # the groups text writes one Z per unit of b1, here 10**20 - 1 of them
+    assert main(["gen", "closed_surface", "--non-orientable", "--genus", str(10**20)]) == 0
+    path = tmp_path / "big.json"
+    path.write_text(capsys.readouterr().out)
+    code = main(["invariants", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
 def test_cli_validate(tmp_path, capsys, theta3):
     good = write(tmp_path, "good.json", theta3)
     code, payload = run(capsys, "validate", good)

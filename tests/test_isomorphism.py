@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import time
 
@@ -28,11 +29,13 @@ from mbs import (
     quasi_pure,
     random_surface,
     random_walk,
+    search_equivalence,
     theta,
     validate,
 )
 from helpers import mirror_image, scramble
-from mbs.isomorphism import _search_canonical
+import mbs.isomorphism
+from mbs.isomorphism import _canonical
 from oracles import reference_canonical_labelling
 
 ALL_MODES = tuple(SymmetryMode)
@@ -256,8 +259,54 @@ def test_labelling_matches_reference():
     for surface in surfaces:
         for mode in ALL_MODES:
             # equal code, locus_seq, region_number and p_region
-            assert _search_canonical(surface, mode) == \
+            assert _canonical.__wrapped__(surface, mode) == \
                 reference_canonical_labelling(surface, mode)
+
+
+# sha256 over the full labelling (code, locus sequence, region numbers and
+# potentials) in every mode, recorded when each MIRROR labelling still ran
+# its own forward and reversed passes
+LABEL_DIGEST = "fde95f8877e62946ac10bffc8f185cc1f6655e25559ebe84d4af4c1dba34f55c"
+
+
+def test_labellings_match_digest():
+    surfaces = []
+    for seed in range(1, 401):
+        surface = random_surface(seed, 3 + seed % 30)
+        surfaces += [surface, random_surface(seed, 3 + seed % 30, ValidityMode.MINOR),
+                     random_walk(surface, seed, 3)[0]]
+    surfaces += [maximally_spread(theta(k))[0] for k in range(3, 8)]
+    digest = hashlib.sha256()
+    for surface in surfaces:
+        for mode in ALL_MODES:
+            l = _canonical(surface, mode)
+            digest.update(repr((mode.value, l.code, l.locus_seq,
+                                sorted(l.region_number.items()),
+                                sorted(l.p_region.items()))).encode())
+    assert len(surfaces) == 1205
+    assert digest.hexdigest() == LABEL_DIGEST
+
+
+def test_mirror_search_labels_each_end_once(monkeypatch):
+    # the MIRROR check reads the rotational pass that the search keys on
+    # from the cache, so x and y are read forwards once and backwards once
+    x = random_surface(11, 12)
+    y, _ = random_walk(x, 11, 3)
+    passes = []
+    search = mbs.isomorphism._search_canonical
+
+    def counted(surface, directions):
+        passes.append((surface, directions))
+        return search(surface, directions)
+
+    monkeypatch.setattr(mbs.isomorphism, "_search_canonical", counted)
+    _canonical.cache_clear()
+    outcome = search_equivalence(x, y)
+    assert outcome.record.steps
+    # no surface is labelled twice with one direction setting
+    assert len(set(passes)) == len(passes)
+    for end in (x, y):
+        assert {d for s, d in passes if s == end} == {(1,), (-1,)}
 
 
 def test_spread_theta7_labels_quickly():
@@ -265,7 +314,9 @@ def test_spread_theta7_labels_quickly():
     spread, _ = maximally_spread(theta(7))
     start = time.perf_counter()
     for mode in ALL_MODES:
-        _search_canonical(spread, mode)
+        # each mode from a cold cache: MIRROR runs its rotational pass too
+        _canonical.cache_clear()
+        _canonical.__wrapped__(spread, mode)
     assert time.perf_counter() - start < 5.0
 
 
@@ -281,7 +332,8 @@ def test_union_labels_quickly():
     start = time.perf_counter()
     for surface in (copies, pieces):
         for mode in ALL_MODES:
-            _search_canonical(surface, mode)
+            _canonical.cache_clear()
+            _canonical.__wrapped__(surface, mode)
     assert time.perf_counter() - start < 1.0
 
 
