@@ -46,6 +46,9 @@ circle of a non-orientable region, the two literal signs) differ.
 from __future__ import annotations
 
 import hashlib
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -54,6 +57,33 @@ from .errors import MbsError, UnknownIdError
 from .model import MultibranchedSurface
 
 FORMAT_PREFIX = b"mbscf2"
+
+# the deadline of the bounded search running in this context, so that a
+# search in one thread never interrupts a labelling in another
+_DEADLINE: ContextVar[float] = ContextVar("mbs_deadline", default=float("inf"))
+
+
+class _OutOfTime(Exception):
+    """The time limit of the enclosing bounded search has passed."""
+
+
+def _check_clock():
+    if time.monotonic() > _DEADLINE.get():
+        raise _OutOfTime
+
+
+@contextmanager
+def _time_limit(seconds: float):
+    """Bound the block by ``seconds``: a clock check past the deadline, in
+    the block or in any labelling it starts, ends the block.  lru_cache does
+    not cache a raised call, so no partial labelling is kept."""
+    token = _DEADLINE.set(time.monotonic() + seconds)
+    try:
+        yield
+    except _OutOfTime:
+        pass
+    finally:
+        _DEADLINE.reset(token)
 
 
 class SymmetryMode(Enum):
@@ -157,6 +187,7 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
 
         def rec(remaining, code, chosen, region_number, p_region):
             nonlocal best
+            _check_clock()
             if not remaining:
                 full = code + tuple(x for rid in sorted(region_number, key=region_number.get)
                                     for x in table_row[rid])
@@ -270,19 +301,6 @@ class IsoCertificate:
     locus_flips: frozenset
     circle_flips: frozenset  # circles of non-orientable regions flipped individually
 
-    @staticmethod
-    def identity(surface: MultibranchedSurface, mode: SymmetryMode) -> "IsoCertificate":
-        return IsoCertificate(
-            mode=mode,
-            region_map={r.id: r.id for r in surface.regions},
-            locus_map={l.id: l.id for l in surface.loci},
-            circle_map={c: c for c in surface.circle_to_region},
-            locus_alignment={l.id: (0, False) for l in surface.loci},
-            region_flips=frozenset(),
-            locus_flips=frozenset(),
-            circle_flips=frozenset(),
-        )
-
     def _sigma(self, locus_id: str, k: int):
         offset, rev = self.locus_alignment[locus_id]
         if rev:
@@ -348,59 +366,6 @@ class IsoCertificate:
             if len(revs) > 1:
                 return False
         return True
-
-    def invert(self) -> "IsoCertificate":
-        region_map = {v: k for k, v in self.region_map.items()}
-        locus_map = {v: k for k, v in self.locus_map.items()}
-        circle_map = {v: k for k, v in self.circle_map.items()}
-        alignment = {}
-        for xid, (offset, rev) in self.locus_alignment.items():
-            if rev:
-                alignment[self.locus_map[xid]] = (offset, True)
-            else:
-                alignment[self.locus_map[xid]] = (-offset, False)
-        return IsoCertificate(
-            mode=self.mode,
-            region_map=region_map,
-            locus_map=locus_map,
-            circle_map=circle_map,
-            locus_alignment=alignment,
-            region_flips=frozenset(self.region_map[r] for r in self.region_flips),
-            locus_flips=frozenset(self.locus_map[l] for l in self.locus_flips),
-            circle_flips=frozenset(self.circle_map[c] for c in self.circle_flips),
-        )
-
-    def compose(self, other: "IsoCertificate") -> "IsoCertificate":
-        """self: X -> Y composed with other: Y -> Z, giving X -> Z."""
-        region_map = {k: other.region_map[v] for k, v in self.region_map.items()}
-        locus_map = {k: other.locus_map[v] for k, v in self.locus_map.items()}
-        circle_map = {k: other.circle_map[v] for k, v in self.circle_map.items()}
-        # sigma_XZ = sigma_XY o sigma_YZ with sigma(j) = offset +/- j
-        alignment = {}
-        for xid, (o1, r1) in self.locus_alignment.items():
-            o2, r2 = other.locus_alignment[self.locus_map[xid]]
-            s1 = -1 if r1 else 1
-            alignment[xid] = (o1 + s1 * o2, r1 ^ r2)
-        region_flips = frozenset(
-            r for r in self.region_map
-            if ((r in self.region_flips)
-                ^ (self.region_map[r] in other.region_flips)))
-        locus_flips = frozenset(
-            l for l in self.locus_map
-            if ((l in self.locus_flips) ^ (self.locus_map[l] in other.locus_flips)))
-        circle_flips = frozenset(
-            c for c in self.circle_map
-            if ((c in self.circle_flips) ^ (self.circle_map[c] in other.circle_flips)))
-        return IsoCertificate(
-            mode=self.mode,
-            region_map=region_map,
-            locus_map=locus_map,
-            circle_map=circle_map,
-            locus_alignment=alignment,
-            region_flips=region_flips,
-            locus_flips=locus_flips,
-            circle_flips=circle_flips,
-        )
 
 
 def are_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,

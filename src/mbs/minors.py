@@ -20,11 +20,10 @@ or 3-sphere embeddability.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .errors import IneligibleMoveError, ModeError
-from .isomorphism import SymmetryMode, canonical_form
+from .isomorphism import SymmetryMode, _check_clock, _time_limit, canonical_form
 from .model import (
     BranchLocus,
     MultibranchedSurface,
@@ -123,16 +122,16 @@ def apply_reduction(surface: MultibranchedSurface, step: ReductionStep):
 def less_than(x: MultibranchedSurface, y: MultibranchedSurface,
               budget: SearchBudget = SearchBudget(),
               mode: SymmetryMode = SymmetryMode.MIRROR):
-    """Single-step relation: the reduction of y isomorphic to x, or None."""
+    """Single-step relation: the reduction of y isomorphic to x, or None,
+    also when the time limit passes first."""
     _require_minor(x)
     _require_minor(y)
-    deadline = time.monotonic() + budget.time_limit
-    target = canonical_form(x, mode).data
-    for step in enumerate_reductions(y):
-        if time.monotonic() > deadline:
-            return None
-        if canonical_form(apply_reduction(y, step), mode).data == target:
-            return (step,)
+    with _time_limit(budget.time_limit):
+        target = canonical_form(x, mode).data
+        for step in enumerate_reductions(y):
+            _check_clock()
+            if canonical_form(apply_reduction(y, step), mode).data == target:
+                return (step,)
     return None
 
 
@@ -158,34 +157,36 @@ def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
     isomorphic to x.  Reflexive via the empty chain."""
     _require_minor(x)
     _require_minor(y)
-    deadline = time.monotonic() + budget.time_limit
     target_size = len(x.regions) + len(x.loci)
 
-    target = canonical_form(x, mode).data
-    start_key = canonical_form(y, mode).data
-    if start_key == target:
-        return MinorOutcome((), True)
-    seen = {start_key}
-    frontier = [(y, ())]
-    while frontier:
-        next_frontier = []
-        for surface, steps in frontier:
-            for step in enumerate_reductions(surface):
-                if time.monotonic() > deadline or len(seen) >= budget.max_states:
-                    return MinorOutcome(None, False)
-                after = apply_reduction(surface, step)
-                if len(after.regions) + len(after.loci) < target_size:
-                    continue
-                key = canonical_form(after, mode).data
-                if key in seen:
-                    continue
-                seen.add(key)
-                chain = steps + (step,)
-                if key == target:
-                    return MinorOutcome(chain, True)
-                next_frontier.append((after, chain))
-        frontier = next_frontier
-    return MinorOutcome(None, True)
+    with _time_limit(budget.time_limit):
+        target = canonical_form(x, mode).data
+        start_key = canonical_form(y, mode).data
+        if start_key == target:
+            return MinorOutcome((), True)
+        seen = {start_key}
+        frontier = [(y, ())]
+        while frontier:
+            next_frontier = []
+            for surface, steps in frontier:
+                for step in enumerate_reductions(surface):
+                    _check_clock()
+                    if len(seen) >= budget.max_states:
+                        return MinorOutcome(None, False)
+                    after = apply_reduction(surface, step)
+                    if len(after.regions) + len(after.loci) < target_size:
+                        continue
+                    key = canonical_form(after, mode).data
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    chain = steps + (step,)
+                    if key == target:
+                        return MinorOutcome(chain, True)
+                    next_frontier.append((after, chain))
+            frontier = next_frontier
+        return MinorOutcome(None, True)
+    return MinorOutcome(None, False)
 
 
 def obstruction_screen(surface: MultibranchedSurface) -> ObstructionFlags:

@@ -9,12 +9,17 @@ an outcome, never a non-equivalence verdict.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 from .algebra import homology_profile
 from .errors import TheoremViolationError
-from .isomorphism import SymmetryMode, are_isomorphic, canonical_form
+from .isomorphism import (
+    SymmetryMode,
+    _check_clock,
+    _time_limit,
+    are_isomorphic,
+    canonical_form,
+)
 from .model import (
     MultibranchedSurface,
     connected_components,
@@ -110,10 +115,9 @@ class _Side:
         return list(reversed(surfaces)), list(reversed(moves))
 
 
-def _invert_backward_chain(meet_surface, backward_surfaces, deadline: float):
+def _invert_backward_chain(meet_surface, backward_surfaces):
     """Turn the backward chain (target ... meet) into forward moves from a
-    representative of the meet class down to the target class, or None when
-    the deadline passes first.
+    representative of the meet class down to the target class.
 
     Every move has a reverse move, so from any surface in the class of
     ``backward_surfaces[i]`` some neighbor lands in the class of
@@ -125,8 +129,7 @@ def _invert_backward_chain(meet_surface, backward_surfaces, deadline: float):
     for i in range(len(backward_surfaces) - 2, -1, -1):
         want = canonical_form(backward_surfaces[i], SymmetryMode.ROTATIONAL).data
         for move, after in neighbors(current):
-            if time.monotonic() > deadline:
-                return None
+            _check_clock()
             if canonical_form(after, SymmetryMode.ROTATIONAL).data == want:
                 moves.append((move, current, after))
                 current = after
@@ -146,71 +149,59 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     sequence is verified by replay before it is returned.  Minor-mode
     surfaces that pass the quick checks raise :class:`ModeError`.
     """
-    deadline = time.monotonic() + budget.time_limit
     exhausted = ExhaustedWithinBudget("state or time budget exhausted")
-    if euler_characteristic(x) != euler_characteristic(y):
-        return InvariantMismatch("euler_characteristic")
-    if connected_components(x) != connected_components(y):
-        return InvariantMismatch("connected_components")
-    if homology_profile(x) != homology_profile(y):
-        return InvariantMismatch("homology_profile")
-    # a labelling may be slow, so the clock is read before each one
-    if time.monotonic() > deadline:
-        return exhausted
-    form_x = canonical_form(x, mode).data
-    if time.monotonic() > deadline:
-        return exhausted
-    if form_x == canonical_form(y, mode).data:
-        return Found(MoveRecord(()))
-    if time.monotonic() > deadline:
-        return exhausted
-    side_x = _Side(x)
-    if time.monotonic() > deadline:
-        return exhausted
-    side_y = _Side(y)
-    states = 2
-    meet = None
-    while meet is None:
-        live = [s for s in (side_x, side_y)
-                if s.frontier and s.depth < budget.max_depth]
-        if not live:
-            return ExhaustedWithinBudget(
-                "depth budget exhausted" if side_x.frontier or side_y.frontier
-                else "state space exhausted within budget")
-        # advance the smaller frontier by one BFS level
-        side = min(live, key=lambda s: (len(s.frontier), s is side_y))
-        other = side_y if side is side_x else side_x
-        parents, side.frontier = sorted(side.frontier), []
-        side.depth += 1
-        level = ((parent, move, after) for parent in parents
-                 for move, after in neighbors(side.tree[parent][0]))
-        for parent, move, after in level:
-            if time.monotonic() > deadline:
-                return exhausted
-            if after.cell_count > budget.max_cell_count:
-                continue
-            key = canonical_form(after, SymmetryMode.ROTATIONAL).data
-            if key in side.tree:
-                continue
-            if states >= budget.max_states:
-                return exhausted
-            side.tree[key] = (after, parent, move)
-            states += 1
-            side.frontier.append(key)
-            if key in other.tree:
-                meet = key
-                break
+    with _time_limit(budget.time_limit):
+        if euler_characteristic(x) != euler_characteristic(y):
+            return InvariantMismatch("euler_characteristic")
+        if connected_components(x) != connected_components(y):
+            return InvariantMismatch("connected_components")
+        if homology_profile(x) != homology_profile(y):
+            return InvariantMismatch("homology_profile")
+        if canonical_form(x, mode).data == canonical_form(y, mode).data:
+            return Found(MoveRecord(()))
+        side_x = _Side(x)
+        side_y = _Side(y)
+        states = 2
+        meet = None
+        while meet is None:
+            live = [s for s in (side_x, side_y)
+                    if s.frontier and s.depth < budget.max_depth]
+            if not live:
+                return ExhaustedWithinBudget(
+                    "depth budget exhausted" if side_x.frontier or side_y.frontier
+                    else "state space exhausted within budget")
+            # advance the smaller frontier by one BFS level
+            side = min(live, key=lambda s: (len(s.frontier), s is side_y))
+            other = side_y if side is side_x else side_x
+            parents, side.frontier = sorted(side.frontier), []
+            side.depth += 1
+            level = ((parent, move, after) for parent in parents
+                     for move, after in neighbors(side.tree[parent][0]))
+            for parent, move, after in level:
+                _check_clock()
+                if after.cell_count > budget.max_cell_count:
+                    continue
+                key = canonical_form(after, SymmetryMode.ROTATIONAL).data
+                if key in side.tree:
+                    continue
+                if states >= budget.max_states:
+                    return exhausted
+                side.tree[key] = (after, parent, move)
+                states += 1
+                side.frontier.append(key)
+                if key in other.tree:
+                    meet = key
+                    break
 
-    fwd_surfaces, fwd_moves = side_x.chain(meet)
-    bwd_surfaces, _ = side_y.chain(meet)
+        fwd_surfaces, fwd_moves = side_x.chain(meet)
+        bwd_surfaces, _ = side_y.chain(meet)
 
-    inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, deadline)
-    if inverted is None:
-        return exhausted
-    forward = zip(fwd_moves, fwd_surfaces, fwd_surfaces[1:])
-    record = MoveRecord(tuple(MoveStep.of(move, before, after)
-                              for move, before, after in [*forward, *inverted]))
-    endpoint = replay(x, record)
-    if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover
-        raise TheoremViolationError("replayed endpoint is not isomorphic to target")
-    return Found(record)
+        inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces)
+        forward = zip(fwd_moves, fwd_surfaces, fwd_surfaces[1:])
+        record = MoveRecord(tuple(MoveStep.of(move, before, after)
+                                  for move, before, after in [*forward, *inverted]))
+        endpoint = replay(x, record)
+        if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover
+            raise TheoremViolationError("replayed endpoint is not isomorphic to target")
+        return Found(record)
+    return exhausted

@@ -7,7 +7,6 @@ import pytest
 
 from mbs import (
     BranchLocus,
-    IsoCertificate,
     MbsError,
     MultibranchedSurface,
     Region,
@@ -106,8 +105,12 @@ def test_identity_certificate(theta3):
                  for seed in range(1, 61)]
     for surface in surfaces:
         for mode in ALL_MODES:
-            assert are_isomorphic(surface, surface, mode) == \
-                IsoCertificate.identity(surface, mode)
+            cert = are_isomorphic(surface, surface, mode)
+            assert cert.region_map == {r.id: r.id for r in surface.regions}
+            assert cert.locus_map == {l.id: l.id for l in surface.loci}
+            assert cert.circle_map == {c: c for c in surface.circle_to_region}
+            assert cert.locus_alignment == {l.id: (0, False) for l in surface.loci}
+            assert not (cert.region_flips or cert.locus_flips or cert.circle_flips)
 
 
 def test_non_isomorphic_fixtures(qn, mb):
@@ -142,7 +145,7 @@ def test_equivalence_relation_on_fixtures(theta3, mb, qn):
         (rot, mb, scramble(mb, 3), scramble(mb, 4)),
         (rot, qn, scramble(qn, 5), scramble(qn, 6)),
         # the MIRROR reversal: the middle copy is reversed, so both legs
-        # reverse every cycle and their composition reverses none
+        # reverse every cycle and a to c reverses none
         (mir, chiral_surface(), chiral_surface(True), scramble(chiral_surface(), 7)),
     ]
     for seed in range(1, 13):
@@ -162,10 +165,11 @@ def test_equivalence_relation_on_fixtures(theta3, mb, qn):
         bc = are_isomorphic(b, c, mode)
         assert ab is not None and bc is not None
         assert ab.verify(a, b) and bc.verify(b, c)
-        # symmetry via inversion
-        assert ab.invert().verify(b, a)
-        # transitivity via composition
-        assert ab.compose(bc).verify(a, c)
+        # symmetry and transitivity
+        ba = are_isomorphic(b, a, mode)
+        assert ba is not None and ba.verify(b, a)
+        ac = are_isomorphic(a, c, mode)
+        assert ac is not None and ac.verify(a, c)
         slotted = {x for l in a.loci for x in l.slots}
         counts["unattached"] += any(x not in slotted for x in ab.circle_map)
         counts["circle_flips"] += bool(ab.circle_flips)

@@ -1,8 +1,10 @@
 import sys
+import threading
 import time
 
 import pytest
 
+import mbs.isomorphism
 import mbs.search
 from mbs import (
     ExhaustedWithinBudget,
@@ -14,8 +16,11 @@ from mbs import (
     ValidityMode,
     apply_ix,
     are_isomorphic,
+    canonical_form,
     enumerate_ix,
     homology_profile,
+    is_minor,
+    maximally_spread,
     neighbors,
     random_surface,
     random_walk,
@@ -217,3 +222,51 @@ def test_time_limit_holds_through_chain_inversion(monkeypatch):
     outcome = search_equivalence(start, walked, budget)
     assert inverting
     assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
+
+
+@pytest.fixture(scope="module")
+def cliff():
+    """Spread random_surface(54, 27), with 9 regions and 10 tribranched
+    normal loci, and a 3-move walk of it: one labelling of either takes
+    most of a second, so a bounded search first passes its deadline inside
+    the MIRROR labelling of the start."""
+    start = maximally_spread(random_surface(54, 27))[0]
+    return start, random_walk(start, 1, 3)[0]
+
+
+def test_time_limit_holds_inside_a_labelling(cliff):
+    mbs.isomorphism._canonical.cache_clear()
+    began = time.monotonic()
+    outcome = search_equivalence(*cliff, SearchBudget(max_depth=6, time_limit=0.1))
+    assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
+    assert time.monotonic() - began < 0.5
+
+
+def test_minor_time_limit_holds_inside_a_labelling(cliff):
+    mbs.isomorphism._canonical.cache_clear()
+    began = time.monotonic()
+    outcome = is_minor(random_surface(1, 5, ValidityMode.MINOR),
+                       cliff[0].in_mode(ValidityMode.MINOR), SearchBudget(time_limit=0.1))
+    assert not outcome.complete
+    assert time.monotonic() - began < 0.5
+
+
+def test_time_limit_leaves_other_threads_labelling(cliff):
+    mbs.isomorphism._canonical.cache_clear()
+    ended = []
+
+    def bounded():
+        began = time.monotonic()
+        outcome = search_equivalence(*cliff, SearchBudget(max_depth=6, time_limit=0.1))
+        ended.append((outcome, time.monotonic() - began))
+
+    worker = threading.Thread(target=bounded)
+    worker.start()
+    # the worker's deadline passes while this labelling runs, and must not
+    # end it
+    canonical_form(cliff[1], SymmetryMode.ROTATIONAL)
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    ((outcome, seconds),) = ended
+    assert isinstance(outcome, ExhaustedWithinBudget)
+    assert seconds < 0.5
