@@ -51,7 +51,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import MbsError, UnknownIdError
 from .model import MultibranchedSurface
@@ -116,6 +116,11 @@ class _Labeling:
     locus_seq: tuple[tuple[str, int, int, int], ...]  # (id, rotation, direction, p_locus)
     region_number: dict
     p_region: dict
+
+    @cached_property
+    def body(self) -> bytes:
+        """The code as canonical-form bytes, built once per labeling."""
+        return " ".join(str(x) for x in self.code).encode("ascii")
 
 
 def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]) -> _Labeling:
@@ -274,8 +279,7 @@ def _canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
 def canonical_form(surface: MultibranchedSurface, mode: SymmetryMode) -> CanonicalForm:
     """Deterministic, symmetry-invariant byte encoding; equal bytes in one
     mode hold exactly for isomorphic surfaces."""
-    labeling = _canonical(surface, mode)
-    body = " ".join(str(x) for x in labeling.code).encode("ascii")
+    body = _canonical(surface, mode).body
     return CanonicalForm(mode, FORMAT_PREFIX + b"/" + mode.value.encode() + b":" + body)
 
 

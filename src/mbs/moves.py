@@ -14,11 +14,22 @@ Conventions used throughout:
 An IX-move contracts an eligible region onto its core circle and splices
 the affected slot cycles; orientation signs are transported through the
 collapse so that homology is preserved.  An XI-move is one of the finitely
-many reversals of an IX-move at a spreadable locus.  The contraction
-engine ``_splice`` also names the XI choice that reverses it: the cut of
-the merged locus where the arcs were spliced.  Applied right after the IX,
-it reproduces the input up to rotation of the stored cycles and fresh
-identifiers; an IH-move applies the other choice instead.
+many reversals of an IX-move at a spreadable locus.  Every move has an
+inverse that can be read off the move itself:
+
+* The inverse of an IX-move is the XI choice that the contraction engine
+  ``_splice`` names: the cut of the merged locus where the arcs were
+  spliced.  Applied right after the IX, it reproduces the input up to
+  rotation of the stored cycles and fresh identifiers; an IH-move applies
+  the other choice instead.
+* The inverse of an XI-move is the IX-move along the region it creates,
+  which takes the id of ``_xi_ids``: a ``NormalSplit`` creates a normal
+  annulus, a ``QuasiSplit`` a quasi-normal annulus and a ``MoebiusSplit``
+  a normal Moebius band.
+
+``apply_xi`` checks its choice against ``enumerate_xi``; the private
+``_xi`` applies a choice that ``enumerate_xi`` has just offered without
+that check, with fresh ids found once per parent surface.
 """
 
 from __future__ import annotations
@@ -257,12 +268,23 @@ def apply_xi(surface: MultibranchedSurface, choice: XIChoice) -> MultibranchedSu
     _require_strict(surface)
     if choice not in enumerate_xi(surface, choice.locus_id):
         raise IneligibleMoveError(f"{choice} is not available")
+    return _xi(surface, choice, _xi_ids(surface))
+
+
+def _xi_ids(surface: MultibranchedSurface) -> tuple[str, ...]:
+    """The fresh ids every XI-move of ``surface`` takes: two circles, two
+    loci and the region, in that order."""
+    return (*_fresh_ids("c", surface.circle_to_region, 2),
+            *_fresh_ids("b", surface.locus_by_id, 2),
+            *_fresh_ids("r", surface.region_by_id, 1))
+
+
+def _xi(surface: MultibranchedSurface, choice: XIChoice, ids) -> MultibranchedSurface:
+    """:func:`apply_xi` without its check, for a choice that
+    :func:`enumerate_xi` has offered, with the ids of :func:`_xi_ids`."""
+    c_a, c_b, id_a, id_b, region_id = ids
     l = surface.locus(choice.locus_id)
     k = len(l.slots)
-    c_a, c_b = _fresh_ids("c", surface.circle_to_region, 2)
-    id_a, id_b = _fresh_ids("b", surface.locus_by_id, 2)
-    (region_id,) = _fresh_ids("r", surface.region_by_id, 1)
-
     if isinstance(choice, NormalSplit):
         ga, gb = choice.gap_a, choice.gap_b
         high, high_signs = _arc(l, gb + 1, k - (gb - ga))
@@ -289,6 +311,22 @@ def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> Multibran
     if isinstance(move, IXSite):
         return apply_ix(surface, move)
     return apply_xi(surface, move)
+
+
+# the region an XI-move creates, by the kind of choice
+_XI_REGION = {NormalSplit: RegionClass.NORMAL_ANNULUS,
+              QuasiSplit: RegionClass.QUASI_NORMAL_ANNULUS,
+              MoebiusSplit: RegionClass.NORMAL_MOEBIUS}
+
+
+def _inverse(surface: MultibranchedSurface, move: MoveDescriptor) -> MoveDescriptor:
+    """The move that takes ``apply_move(surface, move)`` back to the
+    rotational class of ``surface``: for an IX-move the XI choice
+    :func:`_splice` names, for an XI-move the IX-move along the region it
+    created."""
+    if isinstance(move, IXSite):
+        return _ix(surface, move)[1]
+    return IXSite(_xi_ids(surface)[-1], _XI_REGION[type(move)])
 
 
 def is_maximally_spread_region(surface: MultibranchedSurface, region_id: str) -> bool:
@@ -362,7 +400,7 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
         choice = next((m for m in _moves(current) if not isinstance(m, IXSite)), None)
         if choice is None:
             break
-        after = apply_xi(current, choice)
+        after = _xi(current, choice, _xi_ids(current))
         steps.append(MoveStep.of(choice, current, after))
         current = after
         if len(steps) > budget:  # pragma: no cover - potential argument
@@ -388,8 +426,9 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
         if key in seen:
             continue
         seen.add(key)
+        ids = _xi_ids(current)
         for choice in choices:
-            after = apply_xi(current, choice)
+            after = _xi(current, choice, ids)
             stack.append((after, steps + (MoveStep.of(choice, current, after),)))
     return list(out.values())
 
@@ -413,7 +452,7 @@ def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
         raise TheoremViolationError(
             f"merged locus {reversal.locus_id} admits the XI-moves {choices}, "
             f"expected two, one of them the reversal {reversal}")
-    return apply_xi(merged, choices[1 - choices.index(reversal)])
+    return _xi(merged, choices[1 - choices.index(reversal)], _xi_ids(merged))
 
 
 def replay(surface: MultibranchedSurface, record: MoveRecord) -> MultibranchedSurface:

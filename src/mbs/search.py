@@ -26,9 +26,17 @@ from .model import (
     euler_characteristic,
 )
 from .moves import (
+    IXSite,
+    MoebiusSplit,
     MoveRecord,
     MoveStep,
+    NormalSplit,
+    QuasiSplit,
+    _inverse,
     _moves,
+    _xi,
+    _xi_ids,
+    apply_ix,
     apply_move,
     replay,
 )
@@ -69,7 +77,15 @@ def neighbors(surface: MultibranchedSurface):
     """All one-move successors, in the move order of the move layer (IX
     sites first).  Deterministic.  The moves are defined on strict
     surfaces, so a minor-mode surface raises :class:`ModeError`."""
-    return [(move, apply_move(surface, move)) for move in _moves(surface)]
+    ids = None  # every XI successor takes the same fresh ids
+    successors = []
+    for move in _moves(surface):
+        if isinstance(move, IXSite):
+            successors.append((move, apply_ix(surface, move)))
+        else:
+            ids = ids or _xi_ids(surface)
+            successors.append((move, _xi(surface, move, ids)))
+    return successors
 
 
 def random_walk(surface: MultibranchedSurface, seed: int, length: int):
@@ -115,27 +131,47 @@ class _Side:
         return list(reversed(surfaces)), list(reversed(moves))
 
 
-def _invert_backward_chain(meet_surface, backward_surfaces):
-    """Turn the backward chain (target ... meet) into forward moves from a
-    representative of the meet class down to the target class.
+def _carry(move, cert, surface: MultibranchedSurface):
+    """``move`` of ``surface`` carried through the ROTATIONAL certificate
+    ``cert`` from ``surface``: ids through the id maps, and a slot or gap
+    index ``i`` of a locus of k slots to ``(i - offset) % k``."""
+    if isinstance(move, IXSite):
+        return IXSite(cert.region_map[move.region_id], move.kind)
+    k = len(surface.locus(move.locus_id).slots)
+    offset, _ = cert.locus_alignment[move.locus_id]
+    locus_id = cert.locus_map[move.locus_id]
+    if isinstance(move, NormalSplit):
+        return NormalSplit(locus_id, *sorted(((move.gap_a - offset) % k,
+                                              (move.gap_b - offset) % k)))
+    if isinstance(move, QuasiSplit):
+        return QuasiSplit(locus_id, (move.start - offset) % k, move.length)
+    return MoebiusSplit(locus_id, (move.cut_gap - offset) % k)
 
-    Every move has a reverse move, so from any surface in the class of
-    ``backward_surfaces[i]`` some neighbor lands in the class of
-    ``backward_surfaces[i-1]``; the first match in deterministic order is
-    taken.
+
+def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
+    """Turn the backward chain (target ... meet) into forward moves from
+    ``meet_surface``, a surface in the meet class, down to the target class.
+
+    The chain is walked backwards, and each move's inverse is read off the
+    move: an IX-move is undone by the XI choice that ``_splice`` names, an
+    XI-move by the IX-move along the region it created (a normal annulus
+    for a ``NormalSplit``, a quasi-normal annulus for a ``QuasiSplit``, a
+    normal Moebius band for a ``MoebiusSplit``).  The inverse is a move of
+    the y-side surface; one ROTATIONAL certificate from that surface to the
+    current one carries it over.
     """
     moves = []
     current = meet_surface
-    for i in range(len(backward_surfaces) - 2, -1, -1):
-        want = canonical_form(backward_surfaces[i], SymmetryMode.ROTATIONAL).data
-        for move, after in neighbors(current):
-            _check_clock()
-            if canonical_form(after, SymmetryMode.ROTATIONAL).data == want:
-                moves.append((move, current, after))
-                current = after
-                break
-        else:  # pragma: no cover - move reversibility guarantees a match
-            raise TheoremViolationError("backward chain step has no reverse move")
+    for i in range(len(backward_moves) - 1, -1, -1):
+        undo = _inverse(backward_surfaces[i], backward_moves[i])
+        cert = are_isomorphic(backward_surfaces[i + 1], current, SymmetryMode.ROTATIONAL)
+        _check_clock()
+        if cert is None:  # pragma: no cover - each step keeps the class
+            raise TheoremViolationError("backward chain left the class of its surface")
+        move = _carry(undo, cert, backward_surfaces[i + 1])
+        after = apply_move(current, move)
+        moves.append((move, current, after))
+        current = after
     return moves
 
 
@@ -194,9 +230,9 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
                     break
 
         fwd_surfaces, fwd_moves = side_x.chain(meet)
-        bwd_surfaces, _ = side_y.chain(meet)
+        bwd_surfaces, bwd_moves = side_y.chain(meet)
 
-        inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces)
+        inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, bwd_moves)
         forward = zip(fwd_moves, fwd_surfaces, fwd_surfaces[1:])
         record = MoveRecord(tuple(MoveStep.of(move, before, after)
                                   for move, before, after in [*forward, *inverted]))

@@ -25,6 +25,12 @@ against the best complete code found so far.  The surface's code is the
 validity-mode flag followed by the sorted component codes.  The library's
 labeller must reproduce its labelling exactly: code, locus order, region
 numbering and potentials.
+
+The chain inversion oracle is the search's earlier neighbour scan: from a
+surface in the class of each y-side surface it takes the first neighbour,
+in move order, that lands in the class of the surface before it.  It reads
+no move of the chain, so it checks the inversion that reads each inverse
+off its move and carries it through a certificate.
 """
 
 from fractions import Fraction
@@ -32,9 +38,10 @@ from itertools import combinations
 from math import gcd
 
 from mbs.algebra import ChainComplex, HomologyProfile, IntegerMatrix, SmithDecomposition
-from mbs.errors import UnknownIdError
-from mbs.isomorphism import SymmetryMode, _Labeling
+from mbs.errors import TheoremViolationError, UnknownIdError
+from mbs.isomorphism import SymmetryMode, _check_clock, _Labeling, canonical_form
 from mbs.model import MultibranchedSurface, connected_components
+from mbs.search import neighbors
 
 
 def det_bareiss(rows) -> int:
@@ -416,3 +423,21 @@ def reference_canonical_labelling(surface: MultibranchedSurface, mode: SymmetryM
         if best is None or tuple(code) < best.code:
             best = _Labeling(tuple(code), tuple(locus_seq), region_number, p_region)
     return best
+
+
+def reference_invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
+    """The search's chain inversion by neighbour scan; ``backward_moves`` is
+    taken for the library's signature and not read."""
+    moves = []
+    current = meet_surface
+    for i in range(len(backward_surfaces) - 2, -1, -1):
+        want = canonical_form(backward_surfaces[i], SymmetryMode.ROTATIONAL).data
+        for move, after in neighbors(current):
+            _check_clock()
+            if canonical_form(after, SymmetryMode.ROTATIONAL).data == want:
+                moves.append((move, current, after))
+                current = after
+                break
+        else:
+            raise TheoremViolationError("backward chain step has no reverse move")
+    return moves

@@ -22,8 +22,10 @@ from mbs import (
     ValidityMode,
     apply_ih,
     apply_ix,
+    apply_move,
     apply_xi,
     are_isomorphic,
+    canonical_form,
     canonical_hash,
     classify_region,
     connected_components,
@@ -36,6 +38,7 @@ from mbs import (
     locus_profile,
     maximally_spread,
     moebius_annulus,
+    neighbors,
     quasi_pure,
     random_surface,
     random_walk,
@@ -44,7 +47,7 @@ from mbs import (
     theta,
     validate,
 )
-from mbs.moves import _fresh_ids, _ix, all_maximal_spreadings
+from mbs.moves import _fresh_ids, _inverse, all_maximal_spreadings
 from test_move_golden import golden_corpus
 
 
@@ -342,19 +345,21 @@ def test_apply_ih_requires_maximally_spread(theta3):
     del spreadable
 
 
-def test_splice_names_the_reversal():
-    """The XI choice the contraction names is offered at the merged locus
-    and undoes the IX-move up to rotation."""
-    checked = 0
+def test_every_move_has_an_inverse():
+    """The inverse read off each move takes the move's result back to the
+    rotational class of its input: for an IX-move the XI choice that the
+    contraction names, which the merged locus offers, and for an XI-move
+    the IX-move along the region it created."""
+    checked = {IXSite: 0, NormalSplit: 0, QuasiSplit: 0, MoebiusSplit: 0}
     for surface in golden_corpus():
-        for site in enumerate_ix(surface):
-            merged, reversal = _ix(surface, site)
-            assert reversal in enumerate_xi(merged, reversal.locus_id), (surface, site)
-            undone = apply_xi(merged, reversal)
-            assert are_isomorphic(undone, surface, SymmetryMode.ROTATIONAL) is not None, \
-                (surface, site)
-            checked += 1
-    assert checked == 418
+        want = canonical_form(surface, SymmetryMode.ROTATIONAL)
+        for move, after in neighbors(surface):
+            back = apply_move(after, _inverse(surface, move))
+            assert canonical_form(back, SymmetryMode.ROTATIONAL) == want, (surface, move)
+            checked[type(move)] += 1
+    assert checked[IXSite] == 418
+    assert sum(checked.values()) == 1179
+    assert min(checked.values()) > 0
 
 
 # sha256 over the rotational hashes (8 bytes, big-endian) of every apply_ih

@@ -21,13 +21,16 @@ from mbs import (
     homology_profile,
     is_minor,
     maximally_spread,
+    moebius_annulus,
     neighbors,
+    quasi_pure,
     random_surface,
     random_walk,
     replay,
     search_equivalence,
     theta,
 )
+from oracles import reference_invert_backward_chain
 
 
 def test_budget_validation():
@@ -169,6 +172,36 @@ def test_search_soundness_on_random_pairs():
         assert are_isomorphic(endpoint, walked, SymmetryMode.ROTATIONAL) is not None
 
 
+def test_chain_inversion_matches_the_neighbour_scan(monkeypatch):
+    """The inversion by certificate and the neighbour scan it replaced give
+    the same outcome and record length on walk pairs, and the record of the
+    certificate replays."""
+    library = mbs.search._invert_backward_chain
+    inverted = []
+
+    def counted(meet_surface, backward_surfaces, backward_moves):
+        inverted.append(len(backward_moves))
+        return library(meet_surface, backward_surfaces, backward_moves)
+
+    starts = [theta(4), theta(5), moebius_annulus(), quasi_pure()]
+    starts += [random_surface(i, 30) for i in (2, 5, 6)]
+    budget = SearchBudget(max_depth=4, max_states=20000)
+    for start in starts:
+        for seed, length in ((1, 3), (2, 3), (3, 4), (4, 4)):
+            walked = random_walk(start, seed, length)[0]
+            monkeypatch.setattr(mbs.search, "_invert_backward_chain",
+                                reference_invert_backward_chain)
+            want = search_equivalence(start, walked, budget, SymmetryMode.ROTATIONAL)
+            monkeypatch.setattr(mbs.search, "_invert_backward_chain", counted)
+            got = search_equivalence(start, walked, budget, SymmetryMode.ROTATIONAL)
+            assert type(got) is type(want), (start, seed)
+            if isinstance(got, Found):
+                assert len(got.record) == len(want.record), (start, seed)
+                endpoint = replay(start, got.record)
+                assert are_isomorphic(endpoint, walked, SymmetryMode.ROTATIONAL) is not None
+    assert sum(inverted) >= 20
+
+
 def test_time_limit_counts_from_entry(monkeypatch):
     start = theta(4)
     walked, _ = random_walk(start, seed=2, length=2)
@@ -207,18 +240,21 @@ def test_time_limit_holds_through_chain_inversion(monkeypatch):
     start = theta(4)
     walked, _ = random_walk(start, seed=2, length=2)
     budget = SearchBudget(max_depth=2, time_limit=0.2)
-    plain = mbs.search.neighbors
+    # every labelling of the search is cached, so no labelling reads the
+    # clock and only the inversion's own check can end the search
+    assert isinstance(search_equivalence(start, walked, SearchBudget(max_depth=2)), Found)
+    plain = mbs.search.are_isomorphic
     inverting = []
 
-    def slow_when_inverting(surface):
+    def slow_when_inverting(x, y, mode):
         if sys._getframe(1).f_code.co_name == "_invert_backward_chain":
-            inverting.append(surface)
+            inverting.append(y)
             time.sleep(0.3)
-        return plain(surface)
+        return plain(x, y, mode)
 
-    # the search meets quickly, then labelling one neighbour list in the
+    # the search meets quickly, then the certificate of one step of the
     # chain inversion passes the deadline
-    monkeypatch.setattr(mbs.search, "neighbors", slow_when_inverting)
+    monkeypatch.setattr(mbs.search, "are_isomorphic", slow_when_inverting)
     outcome = search_equivalence(start, walked, budget)
     assert inverting
     assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
