@@ -31,7 +31,7 @@ from .model import (
     classify_region,
 )
 from .moves import IX_ELIGIBLE, _leaves_a_slot, _splice
-from .search import SearchBudget
+from .search import SearchBudget, _Side
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def less_than(x: MultibranchedSurface, y: MultibranchedSurface,
               budget: SearchBudget = SearchBudget(),
               mode: SymmetryMode = SymmetryMode.MIRROR):
     """Single-step relation: the reduction of y isomorphic to x, or None,
-    also when the time limit passes first."""
+    also when ``budget.time_limit``, the only component read, passes first."""
     _require_minor(x)
     _require_minor(y)
     with _time_limit(budget.time_limit):
@@ -154,38 +154,31 @@ def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
              budget: SearchBudget = SearchBudget(),
              mode: SymmetryMode = SymmetryMode.MIRROR) -> MinorOutcome:
     """Breadth-first search down the reduction order from y for a surface
-    isomorphic to x.  Reflexive via the empty chain."""
+    isomorphic to x.  Reflexive via the empty chain.  Reads ``max_states``,
+    the distinct states kept, and ``time_limit`` of ``budget``: a negative is
+    complete when the whole downward set fits ``max_states``."""
     _require_minor(x)
     _require_minor(y)
     target_size = len(x.regions) + len(x.loci)
 
+    def successors(surface):
+        for step in enumerate_reductions(surface):
+            after = apply_reduction(surface, step)
+            if len(after.regions) + len(after.loci) >= target_size:
+                yield step, after
+
     with _time_limit(budget.time_limit):
         target = canonical_form(x, mode).data
-        start_key = canonical_form(y, mode).data
-        if start_key == target:
-            return MinorOutcome((), True)
-        seen = {start_key}
-        frontier = [(y, ())]
-        while frontier:
-            next_frontier = []
-            for surface, steps in frontier:
-                for step in enumerate_reductions(surface):
-                    _check_clock()
-                    if len(seen) >= budget.max_states:
-                        return MinorOutcome(None, False)
-                    after = apply_reduction(surface, step)
-                    if len(after.regions) + len(after.loci) < target_size:
-                        continue
-                    key = canonical_form(after, mode).data
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    chain = steps + (step,)
-                    if key == target:
-                        return MinorOutcome(chain, True)
-                    next_frontier.append((after, chain))
-            frontier = next_frontier
-        return MinorOutcome(None, True)
+        side = _Side(y, mode)
+        while target not in side.tree:
+            if not side.frontier:
+                return MinorOutcome(None, True)
+            for key in side.level(successors):
+                if len(side.tree) > budget.max_states:
+                    return MinorOutcome(None, False)
+                if key == target:
+                    break
+        return MinorOutcome(side.chain(target)[1], True)
     return MinorOutcome(None, False)
 
 

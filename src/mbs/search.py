@@ -34,9 +34,9 @@ from .moves import (
     QuasiSplit,
     _inverse,
     _moves,
+    _splice,
     _xi,
     _xi_ids,
-    apply_ix,
     apply_move,
     replay,
 )
@@ -44,10 +44,10 @@ from .moves import (
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_depth: int = 4          # moves per search side
-    max_states: int = 5000      # distinct states across both sides
-    max_cell_count: int = 80    # surfaces larger than this are pruned
-    time_limit: float = 10.0    # seconds
+    max_depth: int = 4          # search_equivalence: moves per side
+    max_states: int = 5000      # search_equivalence (both sides), is_minor: distinct states
+    max_cell_count: int = 80    # search_equivalence: larger successors are pruned
+    time_limit: float = 10.0    # seconds: both searches and less_than
 
     def __post_init__(self):
         if min(self.max_depth, self.max_states, self.max_cell_count) < 1 \
@@ -80,8 +80,9 @@ def neighbors(surface: MultibranchedSurface):
     ids = None  # every XI successor takes the same fresh ids
     successors = []
     for move in _moves(surface):
-        if isinstance(move, IXSite):
-            successors.append((move, apply_ix(surface, move)))
+        if isinstance(move, IXSite):  # enumerate_ix has just classified it
+            region = surface.region(move.region_id)
+            successors.append((move, _splice(surface, region, move.kind)[0]))
         else:
             ids = ids or _xi_ids(surface)
             successors.append((move, _xi(surface, move, ids)))
@@ -108,27 +109,40 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
 
 
 class _Side:
-    """One frontier of the bidirectional search."""
+    """A breadth-first frontier of states keyed by their canonical form in
+    ``mode``: one side of the equivalence search, or the minor search."""
 
-    def __init__(self, start: MultibranchedSurface):
-        key = canonical_form(start, SymmetryMode.ROTATIONAL).data
-        self.start = start
+    def __init__(self, start: MultibranchedSurface,
+                 mode: SymmetryMode = SymmetryMode.ROTATIONAL):
+        key = canonical_form(start, mode).data
+        self.mode = mode
         # state key -> (surface, parent key, move from parent)
         self.tree: dict[bytes, tuple] = {key: (start, None, None)}
         self.frontier: list[bytes] = [key]
         self.depth = 0
 
+    def level(self, successors):
+        """Advance the frontier one level, yielding each new state key as it
+        is recorded; ``successors(surface)`` gives ``(move, after)`` pairs."""
+        parents, self.frontier = self.frontier, []
+        self.depth += 1
+        for parent in parents:
+            for move, after in successors(self.tree[parent][0]):
+                _check_clock()
+                key = canonical_form(after, self.mode).data
+                if key not in self.tree:
+                    self.tree[key] = (after, parent, move)
+                    self.frontier.append(key)
+                    yield key
+
     def chain(self, key: bytes):
-        """Surfaces and moves from the start to ``key``."""
-        moves = []
-        surfaces = []
+        """Surfaces and moves from the start to ``key``, as two tuples."""
+        steps = []
         while key is not None:
-            surface, parent, move = self.tree[key]
-            surfaces.append(surface)
-            if move is not None:
-                moves.append(move)
-            key = parent
-        return list(reversed(surfaces)), list(reversed(moves))
+            surface, key, move = self.tree[key]
+            steps.append((surface, move))
+        surfaces, moves = zip(*reversed(steps))
+        return surfaces, moves[1:]  # the start has no move
 
 
 def _carry(move, cert, surface: MultibranchedSurface):
@@ -195,9 +209,12 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
             return InvariantMismatch("homology_profile")
         if canonical_form(x, mode).data == canonical_form(y, mode).data:
             return Found(MoveRecord(()))
-        side_x = _Side(x)
-        side_y = _Side(y)
-        states = 2
+        side_x, side_y = _Side(x), _Side(y)
+
+        def successors(surface):
+            return [(move, after) for move, after in neighbors(surface)
+                    if after.cell_count <= budget.max_cell_count]
+
         meet = None
         while meet is None:
             live = [s for s in (side_x, side_y)
@@ -209,22 +226,10 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
             # advance the smaller frontier by one BFS level
             side = min(live, key=lambda s: (len(s.frontier), s is side_y))
             other = side_y if side is side_x else side_x
-            parents, side.frontier = sorted(side.frontier), []
-            side.depth += 1
-            level = ((parent, move, after) for parent in parents
-                     for move, after in neighbors(side.tree[parent][0]))
-            for parent, move, after in level:
-                _check_clock()
-                if after.cell_count > budget.max_cell_count:
-                    continue
-                key = canonical_form(after, SymmetryMode.ROTATIONAL).data
-                if key in side.tree:
-                    continue
-                if states >= budget.max_states:
+            side.frontier.sort()
+            for key in side.level(successors):
+                if len(side_x.tree) + len(side_y.tree) > budget.max_states:
                     return exhausted
-                side.tree[key] = (after, parent, move)
-                states += 1
-                side.frontier.append(key)
                 if key in other.tree:
                     meet = key
                     break

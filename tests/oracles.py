@@ -31,6 +31,14 @@ surface in the class of each y-side surface it takes the first neighbour,
 in move order, that lands in the class of the surface before it.  It reads
 no move of the chain, so it checks the inversion that reads each inverse
 off its move and carries it through a certificate.
+
+The minor search oracle is the library's earlier ``is_minor`` loop, kept
+verbatim: its own frontier and seen set, each state carrying its chain, and
+the state budget tested before every reduction it tries.  That test fires
+once the seen set holds ``max_states`` states, even when no reduction is
+left that would add a new one, so a downward set of exactly ``max_states``
+states reads incomplete here.  The library must find the same chains, and
+may differ only by answering completely at that boundary.
 """
 
 from fractions import Fraction
@@ -39,9 +47,10 @@ from math import gcd
 
 from mbs.algebra import ChainComplex, HomologyProfile, IntegerMatrix, SmithDecomposition
 from mbs.errors import TheoremViolationError, UnknownIdError
-from mbs.isomorphism import SymmetryMode, _check_clock, _Labeling, canonical_form
+from mbs.isomorphism import SymmetryMode, _check_clock, _Labeling, _time_limit, canonical_form
+from mbs.minors import MinorOutcome, _require_minor, apply_reduction, enumerate_reductions
 from mbs.model import MultibranchedSurface, connected_components
-from mbs.search import neighbors
+from mbs.search import SearchBudget, neighbors
 
 
 def det_bareiss(rows) -> int:
@@ -441,3 +450,42 @@ def reference_invert_backward_chain(meet_surface, backward_surfaces, backward_mo
         else:
             raise TheoremViolationError("backward chain step has no reverse move")
     return moves
+
+
+def reference_is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
+                       budget: SearchBudget = SearchBudget(),
+                       mode: SymmetryMode = SymmetryMode.MIRROR) -> MinorOutcome:
+    """Breadth-first search down the reduction order from y for a surface
+    isomorphic to x.  Reflexive via the empty chain."""
+    _require_minor(x)
+    _require_minor(y)
+    target_size = len(x.regions) + len(x.loci)
+
+    with _time_limit(budget.time_limit):
+        target = canonical_form(x, mode).data
+        start_key = canonical_form(y, mode).data
+        if start_key == target:
+            return MinorOutcome((), True)
+        seen = {start_key}
+        frontier = [(y, ())]
+        while frontier:
+            next_frontier = []
+            for surface, steps in frontier:
+                for step in enumerate_reductions(surface):
+                    _check_clock()
+                    if len(seen) >= budget.max_states:
+                        return MinorOutcome(None, False)
+                    after = apply_reduction(surface, step)
+                    if len(after.regions) + len(after.loci) < target_size:
+                        continue
+                    key = canonical_form(after, mode).data
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    chain = steps + (step,)
+                    if key == target:
+                        return MinorOutcome(chain, True)
+                    next_frontier.append((after, chain))
+            frontier = next_frontier
+        return MinorOutcome(None, True)
+    return MinorOutcome(None, False)

@@ -333,6 +333,13 @@ def test_cli_minor_budget_exhausted(tmp_path, capsys):
     b = write(tmp_path, "y.json", theta3m)
     code, payload = run(capsys, "minor", a, b, "--max-states", "1")
     assert code == 3 and payload["outcome"] == "exhausted"
+    # the 5 states below theta(3) at a Klein bottle's size fit a budget of
+    # 5, so its answer is definitive; a budget of 4 runs out
+    k = write(tmp_path, "k2.json", closed_surface(False, 2))
+    code, payload = run(capsys, "minor", k, b, "--max-states", "5")
+    assert code == 1 and payload["outcome"] == "not_a_minor"
+    code, payload = run(capsys, "minor", k, b, "--max-states", "4")
+    assert code == 3 and payload["outcome"] == "exhausted"
 
 
 def test_cli_moves_list_and_apply(tmp_path, capsys, mb):

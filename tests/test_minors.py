@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from mbs import (
     ContractRegion,
     IneligibleMoveError,
+    MinorOutcome,
     ModeError,
     MultibranchedSurface,
     RemoveRegion,
+    SearchBudget,
     SymmetryMode,
     ValidityMode,
     apply_ix,
@@ -26,6 +30,7 @@ from mbs import (
     validate,
 )
 from mbs.minors import apply_reduction
+from oracles import reference_is_minor
 
 
 @pytest.fixture
@@ -181,6 +186,47 @@ def test_is_minor_definitive_negative(theta3m):
     klein = closed_surface(False, 2)
     outcome = is_minor(klein, theta3m)
     assert not outcome.found and outcome.complete
+
+
+def test_is_minor_is_definitive_when_the_downward_set_fits_the_budget(theta3m):
+    # the reductions of theta(3) down to the size of a Klein bottle reach
+    # exactly 5 states, theta(3) among them
+    klein = closed_surface(False, 2)
+    assert is_minor(klein, theta3m, SearchBudget(max_states=5)) == MinorOutcome(None, True)
+    assert is_minor(klein, theta3m, SearchBudget(max_states=4)) == MinorOutcome(None, False)
+
+
+def minor_corpus():
+    """Minor-mode random surfaces y, each with two targets: y reduced one to
+    three times at random, and an unrelated smaller surface."""
+    for seed in range(1, 120):
+        y = random_surface(seed, 6 + seed % 12, ValidityMode.MINOR)
+        rng = random.Random(seed)
+        x = y
+        for _ in range(1 + seed % 3):
+            steps = enumerate_reductions(x)
+            if steps:
+                x = apply_reduction(x, rng.choice(steps))
+        yield x, y
+        yield random_surface(seed + 500, 4 + seed % 5, ValidityMode.MINOR), y
+
+
+def test_is_minor_matches_reference():
+    ample = SearchBudget(max_states=100_000)
+    boundary = 0
+    for x, y in minor_corpus():
+        assert is_minor(x, y, ample) == reference_is_minor(x, y, ample)
+        for m in (2, 4, 8, 16):
+            budget = SearchBudget(max_states=m)
+            outcome, reference = is_minor(x, y, budget), reference_is_minor(x, y, budget)
+            if outcome != reference:
+                # only where the whole downward set holds exactly m states,
+                # which the reference reads as incomplete
+                assert reference == MinorOutcome(None, False)
+                assert outcome == MinorOutcome(None, True)
+                assert not is_minor(x, y, SearchBudget(max_states=m - 1)).complete
+                boundary += 1
+    assert boundary
 
 
 def test_tilde_equivalent(theta3m):
