@@ -271,7 +271,11 @@ class HomologyProfile:
     torsion: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def group_text(self, q: int) -> str:
-        parts = ["Z"] * self.betti[q] + [f"Z/{t}" for t in self.torsion[q]]
+        """``H_q`` as text: the free part as ``Z`` or ``Z^n``, then the
+        torsion, e.g. ``Z^3 + Z/2``; the trivial group is ``0``."""
+        b = self.betti[q]
+        free = ["Z" if b == 1 else f"Z^{b}"] if b else []
+        parts = free + [f"Z/{t}" for t in self.torsion[q]]
         return " + ".join(parts) if parts else "0"
 
 

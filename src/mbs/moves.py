@@ -27,9 +27,11 @@ inverse that can be read off the move itself:
   annulus, a ``QuasiSplit`` a quasi-normal annulus and a ``MoebiusSplit``
   a normal Moebius band.
 
-``apply_xi`` checks its choice against ``enumerate_xi``; the private
-``_xi`` applies a choice that ``enumerate_xi`` has just offered without
-that check, with fresh ids found once per parent surface.
+One engine applies moves: ``_apply(surface, move)`` applies a move that
+the move layer has just offered for that same surface, without checks, and
+returns the result with the move that undoes it.  A move derived any other
+way (read from a record or a file, or carried through a certificate by
+``_carry``) goes through the checked ``apply_move``.
 """
 
 from __future__ import annotations
@@ -174,7 +176,8 @@ def _leaves_a_slot(surface: MultibranchedSurface, region: Region) -> bool:
 
 
 def _splice(surface, region, kind):
-    """Shared contraction engine for apply_ix and minor-mode contraction.
+    """The contraction engine: the IX half of :func:`_apply`, and minor-mode
+    contraction.
 
     Returns the contracted surface and the XI choice that cuts the merged
     locus where the arcs were spliced, which on a strict surface reverses
@@ -217,7 +220,7 @@ def _ix(surface: MultibranchedSurface, site: IXSite):
         raise IneligibleMoveError(
             f"region {site.region_id} is {kind.value}, not an IX site of kind "
             f"{site.kind.value}")
-    return _splice(surface, surface.region(site.region_id), kind)
+    return _apply(surface, site)
 
 
 def apply_ix(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurface:
@@ -268,7 +271,7 @@ def apply_xi(surface: MultibranchedSurface, choice: XIChoice) -> MultibranchedSu
     _require_strict(surface)
     if choice not in enumerate_xi(surface, choice.locus_id):
         raise IneligibleMoveError(f"{choice} is not available")
-    return _xi(surface, choice, _xi_ids(surface))
+    return _apply(surface, choice)[0]
 
 
 def _xi_ids(surface: MultibranchedSurface) -> tuple[str, ...]:
@@ -279,9 +282,12 @@ def _xi_ids(surface: MultibranchedSurface) -> tuple[str, ...]:
             *_fresh_ids("r", surface.region_by_id, 1))
 
 
-def _xi(surface: MultibranchedSurface, choice: XIChoice, ids) -> MultibranchedSurface:
+def _xi(surface: MultibranchedSurface, choice: XIChoice, ids):
     """:func:`apply_xi` without its check, for a choice that
-    :func:`enumerate_xi` has offered, with the ids of :func:`_xi_ids`."""
+    :func:`enumerate_xi` has offered, with the ids of :func:`_xi_ids`.
+
+    Returns the spread surface and the IX site of the region it creates,
+    which reverses the move."""
     c_a, c_b, id_a, id_b, region_id = ids
     l = surface.locus(choice.locus_id)
     k = len(l.slots)
@@ -290,6 +296,7 @@ def _xi(surface: MultibranchedSurface, choice: XIChoice, ids) -> MultibranchedSu
         high, high_signs = _arc(l, gb + 1, k - (gb - ga))
         low, low_signs = _arc(l, ga + 1, gb - ga, -1)
         region = Region(region_id, ANNULUS, (c_a, c_b))
+        kind = RegionClass.NORMAL_ANNULUS
         new_loci = (BranchLocus(id_a, 1, high + (c_a,), high_signs + (1,)),
                     BranchLocus(id_b, 1, low + (c_b,), low_signs + (1,)))
     elif isinstance(choice, QuasiSplit):
@@ -297,14 +304,26 @@ def _xi(surface: MultibranchedSurface, choice: XIChoice, ids) -> MultibranchedSu
         arc, arc_signs = _arc(l, start, length, -1)
         rest, rest_signs = _arc(l, start + length, k - length)
         region = Region(region_id, ANNULUS, (c_a, c_b))
+        kind = RegionClass.QUASI_NORMAL_ANNULUS
         new_loci = (BranchLocus(id_a, 1, arc + (c_a,), arc_signs + (1,)),
                     BranchLocus(id_b, l.wrapping, (c_b,) + rest, (1,) + rest_signs))
     else:  # MoebiusSplit: one new circle and one new locus
         slots, signs = _arc(l, choice.cut_gap + 1, k, -1)
         region = Region(region_id, MOEBIUS, (c_a,))
+        kind = RegionClass.NORMAL_MOEBIUS
         new_loci = (BranchLocus(id_a, 1, slots + (c_a,), signs + (1,)),)
     return _replace(surface, drop_loci=(l.id,), new_regions=(region,),
-                    new_loci=new_loci)
+                    new_loci=new_loci), IXSite(region_id, kind)
+
+
+def _apply(surface: MultibranchedSurface, move: MoveDescriptor, ids=None):
+    """The move engine: apply ``move``, which the move layer has just offered
+    for ``surface``, without checks.  Returns ``(after, undo)``, ``undo``
+    being the move of ``after`` that reverses ``move``.  An XI choice takes
+    ``ids``, the :func:`_xi_ids` of ``surface``, found here if not given."""
+    if isinstance(move, IXSite):
+        return _splice(surface, surface.region(move.region_id), move.kind)
+    return _xi(surface, move, ids or _xi_ids(surface))
 
 
 def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> MultibranchedSurface:
@@ -313,20 +332,21 @@ def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> Multibran
     return apply_xi(surface, move)
 
 
-# the region an XI-move creates, by the kind of choice
-_XI_REGION = {NormalSplit: RegionClass.NORMAL_ANNULUS,
-              QuasiSplit: RegionClass.QUASI_NORMAL_ANNULUS,
-              MoebiusSplit: RegionClass.NORMAL_MOEBIUS}
-
-
-def _inverse(surface: MultibranchedSurface, move: MoveDescriptor) -> MoveDescriptor:
-    """The move that takes ``apply_move(surface, move)`` back to the
-    rotational class of ``surface``: for an IX-move the XI choice
-    :func:`_splice` names, for an XI-move the IX-move along the region it
-    created."""
+def _carry(move, cert, surface: MultibranchedSurface):
+    """``move`` of ``surface`` carried through the ROTATIONAL certificate
+    ``cert`` from ``surface``: ids through the id maps, and a slot or gap
+    index ``i`` of a locus of k slots to ``(i - offset) % k``."""
     if isinstance(move, IXSite):
-        return _ix(surface, move)[1]
-    return IXSite(_xi_ids(surface)[-1], _XI_REGION[type(move)])
+        return IXSite(cert.region_map[move.region_id], move.kind)
+    k = len(surface.locus(move.locus_id).slots)
+    offset, _ = cert.locus_alignment[move.locus_id]
+    locus_id = cert.locus_map[move.locus_id]
+    if isinstance(move, NormalSplit):
+        return NormalSplit(locus_id, *sorted(((move.gap_a - offset) % k,
+                                              (move.gap_b - offset) % k)))
+    if isinstance(move, QuasiSplit):
+        return QuasiSplit(locus_id, (move.start - offset) % k, move.length)
+    return MoebiusSplit(locus_id, (move.cut_gap - offset) % k)
 
 
 def is_maximally_spread_region(surface: MultibranchedSurface, region_id: str) -> bool:
@@ -397,10 +417,10 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     current = surface
     steps = []
     while True:
-        choice = next((m for m in _moves(current) if not isinstance(m, IXSite)), None)
+        choice = next(_xi_choices(current, sorted(current.loci, key=lambda l: l.id)), None)
         if choice is None:
             break
-        after = _xi(current, choice, _xi_ids(current))
+        after, _ = _apply(current, choice)
         steps.append(MoveStep.of(choice, current, after))
         current = after
         if len(steps) > budget:  # pragma: no cover - potential argument
@@ -428,7 +448,7 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
         seen.add(key)
         ids = _xi_ids(current)
         for choice in choices:
-            after = _xi(current, choice, ids)
+            after, _ = _apply(current, choice, ids)
             stack.append((after, steps + (MoveStep.of(choice, current, after),)))
     return list(out.values())
 
@@ -452,7 +472,7 @@ def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
         raise TheoremViolationError(
             f"merged locus {reversal.locus_id} admits the XI-moves {choices}, "
             f"expected two, one of them the reversal {reversal}")
-    return _xi(merged, choices[1 - choices.index(reversal)], _xi_ids(merged))
+    return _apply(merged, choices[1 - choices.index(reversal)])[0]
 
 
 def replay(surface: MultibranchedSurface, record: MoveRecord) -> MultibranchedSurface:

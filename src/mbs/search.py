@@ -27,15 +27,11 @@ from .model import (
 )
 from .moves import (
     IXSite,
-    MoebiusSplit,
     MoveRecord,
     MoveStep,
-    NormalSplit,
-    QuasiSplit,
-    _inverse,
+    _apply,
+    _carry,
     _moves,
-    _splice,
-    _xi,
     _xi_ids,
     apply_move,
     replay,
@@ -80,12 +76,9 @@ def neighbors(surface: MultibranchedSurface):
     ids = None  # every XI successor takes the same fresh ids
     successors = []
     for move in _moves(surface):
-        if isinstance(move, IXSite):  # enumerate_ix has just classified it
-            region = surface.region(move.region_id)
-            successors.append((move, _splice(surface, region, move.kind)[0]))
-        else:
-            ids = ids or _xi_ids(surface)
-            successors.append((move, _xi(surface, move, ids)))
+        if ids is None and not isinstance(move, IXSite):
+            ids = _xi_ids(surface)
+        successors.append((move, _apply(surface, move, ids)[0]))
     return successors
 
 
@@ -102,7 +95,7 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
         if not moves:
             break
         move = moves[rng.randrange(len(moves))]
-        after = apply_move(current, move)
+        after, _ = _apply(current, move)
         steps.append(MoveStep.of(move, current, after))
         current = after
     return current, MoveRecord(tuple(steps))
@@ -145,39 +138,19 @@ class _Side:
         return surfaces, moves[1:]  # the start has no move
 
 
-def _carry(move, cert, surface: MultibranchedSurface):
-    """``move`` of ``surface`` carried through the ROTATIONAL certificate
-    ``cert`` from ``surface``: ids through the id maps, and a slot or gap
-    index ``i`` of a locus of k slots to ``(i - offset) % k``."""
-    if isinstance(move, IXSite):
-        return IXSite(cert.region_map[move.region_id], move.kind)
-    k = len(surface.locus(move.locus_id).slots)
-    offset, _ = cert.locus_alignment[move.locus_id]
-    locus_id = cert.locus_map[move.locus_id]
-    if isinstance(move, NormalSplit):
-        return NormalSplit(locus_id, *sorted(((move.gap_a - offset) % k,
-                                              (move.gap_b - offset) % k)))
-    if isinstance(move, QuasiSplit):
-        return QuasiSplit(locus_id, (move.start - offset) % k, move.length)
-    return MoebiusSplit(locus_id, (move.cut_gap - offset) % k)
-
-
 def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
     """Turn the backward chain (target ... meet) into forward moves from
     ``meet_surface``, a surface in the meet class, down to the target class.
 
-    The chain is walked backwards, and each move's inverse is read off the
-    move: an IX-move is undone by the XI choice that ``_splice`` names, an
-    XI-move by the IX-move along the region it created (a normal annulus
-    for a ``NormalSplit``, a quasi-normal annulus for a ``QuasiSplit``, a
-    normal Moebius band for a ``MoebiusSplit``).  The inverse is a move of
-    the y-side surface; one ROTATIONAL certificate from that surface to the
-    current one carries it over.
+    The chain is walked backwards, and each move's inverse is the undo
+    ``_apply`` names.  The undo is a move of the y-side surface; one
+    ROTATIONAL certificate from that surface to the current one carries it
+    over, and the carried move goes through the checked ``apply_move``.
     """
     moves = []
     current = meet_surface
     for i in range(len(backward_moves) - 1, -1, -1):
-        undo = _inverse(backward_surfaces[i], backward_moves[i])
+        _, undo = _apply(backward_surfaces[i], backward_moves[i])
         cert = are_isomorphic(backward_surfaces[i + 1], current, SymmetryMode.ROTATIONAL)
         _check_clock()
         if cert is None:  # pragma: no cover - each step keeps the class

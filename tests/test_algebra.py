@@ -237,6 +237,10 @@ def test_group_text(mb):
     assert profile.group_text(0) == "Z"
     assert profile.group_text(1) == "Z + Z/4"
     assert profile.group_text(2) == "0"
+    profile = homology_profile(theta(3))
+    assert [profile.group_text(q) for q in range(3)] == ["Z", "Z^3", "Z^2"]
+    profile = homology_profile(closed_surface(False, 4))
+    assert profile.group_text(1) == "Z^3 + Z/2"
 
 
 def test_decomposition_summary(theta3, mb, qn):

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 import mbs.isomorphism
+import mbs.moves
 from mbs import (
     ANNULUS,
     BranchLocus,
@@ -47,7 +48,7 @@ from mbs import (
     theta,
     validate,
 )
-from mbs.moves import _fresh_ids, _inverse, all_maximal_spreadings
+from mbs.moves import _apply, _fresh_ids, all_maximal_spreadings
 from test_move_golden import golden_corpus
 
 
@@ -314,6 +315,22 @@ def test_maximally_spread_records_replay():
         assert replay(surface, record) == spread
 
 
+def test_maximally_spread_lists_no_ix_sites(monkeypatch):
+    """Spreading applies only XI-moves, so it never asks for the IX sites."""
+    listed = []
+
+    def counted(surface):
+        listed.append(surface)
+        return enumerate_ix(surface)
+
+    monkeypatch.setattr(mbs.moves, "enumerate_ix", counted)
+    steps = 0
+    for seed in range(1, 31):
+        steps += len(maximally_spread(random_surface(seed, 20 + seed % 20))[1])
+    assert steps > 0
+    assert listed == []
+
+
 def test_replay_rejects_wrong_hashes(theta3):
     _, record = random_walk(theta3, seed=1, length=2)
     first, second = record.steps
@@ -354,7 +371,9 @@ def test_every_move_has_an_inverse():
     for surface in golden_corpus():
         want = canonical_form(surface, SymmetryMode.ROTATIONAL)
         for move, after in neighbors(surface):
-            back = apply_move(after, _inverse(surface, move))
+            applied, undo = _apply(surface, move)
+            assert applied == after, (surface, move)
+            back = apply_move(after, undo)
             assert canonical_form(back, SymmetryMode.ROTATIONAL) == want, (surface, move)
             checked[type(move)] += 1
     assert checked[IXSite] == 418

@@ -136,11 +136,11 @@ def test_random_walk_applies_only_the_drawn_move(theta3, monkeypatch):
     expected = random_walk(theta3, seed=7, length=5)
     applied = []
 
-    def counted(surface, move):
+    def counted(surface, move, ids=None):
         applied.append(move)
-        return mbs.moves.apply_move(surface, move)
+        return mbs.moves._apply(surface, move, ids)
 
-    monkeypatch.setattr(mbs.search, "apply_move", counted)
+    monkeypatch.setattr(mbs.search, "_apply", counted)
     walked = random_walk(theta3, seed=7, length=5)
     assert walked == expected
     assert applied == [step.move for step in walked[1].steps]
