@@ -124,21 +124,20 @@ class MoveRecord:
 def _fresh_ids(prefix: str, taken, count: int) -> list[str]:
     """``count`` ids ``prefix<n>`` numbered on from the largest numeric
     suffix among the ``taken`` ids with that prefix."""
-    best = 0
-    for t in taken:
-        if t.startswith(prefix) and t[len(prefix):].isdecimal():
-            best = max(best, int(t[len(prefix):]))
+    n = len(prefix)
+    best = max((int(t[n:]) for t in taken if t.startswith(prefix) and t[n:].isdecimal()),
+               default=0)
     return [f"{prefix}{best + i}" for i in range(1, count + 1)]
 
 
 def _arc(locus: BranchLocus, start: int, length: int,
          sign: int = 1) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """``length`` consecutive slots of ``locus`` read cyclically from
-    ``start``, and their signs times ``sign``."""
-    k = len(locus.slots)
-    order = [(start + i) % k for i in range(length)]
-    return (tuple(locus.slots[i] for i in order),
-            tuple(sign * locus.signs[i] for i in order))
+    """``length`` (at most ``k``) consecutive slots of a locus of k slots
+    read cyclically from ``start``, and their signs times ``sign``."""
+    start %= len(locus.slots)
+    slots = (locus.slots[start:] + locus.slots[:start])[:length]
+    signs = (locus.signs[start:] + locus.signs[:start])[:length]
+    return slots, signs if sign == 1 else tuple(sign * s for s in signs)
 
 
 def _replace(surface: MultibranchedSurface, *, drop_regions=(), drop_loci=(),
