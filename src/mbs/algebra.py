@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ModeError
+from .isomorphism import _check_clock
 from .model import (
     MultibranchedSurface,
     ValidityMode,
@@ -308,7 +309,7 @@ def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
     Each component's block, over the columns its rows name, goes through
     its own Smith normal form.  ``rank d2`` is the sum of the block ranks,
     and the torsion of H1 is the blocks' invariant factors merged into one
-    divisibility chain.
+    divisibility chain.  A bounded search's deadline is read before each block.
     """
     loci, regions = surface.loci, surface.regions
     locus_row = {l.id: i for i, l in enumerate(loci)}
@@ -336,6 +337,7 @@ def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
             blocks.setdefault(part_of[regions[next(iter(row))].id], []).append(row)
     r1, r2, factors = n0 - len(parts), 0, []
     for block in blocks.values():
+        _check_clock()
         cols = sorted({j for row in block for j in row})
         snf = smith_normal_form(IntegerMatrix(tuple(
             tuple(row.get(j, 0) for j in cols) for row in block)))

@@ -40,11 +40,11 @@ def _load(path):
 
 
 def _budget(**limits):
-    """The search budget from the flags; a non-positive one is a usage error."""
+    """The search budget from the flags given; a non-positive one is a usage error."""
     from .search import SearchBudget
 
     try:
-        return SearchBudget(**limits)
+        return SearchBudget(**{k: v for k, v in limits.items() if v is not None})
     except ValueError as exc:
         raise MbsError(f"invalid search budget: {exc}") from None
 
@@ -55,7 +55,7 @@ def _add_symmetry_flag(parser, default="mirror"):
 
 
 def _add_time_limit_flag(parser):
-    parser.add_argument("--time-limit", type=float, default=10.0,
+    parser.add_argument("--time-limit", type=float,
                         help="seconds before the search gives up (exit 3)")
 
 
@@ -288,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     _add_symmetry_flag(p)
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--max-states", type=int, default=5000)
-    p.add_argument("--max-cells", type=int, default=80)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--max-states", type=int)
+    p.add_argument("--max-cells", type=int)
     _add_time_limit_flag(p)
     p.set_defaults(func=_cmd_equiv)
 
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     _add_symmetry_flag(p)
-    p.add_argument("--max-states", type=int, default=5000)
+    p.add_argument("--max-states", type=int)
     _add_time_limit_flag(p)
     p.set_defaults(func=_cmd_minor)
 

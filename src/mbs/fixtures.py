@@ -85,10 +85,9 @@ def build_fixture(name: str, **params) -> MultibranchedSurface:
     return _validated(name, builder(**params))
 
 
-def disjoint_union(x: MultibranchedSurface, y: MultibranchedSurface,
-                   prefixes: tuple[str, str] = ("X.", "Y.")) -> MultibranchedSurface:
-    """Disjoint union with id prefixing; both inputs must share a mode."""
-    px, py = prefixes
+def disjoint_union(x: MultibranchedSurface, y: MultibranchedSurface) -> MultibranchedSurface:
+    """Disjoint union; the ids of ``x`` take the prefix ``X.`` and those of
+    ``y`` the prefix ``Y.``.  Both inputs must share a mode."""
 
     def shift(surface, p):
         regions = tuple(
@@ -101,8 +100,8 @@ def disjoint_union(x: MultibranchedSurface, y: MultibranchedSurface,
         )
         return regions, loci
 
-    rx, lx = shift(x, px)
-    ry, ly = shift(y, py)
+    rx, lx = shift(x, "X.")
+    ry, ly = shift(y, "Y.")
     return MultibranchedSurface(rx + ry, lx + ly, x.mode)
 
 

@@ -167,20 +167,25 @@ def load(path) -> MultibranchedSurface:
 # These import mbs.moves when called, so that reading and writing surfaces
 # does not load the move layer.
 
+def _xi_variants() -> dict:
+    """The XI move documents: variant -> (descriptor class, its integer
+    fields in dataclass order).  Every XI document also names its locus."""
+    from .moves import MoebiusSplit, NormalSplit, QuasiSplit
+
+    return {"normal_split": (NormalSplit, ("gap_a", "gap_b")),
+            "quasi_split": (QuasiSplit, ("start", "length")),
+            "moebius_split": (MoebiusSplit, ("cut_gap",))}
+
+
 def move_to_document(move) -> dict:
-    from .moves import IXSite, MoebiusSplit, NormalSplit, QuasiSplit
+    from .moves import IXSite
 
     if isinstance(move, IXSite):
         return {"move": "ix", "region": move.region_id, "kind": move.kind.value}
-    if isinstance(move, NormalSplit):
-        return {"move": "xi", "variant": "normal_split", "locus": move.locus_id,
-                "gap_a": move.gap_a, "gap_b": move.gap_b}
-    if isinstance(move, QuasiSplit):
-        return {"move": "xi", "variant": "quasi_split", "locus": move.locus_id,
-                "start": move.start, "length": move.length}
-    if isinstance(move, MoebiusSplit):
-        return {"move": "xi", "variant": "moebius_split", "locus": move.locus_id,
-                "cut_gap": move.cut_gap}
+    for variant, (cls, fields) in _xi_variants().items():
+        if isinstance(move, cls):
+            return {"move": "xi", "variant": variant, "locus": move.locus_id,
+                    **{field: getattr(move, field) for field in fields}}
     raise TypeError(f"not a move descriptor: {move!r}")
 
 
@@ -190,11 +195,12 @@ def document_to_move(doc):
 
 def _document_to_move(doc, path):
     """The move descriptor ``doc`` describes; errors name paths under ``path``."""
-    from .moves import IXSite, MoebiusSplit, NormalSplit, QuasiSplit
+    from .moves import IXSite
 
+    variants = _xi_variants()
     _check_keys(doc, ("move",),
-                ("region", "kind", "variant", "locus", "gap_a", "gap_b",
-                 "start", "length", "cut_gap"), path)
+                ("region", "kind", "variant", "locus",
+                 *(field for _, fields in variants.values() for field in fields)), path)
     if doc["move"] == "ix":
         _check_keys(doc, ("move", "region", "kind"), (), path)
         try:
@@ -205,21 +211,12 @@ def _document_to_move(doc, path):
         return IXSite(_string(doc["region"], path + ".region"), kind)
     _expect(doc["move"] == "xi", "move must be 'ix' or 'xi'", path + ".move")
     variant = doc.get("variant")
-    if variant == "normal_split":
-        _check_keys(doc, ("move", "variant", "locus", "gap_a", "gap_b"), (), path)
-        return NormalSplit(_string(doc["locus"], path + ".locus"),
-                           _int(doc["gap_a"], path + ".gap_a"),
-                           _int(doc["gap_b"], path + ".gap_b"))
-    if variant == "quasi_split":
-        _check_keys(doc, ("move", "variant", "locus", "start", "length"), (), path)
-        return QuasiSplit(_string(doc["locus"], path + ".locus"),
-                          _int(doc["start"], path + ".start"),
-                          _int(doc["length"], path + ".length"))
-    if variant == "moebius_split":
-        _check_keys(doc, ("move", "variant", "locus", "cut_gap"), (), path)
-        return MoebiusSplit(_string(doc["locus"], path + ".locus"),
-                            _int(doc["cut_gap"], path + ".cut_gap"))
-    raise SchemaError(f"unknown variant {variant!r}", path + ".variant")
+    _expect(isinstance(variant, str) and variant in variants,
+            f"unknown variant {variant!r}", path + ".variant")
+    cls, fields = variants[variant]
+    _check_keys(doc, ("move", "variant", "locus", *fields), (), path)
+    return cls(_string(doc["locus"], path + ".locus"),
+               *(_int(doc[field], f"{path}.{field}") for field in fields))
 
 
 def record_to_document(record) -> list:

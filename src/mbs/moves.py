@@ -31,7 +31,8 @@ One engine applies moves: ``_apply(surface, move)`` applies a move that
 the move layer has just offered for that same surface, without checks, and
 returns the result with the move that undoes it.  A move derived any other
 way (read from a record or a file, or carried through a certificate by
-``_carry``) goes through the checked ``apply_move``.
+``_carry``) goes through the one checked gate, ``_checked``.  ``_record``
+alone turns a chain of surfaces and moves into a ``MoveRecord``.
 """
 
 from __future__ import annotations
@@ -103,14 +104,6 @@ class MoveStep:
     move: MoveDescriptor
     hash_before: int
     hash_after: int
-
-    @staticmethod
-    def of(move: MoveDescriptor, before: MultibranchedSurface,
-           after: MultibranchedSurface) -> "MoveStep":
-        """The step ``move`` from ``before`` to ``after``, with both
-        rotational canonical hashes."""
-        return MoveStep(move, canonical_hash(before, SymmetryMode.ROTATIONAL),
-                        canonical_hash(after, SymmetryMode.ROTATIONAL))
 
 
 @dataclass(frozen=True)
@@ -210,18 +203,6 @@ def _splice(surface, region, kind):
                     drop_loci=[l.id for l, _ in ends], new_loci=(merged,)), reversal
 
 
-def _ix(surface: MultibranchedSurface, site: IXSite):
-    """:func:`apply_ix`'s checks and contraction, with the reversing XI
-    choice :func:`_splice` returns."""
-    _require_strict(surface)
-    kind = classify_region(surface, site.region_id)
-    if kind is not site.kind or kind not in IX_ELIGIBLE:
-        raise IneligibleMoveError(
-            f"region {site.region_id} is {kind.value}, not an IX site of kind "
-            f"{site.kind.value}")
-    return _apply(surface, site)
-
-
 def apply_ix(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurface:
     """Contract the region of ``site`` onto its core circle.
 
@@ -231,7 +212,7 @@ def apply_ix(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
     turns its locus into a wrapping-2 locus of degree ``2 (d1-1)``.  The
     merged locus is always spreadable.
     """
-    return _ix(surface, site)[0]
+    return _checked(surface, site)[0]
 
 
 def enumerate_xi(surface: MultibranchedSurface, locus_id: str) -> list[XIChoice]:
@@ -267,10 +248,7 @@ def enumerate_xi(surface: MultibranchedSurface, locus_id: str) -> list[XIChoice]
 def apply_xi(surface: MultibranchedSurface, choice: XIChoice) -> MultibranchedSurface:
     """Perform the chosen reversal, creating a fresh normal or quasi-normal
     annulus region or a fresh normal Moebius region."""
-    _require_strict(surface)
-    if choice not in enumerate_xi(surface, choice.locus_id):
-        raise IneligibleMoveError(f"{choice} is not available")
-    return _apply(surface, choice)[0]
+    return _checked(surface, choice)[0]
 
 
 def _xi_ids(surface: MultibranchedSurface) -> tuple[str, ...]:
@@ -325,10 +303,25 @@ def _apply(surface: MultibranchedSurface, move: MoveDescriptor, ids=None):
     return _xi(surface, move, ids or _xi_ids(surface))
 
 
-def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> MultibranchedSurface:
+def _checked(surface: MultibranchedSurface, move: MoveDescriptor):
+    """:func:`_apply` for a move from outside, once the move layer offers it:
+    an IX site whose region is of the site's own eligible kind, or an XI
+    choice that :func:`enumerate_xi` lists."""
+    _require_strict(surface)
     if isinstance(move, IXSite):
-        return apply_ix(surface, move)
-    return apply_xi(surface, move)
+        kind = classify_region(surface, move.region_id)
+        if kind is not move.kind or kind not in IX_ELIGIBLE:
+            raise IneligibleMoveError(
+                f"region {move.region_id} is {kind.value}, not an IX site of kind "
+                f"{move.kind.value}")
+    elif move not in enumerate_xi(surface, move.locus_id):
+        raise IneligibleMoveError(f"{move} is not available")
+    return _apply(surface, move)
+
+
+def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> MultibranchedSurface:
+    """Apply ``move`` if the move layer offers it."""
+    return _checked(surface, move)[0]
 
 
 def _carry(move, cert, surface: MultibranchedSurface):
@@ -413,18 +406,17 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
         raise ValueError(f"unknown policy {policy!r}")
 
     budget = spread_potential(surface)
-    current = surface
-    steps = []
+    surfaces, moves = [surface], []
     while True:
+        current = surfaces[-1]
         choice = next(_xi_choices(current, sorted(current.loci, key=lambda l: l.id)), None)
         if choice is None:
             break
-        after, _ = _apply(current, choice)
-        steps.append(MoveStep.of(choice, current, after))
-        current = after
-        if len(steps) > budget:  # pragma: no cover - potential argument
+        moves.append(choice)
+        surfaces.append(_apply(current, choice)[0])
+        if len(moves) > budget:  # pragma: no cover - potential argument
             raise TheoremViolationError("spreading exceeded its potential bound")
-    return current, MoveRecord(tuple(steps))
+    return surfaces[-1], _record(surfaces, moves)
 
 
 def all_maximal_spreadings(surface: MultibranchedSurface):
@@ -433,22 +425,22 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
     _require_strict(surface)
     out = {}
     seen = set()
-    stack = [(surface, ())]
+    stack = [((surface,), ())]  # chains of surfaces and the moves between them
     while stack:
-        current, steps = stack.pop()
+        surfaces, moves = stack.pop()
+        current = surfaces[-1]
         key = canonical_form(current, SymmetryMode.ROTATIONAL).data
         choices = list(_xi_choices(current, current.loci))
         if not choices:
             if key not in out:
-                out[key] = (current, MoveRecord(steps))
+                out[key] = (current, _record(surfaces, moves))
             continue
         if key in seen:
             continue
         seen.add(key)
         ids = _xi_ids(current)
         for choice in choices:
-            after, _ = _apply(current, choice, ids)
-            stack.append((after, steps + (MoveStep.of(choice, current, after),)))
+            stack.append((surfaces + (_apply(current, choice, ids)[0],), moves + (choice,)))
     return list(out.values())
 
 
@@ -465,7 +457,7 @@ def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
     if not is_maximally_spread_region(surface, site.region_id):
         raise IneligibleMoveError(
             f"region {site.region_id} is not maximally spread")
-    merged, reversal = _ix(surface, site)
+    merged, reversal = _checked(surface, site)
     choices = enumerate_xi(merged, reversal.locus_id)
     if len(choices) != 2 or reversal not in choices:
         raise TheoremViolationError(
@@ -474,13 +466,22 @@ def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
     return _apply(merged, choices[1 - choices.index(reversal)])[0]
 
 
+def _record(surfaces, moves) -> MoveRecord:
+    """The record of ``moves[i]`` carrying ``surfaces[i]`` to ``surfaces[i + 1]``;
+    each surface is hashed once, and none for an empty chain."""
+    hashes = [canonical_hash(s, SymmetryMode.ROTATIONAL) for s in surfaces] if moves else []
+    return MoveRecord(tuple(map(MoveStep, moves, hashes, hashes[1:])))
+
+
 def replay(surface: MultibranchedSurface, record: MoveRecord) -> MultibranchedSurface:
     """Re-apply a recorded move sequence, verifying the surface hash at each step."""
     current = surface
+    hashed = canonical_hash(surface, SymmetryMode.ROTATIONAL) if record.steps else None
     for i, step in enumerate(record.steps):
-        if canonical_hash(current, SymmetryMode.ROTATIONAL) != step.hash_before:
+        if hashed != step.hash_before:
             raise ReplayError(f"hash mismatch before step {i}")
         current = apply_move(current, step.move)
-        if canonical_hash(current, SymmetryMode.ROTATIONAL) != step.hash_after:
+        hashed = canonical_hash(current, SymmetryMode.ROTATIONAL)
+        if hashed != step.hash_after:
             raise ReplayError(f"hash mismatch after step {i}")
     return current

@@ -28,10 +28,10 @@ from .model import (
 from .moves import (
     IXSite,
     MoveRecord,
-    MoveStep,
     _apply,
     _carry,
     _moves,
+    _record,
     _xi_ids,
     apply_move,
     replay,
@@ -88,17 +88,14 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
     ``(surface, MoveRecord)``; the record replays.  A walk of length at
     least 1 needs a strict surface (see :func:`neighbors`)."""
     rng = random.Random(f"walk/{seed}")
-    current = surface
-    steps = []
+    surfaces, walk = [surface], []
     for _ in range(length):
-        moves = list(_moves(current))
+        moves = list(_moves(surfaces[-1]))
         if not moves:
             break
-        move = moves[rng.randrange(len(moves))]
-        after, _ = _apply(current, move)
-        steps.append(MoveStep.of(move, current, after))
-        current = after
-    return current, MoveRecord(tuple(steps))
+        walk.append(moves[rng.randrange(len(moves))])
+        surfaces.append(_apply(surfaces[-1], walk[-1])[0])
+    return surfaces[-1], _record(surfaces, walk)
 
 
 class _Side:
@@ -211,9 +208,8 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
         bwd_surfaces, bwd_moves = side_y.chain(meet)
 
         inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, bwd_moves)
-        forward = zip(fwd_moves, fwd_surfaces, fwd_surfaces[1:])
-        record = MoveRecord(tuple(MoveStep.of(move, before, after)
-                                  for move, before, after in [*forward, *inverted]))
+        record = _record(fwd_surfaces + tuple(after for _, _, after in inverted),
+                         fwd_moves + tuple(move for move, _, _ in inverted))
         endpoint = replay(x, record)
         if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover
             raise TheoremViolationError("replayed endpoint is not isomorphic to target")

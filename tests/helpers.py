@@ -61,3 +61,16 @@ def mirror_image(surface: MultibranchedSurface) -> MultibranchedSurface:
     loci = tuple(BranchLocus(l.id, l.wrapping, l.slots[::-1], l.signs[::-1])
                  for l in surface.loci)
     return MultibranchedSurface(surface.regions, loci, surface.mode)
+
+
+def join(x: MultibranchedSurface, y: MultibranchedSurface,
+         prefix: str) -> MultibranchedSurface:
+    """The disjoint union of ``x``, its ids kept, and ``y``, its ids
+    prefixed by ``prefix``."""
+    regions = tuple(Region(prefix + r.id, r.topology,
+                           tuple(prefix + c for c in r.boundary_circles))
+                    for r in y.regions)
+    loci = tuple(BranchLocus(prefix + l.id, l.wrapping,
+                             tuple(prefix + c for c in l.slots), l.signs)
+                 for l in y.loci)
+    return MultibranchedSurface(x.regions + regions, x.loci + loci, x.mode)

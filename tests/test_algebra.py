@@ -31,6 +31,7 @@ from mbs import (
     validate,
 )
 from mbs.algebra import _divisibility_chain
+from helpers import join
 from oracles import (
     det_bareiss,
     invariant_factors_by_minors,
@@ -162,8 +163,7 @@ def test_qn_boundary_matrices(qn):
 def union_of_random_pieces(pieces, mode=ValidityMode.STRICT):
     rng = random.Random(f"union/{pieces}")
     return reduce(
-        lambda acc, i: disjoint_union(
-            acc, random_surface(rng.randrange(10**6), 25, mode), ("", f"p{i}.")),
+        lambda acc, i: join(acc, random_surface(rng.randrange(10**6), 25, mode), f"p{i}."),
         range(1, pieces), random_surface(rng.randrange(10**6), 25, mode))
 
 

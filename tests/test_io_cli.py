@@ -5,6 +5,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import mbs.minors
+import mbs.search
 from mbs import (
     IXSite,
     MoebiusSplit,
@@ -31,6 +33,8 @@ from mbs import (
 )
 from mbs import io as mbs_io
 from mbs.cli import main
+from mbs.minors import MinorOutcome
+from mbs.search import ExhaustedWithinBudget, SearchBudget
 
 SCHEMA_DIR = Path(mbs_io.__file__).parent / "schemas"
 
@@ -184,6 +188,44 @@ def test_move_document_rejects_unknown_variant_and_class():
         mbs_io.document_to_move({"move": "xi", "variant": "twist", "locus": "b1"})
     with pytest.raises(SchemaError, match="unknown region class"):
         mbs_io.document_to_move({"move": "ix", "region": "r1", "kind": "torus"})
+
+
+XI_DOCUMENTS = {
+    "normal_split": {"move": "xi", "variant": "normal_split", "locus": "b1",
+                     "gap_a": 0, "gap_b": 2},
+    "quasi_split": {"move": "xi", "variant": "quasi_split", "locus": "b1",
+                    "start": 1, "length": 2},
+    "moebius_split": {"move": "xi", "variant": "moebius_split", "locus": "b1",
+                      "cut_gap": 1},
+}
+BAD_XI_DOCUMENTS = [
+    # every field of each variant left out in turn
+    *[pytest.param({k: v for k, v in doc.items() if k != field},
+                   "$.variant" if field == "variant" else "$",
+                   "unknown variant None" if field == "variant"
+                   else f"missing required field {field!r}",
+                   id=f"{variant}-without-{field}")
+      for variant, doc in XI_DOCUMENTS.items() for field in doc if field != "move"],
+    # a field of another variant, and a field of no move at all
+    *[pytest.param({**XI_DOCUMENTS[variant], extra: 0}, "$", f"unknown fields [{extra!r}]",
+                   id=f"{variant}-with-{extra}")
+      for variant, extra in (("normal_split", "start"), ("quasi_split", "cut_gap"),
+                             ("moebius_split", "gap_a"), ("moebius_split", "twist"))],
+    # a variant that is not a string, so no table can look it up
+    pytest.param({**XI_DOCUMENTS["normal_split"], "variant": []}, "$.variant",
+                 "unknown variant []", id="list-variant"),
+    pytest.param({**XI_DOCUMENTS["normal_split"], "variant": {}}, "$.variant",
+                 "unknown variant {}", id="object-variant"),
+    pytest.param({**XI_DOCUMENTS["quasi_split"], "length": "2"}, "$.length",
+                 "expected an integer", id="quasi_split-string-length"),
+]
+
+
+@pytest.mark.parametrize("doc, path, rule", BAD_XI_DOCUMENTS)
+def test_xi_document_errors_name_rule_and_path(doc, path, rule):
+    with pytest.raises(SchemaError) as err:
+        mbs_io.document_to_move(doc)
+    assert (err.value.path, err.value.rule) == (path, rule)
 
 
 def test_parse_rejects_invalid_utf8():
@@ -585,6 +627,24 @@ def test_cli_moves_refuse_a_minor_mode_file(tmp_path, capsys, subcommand, extra)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: IX- and XI-moves are defined on strict surfaces\n"
+
+
+@pytest.mark.parametrize("command", ["equiv", "minor"])
+def test_cli_budget_flags_default_to_search_budget(tmp_path, monkeypatch, command):
+    # the flags keep no defaults of their own: SearchBudget's are the ones
+    monkeypatch.setattr(SearchBudget.__init__, "__defaults__", (3, 7, 11, 2.5))
+    passed = []
+
+    def search(x, y, budget, mode):
+        passed.append(budget)
+        return ExhaustedWithinBudget() if command == "equiv" else MinorOutcome(None, False)
+
+    monkeypatch.setattr(mbs.search, "search_equivalence", search)
+    monkeypatch.setattr(mbs.minors, "is_minor", search)
+    mode = ValidityMode.MINOR if command == "minor" else ValidityMode.STRICT
+    path = write(tmp_path, "theta3.json", theta(3, mode))
+    assert main([command, path, path]) == 3
+    assert passed == [SearchBudget()] == [SearchBudget(3, 7, 11, 2.5)]
 
 
 @pytest.mark.parametrize("flag", ["--max-depth", "--max-cells"])

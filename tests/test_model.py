@@ -26,6 +26,7 @@ from mbs import (
     theta,
     validate,
 )
+from helpers import join
 from oracles import _components
 
 
@@ -247,7 +248,7 @@ def partition_corpus():
         surfaces.append(random_walk(surfaces[-2], seed, 4)[0])
     chain = surfaces[0]
     for i, piece in enumerate(surfaces[1:40:3], start=1):
-        chain = disjoint_union(chain, piece.in_mode(chain.mode), ("", f"p{i}."))
+        chain = join(chain, piece.in_mode(chain.mode), f"p{i}.")
         surfaces.append(chain)
     return surfaces
 

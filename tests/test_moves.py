@@ -342,6 +342,21 @@ def test_replay_rejects_wrong_hashes(theta3):
         replay(theta3, MoveRecord((first, bad_after)))
 
 
+def test_replay_hashes_each_surface_once(theta3, monkeypatch):
+    _, record = random_walk(theta3, seed=1, length=4)
+    assert len(record) == 4
+    plain = mbs.moves.canonical_hash
+    hashed = []
+
+    def counted(surface, mode):
+        hashed.append(surface)
+        return plain(surface, mode)
+
+    monkeypatch.setattr(mbs.moves, "canonical_hash", counted)
+    replay(theta3, record)
+    assert len(hashed) == len(record) + 1
+
+
 def test_apply_ih_fixtures(theta3, mb, qn):
     for fixture in (theta3, mb, qn):
         site = enumerate_ix(fixture)[0]

@@ -1,9 +1,11 @@
 import sys
 import threading
 import time
+from functools import reduce
 
 import pytest
 
+import mbs.algebra
 import mbs.isomorphism
 import mbs.search
 from mbs import (
@@ -17,6 +19,7 @@ from mbs import (
     apply_ix,
     are_isomorphic,
     canonical_form,
+    disjoint_union,
     enumerate_ix,
     homology_profile,
     is_minor,
@@ -30,6 +33,7 @@ from mbs import (
     search_equivalence,
     theta,
 )
+from helpers import scramble
 from oracles import reference_invert_backward_chain
 
 
@@ -216,6 +220,23 @@ def test_time_limit_counts_from_entry(monkeypatch):
     monkeypatch.setattr(mbs.search, "homology_profile", slow_profile)
     outcome = search_equivalence(start, walked, budget)
     assert isinstance(outcome, ExhaustedWithinBudget)
+
+
+def test_time_limit_is_read_inside_the_homology_check(monkeypatch):
+    x = reduce(disjoint_union, [theta(3)] * 22)
+    y = scramble(x, 1)
+    plain = mbs.algebra.smith_normal_form
+
+    def slow_snf(matrix):
+        time.sleep(0.02)
+        return plain(matrix)
+
+    # one Smith normal form per component, 22 per side: 0.9 s unchecked
+    monkeypatch.setattr(mbs.algebra, "smith_normal_form", slow_snf)
+    began = time.monotonic()
+    outcome = search_equivalence(x, y, SearchBudget(time_limit=0.1))
+    assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
+    assert time.monotonic() - began < 0.3
 
 
 def test_time_limit_is_read_before_each_labelling(monkeypatch):
