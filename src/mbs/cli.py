@@ -206,15 +206,13 @@ def _cmd_screen(args) -> int:
 
     surface = _load(args.file)
     flags = obstruction_screen(surface)
-    reductions = enumerate_reductions(surface) \
-        if surface.mode is ValidityMode.MINOR else None
     payload = {
         "command": "screen",
         "has_nonorientable_closed_region": flags.has_nonorientable_closed_region,
         "locus_wrapping_gcd": flags.locus_wrapping_gcd,
     }
-    if reductions is not None:
-        payload["reduction_count"] = len(reductions)
+    if surface.mode is ValidityMode.MINOR:
+        payload["reduction_count"] = len(enumerate_reductions(surface))
     _emit(payload)
     return OK
 
@@ -337,10 +335,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return USAGE
-    except MbsError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE
-    except OSError as exc:
+    except (MbsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import inspect
 import random
 
-from .errors import FixtureError
+from .errors import FixtureError, ModeError
 from .model import (
     ANNULUS,
     MOEBIUS,
@@ -88,6 +88,8 @@ def build_fixture(name: str, **params) -> MultibranchedSurface:
 def disjoint_union(x: MultibranchedSurface, y: MultibranchedSurface) -> MultibranchedSurface:
     """Disjoint union; the ids of ``x`` take the prefix ``X.`` and those of
     ``y`` the prefix ``Y.``.  Both inputs must share a mode."""
+    if x.mode is not y.mode:
+        raise ModeError(f"cannot join a {x.mode.value} and a {y.mode.value} surface")
 
     def shift(surface, p):
         regions = tuple(

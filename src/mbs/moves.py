@@ -203,18 +203,6 @@ def _splice(surface, region, kind):
                     drop_loci=[l.id for l, _ in ends], new_loci=(merged,)), reversal
 
 
-def apply_ix(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurface:
-    """Contract the region of ``site`` onto its core circle.
-
-    A normal annulus merges its two normal loci into one wrapping-1 locus of
-    degree ``k1 + k2 - 2``; a quasi-normal annulus splices the normal cycle
-    into the unnormal one (degree ``d2 + (d1-2) w``); a normal Moebius band
-    turns its locus into a wrapping-2 locus of degree ``2 (d1-1)``.  The
-    merged locus is always spreadable.
-    """
-    return _checked(surface, site)[0]
-
-
 def enumerate_xi(surface: MultibranchedSurface, locus_id: str) -> list[XIChoice]:
     """All XI-moves at one locus.
 
@@ -245,12 +233,6 @@ def enumerate_xi(surface: MultibranchedSurface, locus_id: str) -> list[XIChoice]
     return choices
 
 
-def apply_xi(surface: MultibranchedSurface, choice: XIChoice) -> MultibranchedSurface:
-    """Perform the chosen reversal, creating a fresh normal or quasi-normal
-    annulus region or a fresh normal Moebius region."""
-    return _checked(surface, choice)[0]
-
-
 def _xi_ids(surface: MultibranchedSurface) -> tuple[str, ...]:
     """The fresh ids every XI-move of ``surface`` takes: two circles, two
     loci and the region, in that order."""
@@ -260,7 +242,7 @@ def _xi_ids(surface: MultibranchedSurface) -> tuple[str, ...]:
 
 
 def _xi(surface: MultibranchedSurface, choice: XIChoice, ids):
-    """:func:`apply_xi` without its check, for a choice that
+    """:func:`apply_move` without its check, for an XI choice that
     :func:`enumerate_xi` has offered, with the ids of :func:`_xi_ids`.
 
     Returns the spread surface and the IX site of the region it creates,
@@ -320,8 +302,23 @@ def _checked(surface: MultibranchedSurface, move: MoveDescriptor):
 
 
 def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> MultibranchedSurface:
-    """Apply ``move`` if the move layer offers it."""
+    """Apply ``move``, an IX site or an XI choice, if the move layer offers it.
+
+    An IX-move contracts the site's region onto its core circle.  A normal
+    annulus merges its two normal loci into one wrapping-1 locus of degree
+    ``k1 + k2 - 2``; a quasi-normal annulus splices the normal cycle into
+    the unnormal one (degree ``d2 + (d1-2) w``); a normal Moebius band turns
+    its locus into a wrapping-2 locus of degree ``2 (d1-1)``.  The merged
+    locus is always spreadable.  An XI-move performs the chosen reversal,
+    creating a fresh normal annulus (``NormalSplit``), quasi-normal annulus
+    (``QuasiSplit``) or normal Moebius region (``MoebiusSplit``).
+    ``apply_ix`` and ``apply_xi`` are this function under the names of the
+    two move kinds.
+    """
     return _checked(surface, move)[0]
+
+
+apply_ix = apply_xi = apply_move
 
 
 def _carry(move, cert, surface: MultibranchedSurface):
@@ -423,25 +420,24 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
     """All maximally spread endpoints reachable by XI-moves, one per
     isomorphism class (rotational), each with a witnessing record."""
     _require_strict(surface)
-    out = {}
-    seen = set()
+    out = []
+    seen = set()  # rotational classes; having XI-moves is a class property
     stack = [((surface,), ())]  # chains of surfaces and the moves between them
     while stack:
         surfaces, moves = stack.pop()
         current = surfaces[-1]
         key = canonical_form(current, SymmetryMode.ROTATIONAL).data
-        choices = list(_xi_choices(current, current.loci))
-        if not choices:
-            if key not in out:
-                out[key] = (current, _record(surfaces, moves))
-            continue
         if key in seen:
             continue
         seen.add(key)
+        choices = list(_xi_choices(current, current.loci))
+        if not choices:
+            out.append((current, _record(surfaces, moves)))
+            continue
         ids = _xi_ids(current)
         for choice in choices:
             stack.append((surfaces + (_apply(current, choice, ids)[0],), moves + (choice,)))
-    return list(out.values())
+    return out
 
 
 def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurface:

@@ -143,8 +143,9 @@ def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
     ``_apply`` names.  The undo is a move of the y-side surface; one
     ROTATIONAL certificate from that surface to the current one carries it
     over, and the carried move goes through the checked ``apply_move``.
+    Returns the surfaces after ``meet_surface`` and the moves, as two tuples.
     """
-    moves = []
+    surfaces, moves = [], []
     current = meet_surface
     for i in range(len(backward_moves) - 1, -1, -1):
         _, undo = _apply(backward_surfaces[i], backward_moves[i])
@@ -152,11 +153,10 @@ def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
         _check_clock()
         if cert is None:  # pragma: no cover - each step keeps the class
             raise TheoremViolationError("backward chain left the class of its surface")
-        move = _carry(undo, cert, backward_surfaces[i + 1])
-        after = apply_move(current, move)
-        moves.append((move, current, after))
-        current = after
-    return moves
+        moves.append(_carry(undo, cert, backward_surfaces[i + 1]))
+        current = apply_move(current, moves[-1])
+        surfaces.append(current)
+    return tuple(surfaces), tuple(moves)
 
 
 def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
@@ -207,9 +207,8 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
         fwd_surfaces, fwd_moves = side_x.chain(meet)
         bwd_surfaces, bwd_moves = side_y.chain(meet)
 
-        inverted = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, bwd_moves)
-        record = _record(fwd_surfaces + tuple(after for _, _, after in inverted),
-                         fwd_moves + tuple(move for move, _, _ in inverted))
+        surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, bwd_moves)
+        record = _record(fwd_surfaces + surfaces, fwd_moves + moves)
         endpoint = replay(x, record)
         if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover
             raise TheoremViolationError("replayed endpoint is not isomorphic to target")

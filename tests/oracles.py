@@ -436,20 +436,22 @@ def reference_canonical_labelling(surface: MultibranchedSurface, mode: SymmetryM
 
 def reference_invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
     """The search's chain inversion by neighbour scan; ``backward_moves`` is
-    taken for the library's signature and not read."""
-    moves = []
+    taken for the library's signature and not read.  Returns the surfaces
+    after ``meet_surface`` and the moves, as two tuples."""
+    surfaces, moves = [], []
     current = meet_surface
     for i in range(len(backward_surfaces) - 2, -1, -1):
         want = canonical_form(backward_surfaces[i], SymmetryMode.ROTATIONAL).data
         for move, after in neighbors(current):
             _check_clock()
             if canonical_form(after, SymmetryMode.ROTATIONAL).data == want:
-                moves.append((move, current, after))
+                surfaces.append(after)
+                moves.append(move)
                 current = after
                 break
         else:
             raise TheoremViolationError("backward chain step has no reverse move")
-    return moves
+    return tuple(surfaces), tuple(moves)
 
 
 def reference_is_minor(x: MultibranchedSurface, y: MultibranchedSurface,

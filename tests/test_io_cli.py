@@ -445,6 +445,12 @@ def test_cli_screen_and_gen(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, payload = run(capsys, "screen", str(path))
     assert code == 0 and payload["has_nonorientable_closed_region"] is True
+    assert "reduction_count" in payload  # a minor-mode file
+    output_validator().validate(payload)
+    _, doc = run(capsys, "gen", "theta", "--n", "3")
+    path.write_text(json.dumps(doc))
+    code, payload = run(capsys, "screen", str(path))
+    assert code == 0 and "reduction_count" not in payload  # a strict file
     output_validator().validate(payload)
 
 

@@ -5,6 +5,7 @@ import pytest
 from mbs import (
     BranchLocus,
     FixtureError,
+    ModeError,
     MultibranchedSurface,
     Region,
     RegionClass,
@@ -197,6 +198,15 @@ def test_euler_additive_over_components(theta3, mb, qn):
     assert euler_characteristic(both) == \
         euler_characteristic(theta3) + euler_characteristic(qn)
     assert connected_components(both) == 2
+
+
+def test_disjoint_union_needs_one_mode(theta3):
+    torus = closed_surface(True, 1)  # minor mode
+    for x, y in ((theta3, torus), (torus, theta3)):
+        with pytest.raises(ModeError):
+            disjoint_union(x, y)
+    both = disjoint_union(theta(3, ValidityMode.MINOR), torus)
+    assert both.mode is ValidityMode.MINOR and validate(both) == []
 
 
 def test_build_fixture_dispatch(theta3, mb):

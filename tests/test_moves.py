@@ -287,6 +287,29 @@ def test_all_maximal_spreadings_theta5():
         assert replay(start, record) == spread
 
 
+def test_one_applier_under_three_names():
+    assert apply_ix is apply_xi is apply_move
+
+
+def test_all_maximal_spreadings_enumerates_each_class_once(monkeypatch):
+    # every rotational class met while spreading theta(5) has its XI choices
+    # listed once: one enumerate_xi call per locus of one of its surfaces
+    calls = {}
+    plain = mbs.moves.enumerate_xi
+
+    def counted(surface, locus_id):
+        key = canonical_form(surface, SymmetryMode.ROTATIONAL).data
+        calls.setdefault(key, []).append((surface, locus_id))
+        return plain(surface, locus_id)
+
+    monkeypatch.setattr(mbs.moves, "enumerate_xi", counted)
+    endpoints = all_maximal_spreadings(theta(5))
+    assert len(endpoints) == 3 and len(calls) > len(endpoints)
+    for listed in calls.values():
+        surface = listed[0][0]
+        assert sorted(l for _, l in listed) == sorted(l.id for l in surface.loci)
+
+
 def test_fresh_ids_continue_from_largest_suffix():
     taken = {"c3", "c10", "cx", "r1.a"}
     assert _fresh_ids("c", taken, 2) == ["c11", "c12"]
