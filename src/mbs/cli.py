@@ -240,9 +240,9 @@ def _cmd_rand(args) -> int:
         raise MbsError(f"--length must be non-negative (got {args.length})")
     surface = random_surface(args.seed, args.size, ValidityMode(args.mode))
     if args.length:
-        from .search import random_walk
+        from .search import _walk
 
-        surface, _ = random_walk(surface, args.seed, args.length)
+        surface = _walk(surface, args.seed, args.length)[0][-1]
     _emit(io.surface_to_document(surface))
     return OK
 

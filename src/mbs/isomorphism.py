@@ -41,6 +41,15 @@ other (as in nauty-style canonical labeling): two labelings with equal codes
 are paired entry by entry, which gives the locus and circle bijections and
 the cycle alignments, and the flips are where the two potentials (or, for a
 circle of a non-orientable region, the two literal signs) differ.
+
+The same pairing of two leaves of one search with equal codes is a symmetry
+of the surface (McKay and Piperno find automorphisms the same way): each
+locus goes to the locus at its position in the other leaf, rotated by the
+difference of the two starts, and each region to the region of the same
+number.  The labeling keeps these as generators when they move something
+and reverse no locus.  They generate a subgroup of the rotational
+automorphisms, since the pruned subtrees hold leaves that are never met;
+the search uses them to apply one move per orbit.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ import hashlib
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -110,12 +119,20 @@ class _Labeling:
     of each orientable region with an attached circle.  The emitted slot of
     step ``s`` of a locus is ``(rotation + direction * s) % k``; its code
     sign bit is 0 exactly when ``p_locus * sign * p_region`` is 1.
+
+    ``automorphisms`` holds the symmetries that tied leaves gave (see the
+    module docstring), which take no part in comparing labelings.  A
+    generator ``(loci, regions)`` sends locus ``a`` to ``b`` and its slot
+    ``i`` to slot ``(i + offset) % k`` of ``b`` where ``loci[a]`` is
+    ``(b, offset)``, and region ``r`` to ``regions[r]``; loci and regions
+    it does not list stay fixed, and so does every other component.
     """
 
     code: tuple[int, ...]
     locus_seq: tuple[tuple[str, int, int, int], ...]  # (id, rotation, direction, p_locus)
     region_number: dict
     p_region: dict
+    automorphisms: tuple[tuple[dict, dict], ...] = field(default=(), compare=False)
 
     @cached_property
     def body(self) -> bytes:
@@ -140,6 +157,23 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
         t = r.topology
         n_att = sum(1 for c in r.boundary_circles if c in attached)
         table_row[r.id] = (int(t.orientable), t.genus, t.boundary_count, n_att)
+    automorphisms = {}
+
+    def pair_leaves(seq_a, numbers_a, seq_b, numbers_b):
+        """Keep the symmetry that pairs two leaves with equal codes position
+        by position, unless it is the identity or reverses a locus."""
+        loci = {}
+        for (a, rot_a, dir_a, _), (b, rot_b, dir_b, _) in zip(seq_a, seq_b):
+            if dir_a != dir_b:
+                return
+            offset = (rot_b - rot_a) % len(surface.locus_by_id[a].slots)
+            if a != b or offset:
+                loci[a] = (b, offset)
+        region_of = {n: rid for rid, n in numbers_b.items()}
+        regions = {rid: region_of[n] for rid, n in numbers_a.items() if region_of[n] != rid}
+        if loci or regions:
+            automorphisms.setdefault((tuple(loci.items()), tuple(regions.items())),
+                                     (loci, regions))
 
     def block_of(locus, rot, direction, region_number, p_region):
         """The block of ``locus`` read from ``rot`` in ``direction``, the
@@ -198,6 +232,8 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                                     for x in table_row[rid])
                 if best is None or full < best[0]:
                     best = (full, tuple(chosen), region_number, p_region)
+                elif full == best[0]:
+                    pair_leaves(best[1], best[2], chosen, region_number)
                 return
             # remaining keeps the (wrapping, k, id) order, so every
             # candidate has one (wrapping, k) and every child block the
@@ -261,7 +297,8 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
         offset = len(region_number)
         region_number.update((rid, offset + n) for rid, n in numbers.items())
         p_region.update(potentials)
-    return _Labeling(code, tuple(locus_seq), region_number, p_region)
+    return _Labeling(code, tuple(locus_seq), region_number, p_region,
+                     tuple(automorphisms.values()))
 
 
 @lru_cache(maxsize=8192)

@@ -33,6 +33,11 @@ returns the result with the move that undoes it.  A move derived any other
 way (read from a record or a file, or carried through a certificate by
 ``_carry``) goes through the one checked gate, ``_checked``.  ``_record``
 alone turns a chain of surfaces and moves into a ``MoveRecord``.
+
+``_image`` is the one statement of how a move changes under a rotational
+isomorphism: a certificate's (``_carry``) or a symmetry of the surface's.
+``_orbit_moves`` groups the moves of a surface into orbits under the
+symmetries of its labeling and keeps the first move of each.
 """
 
 from __future__ import annotations
@@ -321,21 +326,30 @@ def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> Multibran
 apply_ix = apply_xi = apply_move
 
 
+def _image(move, surface: MultibranchedSurface, regions, loci):
+    """``move`` of ``surface`` under a rotational isomorphism that sends a
+    region id ``r`` to ``regions[r]``, and a locus id to ``(image, shift)``
+    in ``loci``: a slot or gap index ``i`` of a locus of k slots goes to
+    ``(i + shift) % k``, and a gap pair is re-sorted."""
+    if isinstance(move, IXSite):
+        return IXSite(regions[move.region_id], move.kind)
+    k = len(surface.locus(move.locus_id).slots)
+    locus_id, shift = loci[move.locus_id]
+    if isinstance(move, NormalSplit):
+        return NormalSplit(locus_id, *sorted(((move.gap_a + shift) % k,
+                                              (move.gap_b + shift) % k)))
+    if isinstance(move, QuasiSplit):
+        return QuasiSplit(locus_id, (move.start + shift) % k, move.length)
+    return MoebiusSplit(locus_id, (move.cut_gap + shift) % k)
+
+
 def _carry(move, cert, surface: MultibranchedSurface):
     """``move`` of ``surface`` carried through the ROTATIONAL certificate
-    ``cert`` from ``surface``: ids through the id maps, and a slot or gap
-    index ``i`` of a locus of k slots to ``(i - offset) % k``."""
-    if isinstance(move, IXSite):
-        return IXSite(cert.region_map[move.region_id], move.kind)
-    k = len(surface.locus(move.locus_id).slots)
-    offset, _ = cert.locus_alignment[move.locus_id]
-    locus_id = cert.locus_map[move.locus_id]
-    if isinstance(move, NormalSplit):
-        return NormalSplit(locus_id, *sorted(((move.gap_a - offset) % k,
-                                              (move.gap_b - offset) % k)))
-    if isinstance(move, QuasiSplit):
-        return QuasiSplit(locus_id, (move.start - offset) % k, move.length)
-    return MoebiusSplit(locus_id, (move.cut_gap - offset) % k)
+    ``cert`` from ``surface``, which shows slot ``(offset + j) % k`` of a
+    locus at slot ``j`` of its image: the shift is ``-offset``."""
+    loci = {l: (cert.locus_map[l], -offset)
+            for l, (offset, _) in cert.locus_alignment.items()}
+    return _image(move, surface, cert.region_map, loci)
 
 
 def is_maximally_spread_region(surface: MultibranchedSurface, region_id: str) -> bool:
@@ -382,6 +396,38 @@ def _moves(surface: MultibranchedSurface):
     id, then XI choices by locus id and enumeration order."""
     yield from enumerate_ix(surface)
     yield from _xi_choices(surface, sorted(surface.loci, key=lambda l: l.id))
+
+
+def _orbit_moves(surface: MultibranchedSurface, automorphisms) -> list:
+    """The first move, in :func:`_moves` order, of each orbit of the moves
+    of ``surface`` under the group that ``automorphisms`` generate (the
+    generators of a labeling, which fix what they do not list).  Moves of
+    one orbit give isomorphic surfaces, so one per orbit reaches every
+    class that all the moves reach."""
+    moves = list(_moves(surface))
+    if not automorphisms:
+        return moves
+    index = {move: i for i, move in enumerate(moves)}
+    root = list(range(len(moves)))  # union-find; each orbit's root is its first move
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for loci, regions in automorphisms:
+        for i, move in enumerate(moves):
+            fixed = move.region_id not in regions if isinstance(move, IXSite) \
+                else move.locus_id not in loci
+            if fixed:
+                continue
+            j = index.get(_image(move, surface, regions, loci))
+            if j is None:  # pragma: no cover - an automorphism keeps the moves
+                raise TheoremViolationError(f"a symmetry of the surface does not keep {move}")
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)
+    return [move for i, move in enumerate(moves) if find(i) == i]
 
 
 def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):

@@ -4,6 +4,14 @@ States are identified by their rotational canonical form (the finest mode
 that is stable under the move rules); a found connection is re-verified in
 the caller's requested mode before it is returned.  Running out of budget is
 an outcome, never a non-equivalence verdict.
+
+A state's successors are built for one move per orbit of the symmetries
+that its cached rotational labeling found, the first move of each orbit in
+the move order of the move layer (canonical augmentation in the sense of
+McKay's isomorph-free generation).  Any other move of an orbit gives a
+surface isomorphic to that of an earlier kept move, whose key the frontier
+already holds, so the trees, meets and records are those of applying every
+move.  :func:`neighbors` applies every move.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from .algebra import homology_profile
 from .errors import TheoremViolationError
 from .isomorphism import (
     SymmetryMode,
+    _canonical,
     _check_clock,
     _time_limit,
     are_isomorphic,
@@ -31,6 +40,7 @@ from .moves import (
     _apply,
     _carry,
     _moves,
+    _orbit_moves,
     _record,
     _xi_ids,
     apply_move,
@@ -69,24 +79,27 @@ class InvariantMismatch:
 SearchOutcome = Found | ExhaustedWithinBudget | InvariantMismatch
 
 
-def neighbors(surface: MultibranchedSurface):
-    """All one-move successors, in the move order of the move layer (IX
-    sites first).  Deterministic.  The moves are defined on strict
-    surfaces, so a minor-mode surface raises :class:`ModeError`."""
+def _successors(surface: MultibranchedSurface, moves):
+    """``(move, after)`` for each of ``moves``, moves of ``surface``."""
     ids = None  # every XI successor takes the same fresh ids
     successors = []
-    for move in _moves(surface):
+    for move in moves:
         if ids is None and not isinstance(move, IXSite):
             ids = _xi_ids(surface)
         successors.append((move, _apply(surface, move, ids)[0]))
     return successors
 
 
-def random_walk(surface: MultibranchedSurface, seed: int, length: int):
-    """Uniform random move walk of at most ``length`` steps, deterministic in
-    the seed.  A surface without successors ends the walk early.  Returns
-    ``(surface, MoveRecord)``; the record replays.  A walk of length at
-    least 1 needs a strict surface (see :func:`neighbors`)."""
+def neighbors(surface: MultibranchedSurface):
+    """All one-move successors, in the move order of the move layer (IX
+    sites first).  Deterministic.  The moves are defined on strict
+    surfaces, so a minor-mode surface raises :class:`ModeError`."""
+    return _successors(surface, _moves(surface))
+
+
+def _walk(surface: MultibranchedSurface, seed: int, length: int):
+    """The surfaces and moves of :func:`random_walk`, which labels none of
+    them."""
     rng = random.Random(f"walk/{seed}")
     surfaces, walk = [surface], []
     for _ in range(length):
@@ -95,6 +108,15 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
             break
         walk.append(moves[rng.randrange(len(moves))])
         surfaces.append(_apply(surfaces[-1], walk[-1])[0])
+    return surfaces, walk
+
+
+def random_walk(surface: MultibranchedSurface, seed: int, length: int):
+    """Uniform random move walk of at most ``length`` steps, deterministic in
+    the seed.  A surface without successors ends the walk early.  Returns
+    ``(surface, MoveRecord)``; the record replays.  A walk of length at
+    least 1 needs a strict surface (see :func:`neighbors`)."""
+    surfaces, walk = _walk(surface, seed, length)
     return surfaces[-1], _record(surfaces, walk)
 
 
@@ -182,7 +204,11 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
         side_x, side_y = _Side(x), _Side(y)
 
         def successors(surface):
-            return [(move, after) for move, after in neighbors(surface)
+            # one move per orbit of the symmetries that the parent's labeling
+            # found: the others give a class that an earlier successor has
+            automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
+            return [(move, after) for move, after in
+                    _successors(surface, _orbit_moves(surface, automorphisms))
                     if after.cell_count <= budget.max_cell_count]
 
         meet = None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import mbs.isomorphism
 import mbs.minors
 import mbs.search
 from mbs import (
@@ -470,6 +472,24 @@ def test_cli_gen_theta_and_rand(tmp_path, capsys, theta3):
                     "--length", "3")
     assert code == 0
     assert validate(parse(json.dumps(doc))) == []
+
+
+# sha256 of the stdout of three `mbs rand --length` commands, recorded when
+# the command still built the walk's record
+RAND_WALK_DIGEST = "c9cbf34c25068e02f6d48c9d9ebf9b3cfcfdf43785a2213710e920cf53db6148"
+
+
+def test_cli_rand_walk_labels_nothing(capsys):
+    """`mbs rand --length` keeps only the walked surface, so it builds no
+    record and runs no labelling."""
+    mbs.isomorphism._canonical.cache_clear()
+    digest = hashlib.sha256()
+    for seed, size, length in ((5, 20, 4), (3, 30, 6), (11, 25, 8)):
+        assert main(["rand", "--seed", str(seed), "--size", str(size),
+                     "--length", str(length)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert mbs.isomorphism._canonical.cache_info().misses == 0
+    assert digest.hexdigest() == RAND_WALK_DIGEST
 
 
 def test_cli_rand_walk_needs_a_strict_surface(capsys):

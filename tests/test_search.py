@@ -7,6 +7,7 @@ import pytest
 
 import mbs.algebra
 import mbs.isomorphism
+import mbs.moves
 import mbs.search
 from mbs import (
     ExhaustedWithinBudget,
@@ -33,6 +34,8 @@ from mbs import (
     search_equivalence,
     theta,
 )
+from mbs.isomorphism import _canonical
+from mbs.moves import _moves, _orbit_moves
 from helpers import scramble
 from oracles import reference_invert_backward_chain
 
@@ -71,6 +74,83 @@ def test_neighbors_deterministic(theta3):
     b = neighbors(theta3)
     assert [m for m, _ in a] == [m for m, _ in b]
     assert [s for _, s in a] == [s for _, s in b]
+
+
+def orbit_surfaces():
+    """Random surfaces, the theta family spread and not, short walks of it
+    and unions of two components; scrambled presentations give symmetries
+    that both swap and rotate loci."""
+    surfaces = [random_surface(s, 3 + s % 28) for s in range(1, 201)]
+    surfaces += [theta(n) for n in range(3, 8)]
+    surfaces += [maximally_spread(theta(n))[0] for n in range(3, 8)]
+    surfaces += [scramble(theta(n), n) for n in range(3, 8)]
+    surfaces += [random_walk(theta(n), seed, 3)[0] for n in (4, 5, 6) for seed in (1, 2, 3)]
+    surfaces += [disjoint_union(theta(4), theta(4)),
+                 disjoint_union(theta(3), maximally_spread(theta(4))[0]),
+                 disjoint_union(random_surface(7, 12), scramble(random_surface(7, 12), 7))]
+    return surfaces
+
+
+def test_one_move_per_orbit_reaches_every_class():
+    """The moves the search keeps, one per orbit of the symmetries that the
+    labeling found, reach the rotational classes of all the moves; and each
+    symmetry sends every offered move to an offered move with an isomorphic
+    result."""
+    offered = kept = 0
+    for surface in orbit_surfaces():
+        key = {move: canonical_form(after, SymmetryMode.ROTATIONAL).data
+               for move, after in neighbors(surface)}
+        automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
+        for loci, regions in automorphisms:
+            all_regions = {r.id: regions.get(r.id, r.id) for r in surface.regions}
+            all_loci = {l.id: loci.get(l.id, (l.id, 0)) for l in surface.loci}
+            for locus in surface.loci:  # slot i of a locus goes to slot i + shift
+                image, shift = all_loci[locus.id]
+                target = surface.locus(image)
+                assert target.wrapping == locus.wrapping
+                assert len(target.slots) == len(locus.slots)
+                for i, c in enumerate(locus.slots):
+                    c_image = target.slots[(i + shift) % len(locus.slots)]
+                    assert all_regions[surface.circle_to_region[c]] == \
+                        surface.circle_to_region[c_image]
+            for move in key:
+                image = mbs.moves._image(move, surface, all_regions, all_loci)
+                assert key[image] == key[move], (surface, move, image)
+        moves = _orbit_moves(surface, automorphisms)
+        successors = mbs.search._successors(surface, moves)
+        assert {canonical_form(after, SymmetryMode.ROTATIONAL).data
+                for _, after in successors} == set(key.values())
+        assert moves == [move for move in key if move in moves]  # move order
+        offered += len(key)
+        kept += len(moves)
+    assert kept < offered
+
+
+def test_pruned_search_matches_the_unpruned_search(monkeypatch):
+    """Keeping the first move of each orbit leaves the trees, the meets and
+    the records of the search as they are when it applies every move."""
+    budget = SearchBudget(max_depth=4, max_states=20000)
+    cases = []
+    for start in (theta(4), theta(5), random_surface(2, 30), random_surface(6, 30)):
+        for seed, length in ((1, 2), (2, 3), (3, 4)):
+            walked = random_walk(start, seed, length)[0]
+            cases.append((start, scramble(walked, seed), budget, SymmetryMode.MIRROR))
+    deep = random_walk(theta(5), 2, 6)[0]
+    cases += [(theta(3), moebius_annulus(), budget, SymmetryMode.MIRROR),
+              (theta(5), deep, SearchBudget(max_depth=1), SymmetryMode.ROTATIONAL),
+              (theta(5), deep, SearchBudget(max_depth=4, max_states=30),
+               SymmetryMode.ROTATIONAL)]
+    outcomes = []
+    for x, y, budget, mode in cases:
+        got = search_equivalence(x, y, budget, mode)
+        monkeypatch.setattr(mbs.search, "_orbit_moves", lambda surface, _: list(_moves(surface)))
+        want = search_equivalence(x, y, budget, mode)
+        monkeypatch.undo()
+        assert got == want, (x, y)
+        outcomes.append(got)
+    assert {type(o) for o in outcomes} == {Found, InvariantMismatch, ExhaustedWithinBudget}
+    assert ExhaustedWithinBudget("depth budget exhausted") in outcomes
+    assert ExhaustedWithinBudget("state or time budget exhausted") in outcomes
 
 
 def test_search_identity(theta3):
