@@ -30,8 +30,8 @@ from .model import (
     ValidityMode,
     classify_region,
 )
-from .moves import IX_ELIGIBLE, _leaves_a_slot, _splice
-from .search import SearchBudget, _Side
+from .moves import IX_ELIGIBLE, _leaves_a_slot, _Side, _splice
+from .search import SearchBudget
 
 
 @dataclass(frozen=True)

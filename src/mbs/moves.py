@@ -37,7 +37,9 @@ alone turns a chain of surfaces and moves into a ``MoveRecord``.
 ``_image`` is the one statement of how a move changes under a rotational
 isomorphism: a certificate's (``_carry``) or a symmetry of the surface's.
 ``_orbit_moves`` groups the moves of a surface into orbits under the
-symmetries of its labeling and keeps the first move of each.
+symmetries of its labeling and keeps the first move of each.  ``_Side`` is
+the one walk over classes: a breadth-first frontier keyed by canonical form
+that ``_successors`` feeds lazily, for both searches and exhaustive spreading.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IneligibleMoveError, ModeError, ReplayError, TheoremViolationError
-from .isomorphism import SymmetryMode, canonical_form, canonical_hash
+from .isomorphism import SymmetryMode, _canonical, _check_clock, canonical_form, canonical_hash
 from .model import (
     ANNULUS,
     MOEBIUS,
@@ -398,13 +400,13 @@ def _moves(surface: MultibranchedSurface):
     yield from _xi_choices(surface, sorted(surface.loci, key=lambda l: l.id))
 
 
-def _orbit_moves(surface: MultibranchedSurface, automorphisms) -> list:
+def _orbit_moves(surface: MultibranchedSurface) -> list:
     """The first move, in :func:`_moves` order, of each orbit of the moves
-    of ``surface`` under the group that ``automorphisms`` generate (the
-    generators of a labeling, which fix what they do not list).  Moves of
-    one orbit give isomorphic surfaces, so one per orbit reaches every
-    class that all the moves reach."""
+    of ``surface`` under the generators of its cached rotational labeling
+    (which fix what they do not list).  Moves of one orbit give isomorphic
+    surfaces, so one per orbit reaches every class that all moves reach."""
     moves = list(_moves(surface))
+    automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
     if not automorphisms:
         return moves
     index = {move: i for i, move in enumerate(moves)}
@@ -430,21 +432,69 @@ def _orbit_moves(surface: MultibranchedSurface, automorphisms) -> list:
     return [move for i, move in enumerate(moves) if find(i) == i]
 
 
+def _successors(surface: MultibranchedSurface, moves):
+    """``(move, after)`` for each of ``moves``, moves of ``surface``, built
+    one at a time as they are taken."""
+    ids = None  # every XI successor takes the same fresh ids
+    for move in moves:
+        if ids is None and not isinstance(move, IXSite):
+            ids = _xi_ids(surface)
+        yield move, _apply(surface, move, ids)[0]
+
+
+class _Side:
+    """A breadth-first frontier of states keyed by their canonical form in
+    ``mode``: one side of the equivalence search, the minor search, or
+    exhaustive spreading."""
+
+    def __init__(self, start: MultibranchedSurface,
+                 mode: SymmetryMode = SymmetryMode.ROTATIONAL):
+        key = canonical_form(start, mode).data
+        self.mode = mode
+        # state key -> (surface, parent key, move from parent)
+        self.tree: dict[bytes, tuple] = {key: (start, None, None)}
+        self.frontier: list[bytes] = [key]
+        self.depth = 0
+
+    def level(self, successors):
+        """Advance the frontier one level, yielding each new state key as it
+        is recorded; ``successors(surface)`` gives ``(move, after)`` pairs,
+        and the deadline is read after each."""
+        parents, self.frontier = self.frontier, []
+        self.depth += 1
+        for parent in parents:
+            for move, after in successors(self.tree[parent][0]):
+                _check_clock()
+                key = canonical_form(after, self.mode).data
+                if key not in self.tree:
+                    self.tree[key] = (after, parent, move)
+                    self.frontier.append(key)
+                    yield key
+
+    def chain(self, key: bytes):
+        """Surfaces and moves from the start to ``key``, as two tuples."""
+        steps = []
+        while key is not None:
+            surface, key, move = self.tree[key]
+            steps.append((surface, move))
+        surfaces, moves = zip(*reversed(steps))
+        return surfaces, moves[1:]  # the start has no move
+
+
 def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     """Apply XI-moves until every locus is non-spreadable.
 
     ``first`` takes the lexicographically least choice (locus id, then
     enumeration order) at each step.  ``exhaustive`` explores all maximal
     spreading sequences and returns the endpoint with the least canonical
-    form; :func:`all_maximal_spreadings` exposes the full set.
+    form, the first of :func:`all_maximal_spreadings`.
     Returns ``(surface, MoveRecord)``.  XI-moves are strict-only, so a
     minor-mode surface raises :class:`ModeError`.
     """
     _require_strict(surface)
     if policy == "exhaustive":
-        results = all_maximal_spreadings(surface)
-        key = lambda pair: canonical_form(pair[0], SymmetryMode.ROTATIONAL).data
-        return min(results, key=key)
+        surfaces, moves = _spreadings(surface)[0]
+        return surfaces[-1], _record(surfaces, moves)
     if policy != "first":
         raise ValueError(f"unknown policy {policy!r}")
 
@@ -462,28 +512,25 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     return surfaces[-1], _record(surfaces, moves)
 
 
+def _spreadings(surface: MultibranchedSurface):
+    """The chains ``(surfaces, moves)`` from ``surface`` to each maximally
+    spread class that XI-moves reach, one chain per rotational class, in
+    ascending canonical order: the walk of a :class:`_Side` over XI-moves
+    until its frontier empties."""
+    _require_strict(surface)
+    side = _Side(surface)
+    while side.frontier:
+        for _ in side.level(lambda s: _successors(s, _xi_choices(s, s.loci))):
+            pass
+    return [side.chain(key) for key in sorted(side.tree)
+            if is_maximally_spread_surface(side.tree[key][0])]
+
+
 def all_maximal_spreadings(surface: MultibranchedSurface):
     """All maximally spread endpoints reachable by XI-moves, one per
-    isomorphism class (rotational), each with a witnessing record."""
-    _require_strict(surface)
-    out = []
-    seen = set()  # rotational classes; having XI-moves is a class property
-    stack = [((surface,), ())]  # chains of surfaces and the moves between them
-    while stack:
-        surfaces, moves = stack.pop()
-        current = surfaces[-1]
-        key = canonical_form(current, SymmetryMode.ROTATIONAL).data
-        if key in seen:
-            continue
-        seen.add(key)
-        choices = list(_xi_choices(current, current.loci))
-        if not choices:
-            out.append((current, _record(surfaces, moves)))
-            continue
-        ids = _xi_ids(current)
-        for choice in choices:
-            stack.append((surfaces + (_apply(current, choice, ids)[0],), moves + (choice,)))
-    return out
+    rotational class in ascending canonical order, each with its record."""
+    return [(surfaces[-1], _record(surfaces, moves))
+            for surfaces, moves in _spreadings(surface)]
 
 
 def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurface:

@@ -5,13 +5,14 @@ that is stable under the move rules); a found connection is re-verified in
 the caller's requested mode before it is returned.  Running out of budget is
 an outcome, never a non-equivalence verdict.
 
-A state's successors are built for one move per orbit of the symmetries
-that its cached rotational labeling found, the first move of each orbit in
-the move order of the move layer (canonical augmentation in the sense of
-McKay's isomorph-free generation).  Any other move of an orbit gives a
-surface isomorphic to that of an earlier kept move, whose key the frontier
-already holds, so the trees, meets and records are those of applying every
-move.  :func:`neighbors` applies every move.
+Each side is a class walk of the move layer (``moves._Side``), which reads
+the deadline between successor builds.  A state's successors are built for
+one move per orbit of the symmetries that its cached rotational labeling
+found, the first move of each orbit in the move order of the move layer
+(canonical augmentation in the sense of McKay's isomorph-free generation).
+Any other move of an orbit gives a surface isomorphic to that of an earlier
+kept move, whose key the frontier already holds, so the trees, meets and
+records are those of applying every move, as :func:`neighbors` does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .algebra import homology_profile
 from .errors import TheoremViolationError
 from .isomorphism import (
     SymmetryMode,
-    _canonical,
     _check_clock,
     _time_limit,
     are_isomorphic,
@@ -35,14 +35,14 @@ from .model import (
     euler_characteristic,
 )
 from .moves import (
-    IXSite,
     MoveRecord,
     _apply,
     _carry,
     _moves,
     _orbit_moves,
     _record,
-    _xi_ids,
+    _Side,
+    _successors,
     apply_move,
     replay,
 )
@@ -79,22 +79,11 @@ class InvariantMismatch:
 SearchOutcome = Found | ExhaustedWithinBudget | InvariantMismatch
 
 
-def _successors(surface: MultibranchedSurface, moves):
-    """``(move, after)`` for each of ``moves``, moves of ``surface``."""
-    ids = None  # every XI successor takes the same fresh ids
-    successors = []
-    for move in moves:
-        if ids is None and not isinstance(move, IXSite):
-            ids = _xi_ids(surface)
-        successors.append((move, _apply(surface, move, ids)[0]))
-    return successors
-
-
 def neighbors(surface: MultibranchedSurface):
     """All one-move successors, in the move order of the move layer (IX
     sites first).  Deterministic.  The moves are defined on strict
     surfaces, so a minor-mode surface raises :class:`ModeError`."""
-    return _successors(surface, _moves(surface))
+    return list(_successors(surface, _moves(surface)))
 
 
 def _walk(surface: MultibranchedSurface, seed: int, length: int):
@@ -118,43 +107,6 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
     least 1 needs a strict surface (see :func:`neighbors`)."""
     surfaces, walk = _walk(surface, seed, length)
     return surfaces[-1], _record(surfaces, walk)
-
-
-class _Side:
-    """A breadth-first frontier of states keyed by their canonical form in
-    ``mode``: one side of the equivalence search, or the minor search."""
-
-    def __init__(self, start: MultibranchedSurface,
-                 mode: SymmetryMode = SymmetryMode.ROTATIONAL):
-        key = canonical_form(start, mode).data
-        self.mode = mode
-        # state key -> (surface, parent key, move from parent)
-        self.tree: dict[bytes, tuple] = {key: (start, None, None)}
-        self.frontier: list[bytes] = [key]
-        self.depth = 0
-
-    def level(self, successors):
-        """Advance the frontier one level, yielding each new state key as it
-        is recorded; ``successors(surface)`` gives ``(move, after)`` pairs."""
-        parents, self.frontier = self.frontier, []
-        self.depth += 1
-        for parent in parents:
-            for move, after in successors(self.tree[parent][0]):
-                _check_clock()
-                key = canonical_form(after, self.mode).data
-                if key not in self.tree:
-                    self.tree[key] = (after, parent, move)
-                    self.frontier.append(key)
-                    yield key
-
-    def chain(self, key: bytes):
-        """Surfaces and moves from the start to ``key``, as two tuples."""
-        steps = []
-        while key is not None:
-            surface, key, move = self.tree[key]
-            steps.append((surface, move))
-        surfaces, moves = zip(*reversed(steps))
-        return surfaces, moves[1:]  # the start has no move
 
 
 def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
@@ -187,8 +139,8 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     """Look for an IX/XI sequence carrying x to a surface isomorphic to y.
 
     Quick-rejects on Euler characteristic, component count and homology;
-    otherwise meets in the middle over rotational canonical hashes.  A found
-    sequence is verified by replay before it is returned.  Minor-mode
+    otherwise meets in the middle over rotational canonical-form bytes.  A
+    found sequence is verified by replay before it is returned.  Minor-mode
     surfaces that pass the quick checks raise :class:`ModeError`.
     """
     exhausted = ExhaustedWithinBudget("state or time budget exhausted")
@@ -206,10 +158,9 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
         def successors(surface):
             # one move per orbit of the symmetries that the parent's labeling
             # found: the others give a class that an earlier successor has
-            automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
-            return [(move, after) for move, after in
-                    _successors(surface, _orbit_moves(surface, automorphisms))
-                    if after.cell_count <= budget.max_cell_count]
+            return ((move, after) for move, after in
+                    _successors(surface, _orbit_moves(surface))
+                    if after.cell_count <= budget.max_cell_count)
 
         meet = None
         while meet is None:

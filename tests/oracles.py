@@ -39,12 +39,26 @@ once the seen set holds ``max_states`` states, even when no reduction is
 left that would add a new one, so a downward set of exactly ``max_states``
 states reads incomplete here.  The library must find the same chains, and
 may differ only by answering completely at that boundary.
+
+The isomorphism oracle is VF2 (``networkx``'s ``DiGraphMatcher``) on an
+incidence digraph that drops the signs, so it decides isomorphism of
+surfaces whose signs are all +1.  A region node is labelled by its topology
+and free-circle count, a locus node by its wrapping and slot count, and a
+slot node by its locus's wrapping and slot count and its region's topology;
+each slot has a ``next`` edge to the following slot of its cycle, an ``in``
+edge to its region and an ``on`` edge to its locus.  A directed cycle maps
+onto a directed cycle only by a rotation, so a match is a ROTATIONAL
+isomorphism; MIRROR also tries the mirror image of y.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from networkx import DiGraph
+from networkx.algorithms.isomorphism import DiGraphMatcher
+
+from helpers import mirror_image
 from mbs.algebra import ChainComplex, HomologyProfile, IntegerMatrix, SmithDecomposition
 from mbs.errors import TheoremViolationError, UnknownIdError
 from mbs.isomorphism import SymmetryMode, _check_clock, _Labeling, _time_limit, canonical_form
@@ -491,3 +505,33 @@ def reference_is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
             frontier = next_frontier
         return MinorOutcome(None, True)
     return MinorOutcome(None, False)
+
+
+def _incidence_digraph(surface: MultibranchedSurface) -> DiGraph:
+    graph = DiGraph()
+    for r in surface.regions:
+        free = sum(c not in surface.circle_to_slot for c in r.boundary_circles)
+        graph.add_node(("region", r.id), label=(r.topology, free))
+    for l in surface.loci:
+        k = len(l.slots)
+        graph.add_node(("locus", l.id), label=(l.wrapping, k))
+        for i, c in enumerate(l.slots):
+            region = surface.region_by_id[surface.circle_to_region[c]]
+            graph.add_node(("slot", c), label=(l.wrapping, k, region.topology))
+            graph.add_edge(("slot", c), ("slot", l.slots[(i + 1) % k]), kind="next")
+            graph.add_edge(("slot", c), ("region", region.id), kind="in")
+            graph.add_edge(("slot", c), ("locus", l.id), kind="on")
+    return graph
+
+
+def vf2_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,
+                   mode: SymmetryMode) -> bool:
+    """Whether x and y, whose signs are all +1, are isomorphic in ``mode``
+    (ROTATIONAL or MIRROR), by VF2 on their incidence digraphs."""
+    assert mode in (SymmetryMode.ROTATIONAL, SymmetryMode.MIRROR)
+    graph = _incidence_digraph(x)
+    ys = [y, mirror_image(y)] if mode is SymmetryMode.MIRROR else [y]
+    return any(DiGraphMatcher(graph, _incidence_digraph(z),
+                              node_match=lambda a, b: a["label"] == b["label"],
+                              edge_match=lambda a, b: a["kind"] == b["kind"]).is_isomorphic()
+               for z in ys)

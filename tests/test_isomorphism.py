@@ -35,7 +35,7 @@ from mbs import (
 from helpers import mirror_image, scramble
 import mbs.isomorphism
 from mbs.isomorphism import _canonical
-from oracles import reference_canonical_labelling
+from oracles import reference_canonical_labelling, vf2_isomorphic
 
 ALL_MODES = tuple(SymmetryMode)
 
@@ -433,3 +433,29 @@ def test_certificate_verify_rejects_each_tampering():
     per_locus = are_isomorphic(same, mixed, SymmetryMode.DIHEDRAL_PER_LOCUS)
     assert per_locus is not None and per_locus.verify(same, mixed)
     assert not dataclasses.replace(per_locus, mode=SymmetryMode.MIRROR).verify(same, mixed)
+
+
+def test_are_isomorphic_agrees_with_a_vf2_oracle():
+    """Each surface against its presentation scrambled, a scrambled mirror
+    image, and a slot transposition in one locus, plain and scrambled; no
+    gauge, so every sign stays +1 as the oracle needs."""
+    agreed = isomorphic = 0
+    for s in range(1, 91):
+        x = random_surface(s, 8 + s % 28)
+        assert all(sign == 1 for l in x.loci for sign in l.signs)
+        ys = [scramble(x, s, gauge=False), scramble(mirror_image(x), s, gauge=False)]
+        locus = next((l for l in x.loci if len(l.slots) >= 3), None)
+        if locus is not None:
+            swapped = BranchLocus(locus.id, locus.wrapping,
+                                  (locus.slots[1], locus.slots[0]) + locus.slots[2:],
+                                  locus.signs)
+            transposed = MultibranchedSurface(
+                x.regions, tuple(swapped if l is locus else l for l in x.loci), x.mode)
+            ys += [transposed, scramble(transposed, s, gauge=False)]
+        for y in ys:
+            for mode in (SymmetryMode.ROTATIONAL, SymmetryMode.MIRROR):
+                want = vf2_isomorphic(x, y, mode)
+                assert (are_isomorphic(x, y, mode) is not None) == want, (s, mode)
+                agreed += 1
+                isomorphic += want
+    assert agreed > 600 and 0.6 * agreed < isomorphic < 0.95 * agreed

@@ -15,7 +15,7 @@ from mbs.io import move_to_document, record_to_document, serialize
 from mbs.moves import all_maximal_spreadings
 from mbs.search import neighbors
 
-GOLDEN_DIGEST = "ee1c0377d8dca3e2fd0e16c2ef5f473049b37f62f74c5a44630dee38ca47de44"
+GOLDEN_DIGEST = "e44b1ae421ddfbad57ed257d3c9cf5abc49e7d24c1b58ec21990e59ac868d534"
 
 
 def golden_corpus():

@@ -116,8 +116,8 @@ def test_one_move_per_orbit_reaches_every_class():
             for move in key:
                 image = mbs.moves._image(move, surface, all_regions, all_loci)
                 assert key[image] == key[move], (surface, move, image)
-        moves = _orbit_moves(surface, automorphisms)
-        successors = mbs.search._successors(surface, moves)
+        moves = _orbit_moves(surface)
+        successors = mbs.moves._successors(surface, moves)
         assert {canonical_form(after, SymmetryMode.ROTATIONAL).data
                 for _, after in successors} == set(key.values())
         assert moves == [move for move in key if move in moves]  # move order
@@ -143,7 +143,7 @@ def test_pruned_search_matches_the_unpruned_search(monkeypatch):
     outcomes = []
     for x, y, budget, mode in cases:
         got = search_equivalence(x, y, budget, mode)
-        monkeypatch.setattr(mbs.search, "_orbit_moves", lambda surface, _: list(_moves(surface)))
+        monkeypatch.setattr(mbs.search, "_orbit_moves", lambda surface: list(_moves(surface)))
         want = search_equivalence(x, y, budget, mode)
         monkeypatch.undo()
         assert got == want, (x, y)
@@ -330,7 +330,8 @@ def test_time_limit_is_read_before_each_labelling(monkeypatch):
         return plain(surface, mode)
 
     # one labelling passes the deadline; the next three must not run
-    monkeypatch.setattr(mbs.search, "canonical_form", slow_form)
+    for module in (mbs.search, mbs.moves):  # the quick check and the sides
+        monkeypatch.setattr(module, "canonical_form", slow_form)
     began = time.monotonic()
     outcome = search_equivalence(start, walked, budget)
     assert isinstance(outcome, ExhaustedWithinBudget)
@@ -359,6 +360,27 @@ def test_time_limit_holds_through_chain_inversion(monkeypatch):
     outcome = search_equivalence(start, walked, budget)
     assert inverting
     assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
+
+
+def test_time_limit_is_read_between_successor_builds(monkeypatch):
+    x = random_surface(5, 30)
+    y = random_walk(x, 1, 2)[0]
+    assert len(_orbit_moves(x)) >= 20  # x is expanded first
+
+    def slowed(build):
+        def slow(*args):
+            time.sleep(0.05)
+            return build(*args)
+        return slow
+
+    # every successor build takes 0.05 s, so building all successors of x
+    # before the first deadline check would take at least 1 s
+    for name in ("_splice", "_xi"):
+        monkeypatch.setattr(mbs.moves, name, slowed(getattr(mbs.moves, name)))
+    began = time.monotonic()
+    outcome = search_equivalence(x, y, SearchBudget(time_limit=0.1))
+    assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
+    assert time.monotonic() - began < 0.1 + 2 * 0.05 + 0.05
 
 
 @pytest.fixture(scope="module")
