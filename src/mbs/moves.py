@@ -516,8 +516,7 @@ def _spreadings(surface: MultibranchedSurface):
     """The chains ``(surfaces, moves)`` from ``surface`` to each maximally
     spread class that XI-moves reach, one chain per rotational class, in
     ascending canonical order: the walk of a :class:`_Side` over XI-moves
-    until its frontier empties."""
-    _require_strict(surface)
+    until its frontier empties.  The caller checks the mode."""
     side = _Side(surface)
     while side.frontier:
         for _ in side.level(lambda s: _successors(s, _xi_choices(s, s.loci))):
@@ -529,6 +528,7 @@ def _spreadings(surface: MultibranchedSurface):
 def all_maximal_spreadings(surface: MultibranchedSurface):
     """All maximally spread endpoints reachable by XI-moves, one per
     rotational class in ascending canonical order, each with its record."""
+    _require_strict(surface)
     return [(surfaces[-1], _record(surfaces, moves))
             for surfaces, moves in _spreadings(surface)]
 

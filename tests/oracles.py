@@ -55,9 +55,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from networkx import DiGraph
-from networkx.algorithms.isomorphism import DiGraphMatcher
-
 from helpers import mirror_image
 from mbs.algebra import ChainComplex, HomologyProfile, IntegerMatrix, SmithDecomposition
 from mbs.errors import TheoremViolationError, UnknownIdError
@@ -507,7 +504,9 @@ def reference_is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
     return MinorOutcome(None, False)
 
 
-def _incidence_digraph(surface: MultibranchedSurface) -> DiGraph:
+def _incidence_digraph(surface: MultibranchedSurface):
+    from networkx import DiGraph
+
     graph = DiGraph()
     for r in surface.regions:
         free = sum(c not in surface.circle_to_slot for c in r.boundary_circles)
@@ -528,6 +527,8 @@ def vf2_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,
                    mode: SymmetryMode) -> bool:
     """Whether x and y, whose signs are all +1, are isomorphic in ``mode``
     (ROTATIONAL or MIRROR), by VF2 on their incidence digraphs."""
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
     assert mode in (SymmetryMode.ROTATIONAL, SymmetryMode.MIRROR)
     graph = _incidence_digraph(x)
     ys = [y, mirror_image(y)] if mode is SymmetryMode.MIRROR else [y]

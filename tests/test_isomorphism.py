@@ -439,6 +439,7 @@ def test_are_isomorphic_agrees_with_a_vf2_oracle():
     """Each surface against its presentation scrambled, a scrambled mirror
     image, and a slot transposition in one locus, plain and scrambled; no
     gauge, so every sign stays +1 as the oracle needs."""
+    pytest.importorskip("networkx")
     agreed = isomorphic = 0
     for s in range(1, 91):
         x = random_surface(s, 8 + s % 28)
