@@ -8,6 +8,8 @@ class MbsError(Exception):
 class UnknownIdError(MbsError, KeyError):
     """A region, locus or circle identifier does not exist in the surface."""
 
+    __str__ = Exception.__str__  # the plain message, which KeyError would quote
+
 
 class ModeError(MbsError, ValueError):
     """An operation was applied to a surface in the wrong validity mode."""

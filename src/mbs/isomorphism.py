@@ -43,13 +43,13 @@ the cycle alignments, and the flips are where the two potentials (or, for a
 circle of a non-orientable region, the two literal signs) differ.
 
 The same pairing of two leaves of one search with equal codes is a symmetry
-of the surface (McKay and Piperno find automorphisms the same way): each
-locus goes to the locus at its position in the other leaf, rotated by the
-difference of the two starts, and each region to the region of the same
-number.  The labeling keeps these as generators when they move something
-and reverse no locus.  They generate a subgroup of the rotational
-automorphisms, since the pruned subtrees hold leaves that are never met;
-the search uses them to apply one move per orbit.
+of the surface (McKay and Piperno find automorphisms the same way), and
+the labeling keeps it in the certificate's shape: a region map, a locus map
+and a cycle alignment, each locus aligned by the difference of the two
+starts.  It keeps these as generators when they move something and reverse
+no locus.  They generate a subgroup of the rotational automorphisms, since
+the pruned subtrees hold leaves that are never met; the search uses them to
+apply one move per orbit.
 """
 
 from __future__ import annotations
@@ -122,17 +122,17 @@ class _Labeling:
 
     ``automorphisms`` holds the symmetries that tied leaves gave (see the
     module docstring), which take no part in comparing labelings.  A
-    generator ``(loci, regions)`` sends locus ``a`` to ``b`` and its slot
-    ``i`` to slot ``(i + offset) % k`` of ``b`` where ``loci[a]`` is
-    ``(b, offset)``, and region ``r`` to ``regions[r]``; loci and regions
-    it does not list stay fixed, and so does every other component.
+    generator ``(region_map, locus_map, locus_alignment)`` reads as the
+    maps of a ROTATIONAL :class:`IsoCertificate` from the surface to
+    itself, but lists only the regions and loci it moves; every other one
+    stays fixed.
     """
 
     code: tuple[int, ...]
     locus_seq: tuple[tuple[str, int, int, int], ...]  # (id, rotation, direction, p_locus)
     region_number: dict
     p_region: dict
-    automorphisms: tuple[tuple[dict, dict], ...] = field(default=(), compare=False)
+    automorphisms: tuple[tuple[dict, dict, dict], ...] = field(default=(), compare=False)
 
     @cached_property
     def body(self) -> bytes:
@@ -162,18 +162,18 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
     def pair_leaves(seq_a, numbers_a, seq_b, numbers_b):
         """Keep the symmetry that pairs two leaves with equal codes position
         by position, unless it is the identity or reverses a locus."""
-        loci = {}
+        locus_map, alignment = {}, {}
         for (a, rot_a, dir_a, _), (b, rot_b, dir_b, _) in zip(seq_a, seq_b):
             if dir_a != dir_b:
                 return
-            offset = (rot_b - rot_a) % len(surface.locus_by_id[a].slots)
+            offset = (rot_a - rot_b) % len(surface.locus_by_id[a].slots)
             if a != b or offset:
-                loci[a] = (b, offset)
+                locus_map[a], alignment[a] = b, (offset, False)
         region_of = {n: rid for rid, n in numbers_b.items()}
-        regions = {rid: region_of[n] for rid, n in numbers_a.items() if region_of[n] != rid}
-        if loci or regions:
-            automorphisms.setdefault((tuple(loci.items()), tuple(regions.items())),
-                                     (loci, regions))
+        region_map = {r: region_of[n] for r, n in numbers_a.items() if region_of[n] != r}
+        if alignment or region_map:
+            generator = (region_map, locus_map, alignment)
+            automorphisms.setdefault(tuple(tuple(m.items()) for m in generator), generator)
 
     def block_of(locus, rot, direction, region_number, p_region):
         """The block of ``locus`` read from ``rot`` in ``direction``, the

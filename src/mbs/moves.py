@@ -31,15 +31,16 @@ One engine applies moves: ``_apply(surface, move)`` applies a move that
 the move layer has just offered for that same surface, without checks, and
 returns the result with the move that undoes it.  A move derived any other
 way (read from a record or a file, or carried through a certificate by
-``_carry``) goes through the one checked gate, ``_checked``.  ``_record``
+``_image``) goes through the one checked gate, ``_checked``.  ``_record``
 alone turns a chain of surfaces and moves into a ``MoveRecord``.
 
 ``_image`` is the one statement of how a move changes under a rotational
-isomorphism: a certificate's (``_carry``) or a symmetry of the surface's.
-``_orbit_moves`` groups the moves of a surface into orbits under the
-symmetries of its labeling and keeps the first move of each.  ``_Side`` is
-the one walk over classes: a breadth-first frontier keyed by canonical form
-that ``_successors`` feeds lazily, for both searches and exhaustive spreading.
+isomorphism, given as an ``IsoCertificate``'s maps: a certificate's, or
+those of a symmetry that the labeling found.  ``_orbit_moves`` groups the
+moves of a surface into orbits under those symmetries and keeps the first
+move of each.  ``_Side`` is the one walk over classes: a breadth-first
+frontier keyed by canonical form that ``_successors`` feeds lazily, for
+both searches and exhaustive spreading.
 """
 
 from __future__ import annotations
@@ -328,30 +329,21 @@ def apply_move(surface: MultibranchedSurface, move: MoveDescriptor) -> Multibran
 apply_ix = apply_xi = apply_move
 
 
-def _image(move, surface: MultibranchedSurface, regions, loci):
-    """``move`` of ``surface`` under a rotational isomorphism that sends a
-    region id ``r`` to ``regions[r]``, and a locus id to ``(image, shift)``
-    in ``loci``: a slot or gap index ``i`` of a locus of k slots goes to
-    ``(i + shift) % k``, and a gap pair is re-sorted."""
+def _image(move, surface: MultibranchedSurface, region_map, locus_map, alignment):
+    """``move`` of ``surface`` under a rotational isomorphism given as the
+    maps of an :class:`IsoCertificate` from ``surface``: the image of a
+    locus shows slot ``(offset + j) % k`` at slot ``j``, so a slot or gap
+    index ``i`` goes to ``(i - offset) % k``, and a gap pair is re-sorted."""
     if isinstance(move, IXSite):
-        return IXSite(regions[move.region_id], move.kind)
+        return IXSite(region_map[move.region_id], move.kind)
     k = len(surface.locus(move.locus_id).slots)
-    locus_id, shift = loci[move.locus_id]
+    locus_id, (offset, _) = locus_map[move.locus_id], alignment[move.locus_id]
     if isinstance(move, NormalSplit):
-        return NormalSplit(locus_id, *sorted(((move.gap_a + shift) % k,
-                                              (move.gap_b + shift) % k)))
+        return NormalSplit(locus_id, *sorted(((move.gap_a - offset) % k,
+                                              (move.gap_b - offset) % k)))
     if isinstance(move, QuasiSplit):
-        return QuasiSplit(locus_id, (move.start + shift) % k, move.length)
-    return MoebiusSplit(locus_id, (move.cut_gap + shift) % k)
-
-
-def _carry(move, cert, surface: MultibranchedSurface):
-    """``move`` of ``surface`` carried through the ROTATIONAL certificate
-    ``cert`` from ``surface``, which shows slot ``(offset + j) % k`` of a
-    locus at slot ``j`` of its image: the shift is ``-offset``."""
-    loci = {l: (cert.locus_map[l], -offset)
-            for l, (offset, _) in cert.locus_alignment.items()}
-    return _image(move, surface, cert.region_map, loci)
+        return QuasiSplit(locus_id, (move.start - offset) % k, move.length)
+    return MoebiusSplit(locus_id, (move.cut_gap - offset) % k)
 
 
 def is_maximally_spread_region(surface: MultibranchedSurface, region_id: str) -> bool:
@@ -385,19 +377,19 @@ def spread_potential(surface: MultibranchedSurface) -> int:
     return total
 
 
-def _xi_choices(surface: MultibranchedSurface, loci):
-    """The XI choices of ``loci``, locus by locus: spreading goes on
-    exactly where this offers one."""
-    for l in loci:
+def _xi_choices(surface: MultibranchedSurface):
+    """The XI choices by locus id and enumeration order, in any order of
+    ``loci``: spreading goes on exactly where this offers one."""
+    for l in sorted(surface.loci, key=lambda l: l.id):
         yield from enumerate_xi(surface, l.id)
 
 
 def _moves(surface: MultibranchedSurface):
     """Every move of a strict surface in the one order that the search,
     random walks, ``mbs moves list`` and spreading share: IX sites by region
-    id, then XI choices by locus id and enumeration order."""
+    id, then the XI choices of :func:`_xi_choices`."""
     yield from enumerate_ix(surface)
-    yield from _xi_choices(surface, sorted(surface.loci, key=lambda l: l.id))
+    yield from _xi_choices(surface)
 
 
 def _orbit_moves(surface: MultibranchedSurface) -> list:
@@ -418,13 +410,13 @@ def _orbit_moves(surface: MultibranchedSurface) -> list:
             i = root[i]
         return i
 
-    for loci, regions in automorphisms:
+    for region_map, locus_map, alignment in automorphisms:
         for i, move in enumerate(moves):
-            fixed = move.region_id not in regions if isinstance(move, IXSite) \
-                else move.locus_id not in loci
+            fixed = move.region_id not in region_map if isinstance(move, IXSite) \
+                else move.locus_id not in locus_map
             if fixed:
                 continue
-            j = index.get(_image(move, surface, regions, loci))
+            j = index.get(_image(move, surface, region_map, locus_map, alignment))
             if j is None:  # pragma: no cover - an automorphism keeps the moves
                 raise TheoremViolationError(f"a symmetry of the surface does not keep {move}")
             a, b = find(i), find(j)
@@ -502,7 +494,7 @@ def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     surfaces, moves = [surface], []
     while True:
         current = surfaces[-1]
-        choice = next(_xi_choices(current, sorted(current.loci, key=lambda l: l.id)), None)
+        choice = next(_xi_choices(current), None)
         if choice is None:
             break
         moves.append(choice)
@@ -519,7 +511,7 @@ def _spreadings(surface: MultibranchedSurface):
     until its frontier empties.  The caller checks the mode."""
     side = _Side(surface)
     while side.frontier:
-        for _ in side.level(lambda s: _successors(s, _xi_choices(s, s.loci))):
+        for _ in side.level(lambda s: _successors(s, _xi_choices(s))):
             pass
     return [side.chain(key) for key in sorted(side.tree)
             if is_maximally_spread_surface(side.tree[key][0])]

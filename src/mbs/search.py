@@ -37,7 +37,7 @@ from .model import (
 from .moves import (
     MoveRecord,
     _apply,
-    _carry,
+    _image,
     _moves,
     _orbit_moves,
     _record,
@@ -114,9 +114,9 @@ def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
     ``meet_surface``, a surface in the meet class, down to the target class.
 
     The chain is walked backwards, and each move's inverse is the undo
-    ``_apply`` names.  The undo is a move of the y-side surface; one
-    ROTATIONAL certificate from that surface to the current one carries it
-    over, and the carried move goes through the checked ``apply_move``.
+    ``_apply`` names.  The undo is a move of the y-side surface; ``_image``
+    carries it through one ROTATIONAL certificate from that surface to the
+    current one, and the carried move goes through the checked ``apply_move``.
     Returns the surfaces after ``meet_surface`` and the moves, as two tuples.
     """
     surfaces, moves = [], []
@@ -127,7 +127,8 @@ def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
         _check_clock()
         if cert is None:  # pragma: no cover - each step keeps the class
             raise TheoremViolationError("backward chain left the class of its surface")
-        moves.append(_carry(undo, cert, backward_surfaces[i + 1]))
+        moves.append(_image(undo, backward_surfaces[i + 1], cert.region_map,
+                            cert.locus_map, cert.locus_alignment))
         current = apply_move(current, moves[-1])
         surfaces.append(current)
     return tuple(surfaces), tuple(moves)

@@ -7,6 +7,7 @@ import pytest
 
 import mbs.algebra
 from mbs import (
+    ANNULUS,
     BranchLocus,
     HomologyProfile,
     IntegerMatrix,
@@ -193,6 +194,24 @@ def test_d1_d2_compose_to_zero():
         surface = random_surface(seed, 3 + seed % 22)
         cx = build_chain_complex(surface)
         assert (cx.d1 @ cx.d2).is_zero()
+
+
+def test_chain_complex_with_a_free_loop():
+    """An unattached boundary circle gets a free loop ``f.<circle>`` that
+    bounds its region's 2-cell."""
+    surface = MultibranchedSurface(
+        (Region("r1", ANNULUS, ("a", "free")),
+         Region("r2", RegionTopology(True, 1, 1), ("b",))),
+        (BranchLocus("L", 2, ("a", "b")),), ValidityMode.MINOR)
+    assert validate(surface) == []
+    cx = build_chain_complex(surface)
+    assert "f.free" in cx.one_cells
+    assert matrix_as_dict(cx)[("f.free", "F.r1")] == 1
+    assert cx == reference_chain_complex(surface)
+    assert (cx.d1 @ cx.d2).is_zero()
+    profile = homology_profile(surface)
+    assert profile == reference_homology_profile(surface)
+    assert profile.group_text(1) == "Z^2 + Z/2"
 
 
 def test_fixture_homology(theta3, mb, qn):

@@ -461,6 +461,10 @@ def test_cli_gen_theta_and_rand(tmp_path, capsys, theta3):
     assert code == 0
     assert parse(json.dumps(doc)) == theta3
     jsonschema.validate(doc, load_schema("surface.schema.json"))
+    # theta(2) breaks only the strict degree rule
+    code, doc = run(capsys, "gen", "theta", "--n", "2", "--mode", "minor")
+    assert code == 0 and doc["mode"] == "minor"
+    assert parse(json.dumps(doc)) == theta(2, ValidityMode.MINOR)
 
     code, doc = run(capsys, "rand", "--seed", "5", "--size", "12")
     assert code == 0
@@ -515,6 +519,24 @@ def test_cli_rand_negative_length_is_usage_error(capsys):
 def test_cli_gen_invalid_params(capsys):
     code = main(["gen", "theta", "--n", "2"])
     assert code == 2
+    capsys.readouterr()
+    code = main(["rand", "--seed", "1", "--size", "0", "--mode", "minor"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: size_budget must be >= 1\n"
+
+
+@pytest.mark.parametrize("move, message", [
+    ({"move": "ix", "region": "nope", "kind": "normal_annulus"}, "unknown region 'nope'"),
+    ({"move": "xi", "variant": "normal_split", "locus": "zz", "gap_a": 0, "gap_b": 2},
+     "unknown locus 'zz'"),
+], ids=["region", "locus"])
+def test_cli_unknown_id_error_is_not_quoted(tmp_path, capsys, move, message):
+    path = write(tmp_path, "t4.json", theta(4))
+    code = main(["moves", "apply", path, json.dumps(move)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_schema_error_exit(tmp_path, capsys):

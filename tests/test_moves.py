@@ -340,6 +340,19 @@ def test_all_maximal_spreadings_come_in_canonical_order():
     assert digest.hexdigest() == SPREAD_DIGEST
 
 
+def test_spreading_records_do_not_depend_on_the_order_of_loci():
+    # both policies take XI choices by locus id, so listing the loci in
+    # reverse changes no record
+    starts = [theta(4), theta(5)] + [random_surface(t, 10 + t % 16)
+                                     for t in (5, 8, 20, 24, 26, 38, 39, 40)]
+    for start in starts:
+        reordered = MultibranchedSurface(start.regions, start.loci[::-1], start.mode)
+        assert maximally_spread(reordered, "exhaustive")[1] == \
+            maximally_spread(start, "exhaustive")[1]
+        assert [record for _, record in all_maximal_spreadings(reordered)] == \
+            [record for _, record in all_maximal_spreadings(start)]
+
+
 def test_fresh_ids_continue_from_largest_suffix():
     taken = {"c3", "c10", "cx", "r1.a"}
     assert _fresh_ids("c", taken, 2) == ["c11", "c12"]

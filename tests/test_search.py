@@ -101,20 +101,23 @@ def test_one_move_per_orbit_reaches_every_class():
         key = {move: canonical_form(after, SymmetryMode.ROTATIONAL).data
                for move, after in neighbors(surface)}
         automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
-        for loci, regions in automorphisms:
-            all_regions = {r.id: regions.get(r.id, r.id) for r in surface.regions}
-            all_loci = {l.id: loci.get(l.id, (l.id, 0)) for l in surface.loci}
-            for locus in surface.loci:  # slot i of a locus goes to slot i + shift
-                image, shift = all_loci[locus.id]
-                target = surface.locus(image)
+        for region_map, locus_map, alignment in automorphisms:
+            assert locus_map.keys() == alignment.keys()
+            all_regions = {r.id: region_map.get(r.id, r.id) for r in surface.regions}
+            all_loci = {l.id: locus_map.get(l.id, l.id) for l in surface.loci}
+            all_alignment = {l.id: alignment.get(l.id, (0, False)) for l in surface.loci}
+            for locus in surface.loci:  # slot j of the image shows slot offset + j
+                target = surface.locus(all_loci[locus.id])
+                offset, reversed_ = all_alignment[locus.id]
+                assert not reversed_
                 assert target.wrapping == locus.wrapping
                 assert len(target.slots) == len(locus.slots)
-                for i, c in enumerate(locus.slots):
-                    c_image = target.slots[(i + shift) % len(locus.slots)]
+                for j, c_image in enumerate(target.slots):
+                    c = locus.slots[(offset + j) % len(locus.slots)]
                     assert all_regions[surface.circle_to_region[c]] == \
                         surface.circle_to_region[c_image]
             for move in key:
-                image = mbs.moves._image(move, surface, all_regions, all_loci)
+                image = mbs.moves._image(move, surface, all_regions, all_loci, all_alignment)
                 assert key[image] == key[move], (surface, move, image)
         moves = _orbit_moves(surface)
         successors = mbs.moves._successors(surface, moves)
