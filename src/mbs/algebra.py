@@ -16,8 +16,9 @@ rank nor invariant factors.  So homology builds one row per locus loop and
 at most one crosscap row and one free-loop row per region, and counts cells
 by arithmetic: its cost does not grow with genus.  Each row meets the
 regions of one connected component only, so ``d2`` is block-diagonal by
-component: each block is reduced on its own, the ranks add up, and the
-blocks' invariant factors merge into one divisibility chain through
+component: homology builds each block from one component's own loci and
+regions and reduces it on its own, the ranks add up, and the blocks'
+invariant factors merge into one divisibility chain through
 ``diag(a, b) ~ diag(gcd, lcm)``.
 """
 
@@ -306,44 +307,38 @@ def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
     """Integral homology of the complex, from the rows of ``d2`` that can
     change it (see the module docstring) and cell counts by arithmetic.
 
-    Each component's block, over the columns its rows name, goes through
-    its own Smith normal form.  ``rank d2`` is the sum of the block ranks,
-    and the torsion of H1 is the blocks' invariant factors merged into one
+    Each component's block, one column per region, goes through its own
+    Smith normal form.  ``rank d2`` is the sum of the block ranks, and the
+    torsion of H1 is the blocks' invariant factors merged into one
     divisibility chain.  A bounded search's deadline is read before each block.
     """
-    loci, regions = surface.loci, surface.regions
-    locus_row = {l.id: i for i, l in enumerate(loci)}
-    rows: list[dict[int, int]] = [{} for _ in loci]  # locus loops, summed below
-    n0, n1, n2 = len(loci) + len(regions), len(loci), len(regions)
-    for j, r in enumerate(regions):
-        genus, free = r.topology.genus, False
-        n1 += len(r.boundary_circles) + (2 * genus if r.topology.orientable else genus)
-        if genus and not r.topology.orientable:
-            rows.append({j: 2})
-        for c in r.boundary_circles:
-            slot = surface.circle_to_slot.get(c)
-            if slot is None:
-                free = True
-            else:
-                i = locus_row[slot[0]]
-                rows[i][j] = rows[i].get(j, 0) + loci[i].signs[slot[1]] * loci[i].wrapping
-        if free:
-            rows.append({j: 1})
     parts = surface.components
-    part_of = {r.id: k for k, (part, _) in enumerate(parts) for r in part}
-    blocks: dict[int, list] = {}
-    for row in rows:
-        if any(row.values()):
-            blocks.setdefault(part_of[regions[next(iter(row))].id], []).append(row)
-    r1, r2, factors = n0 - len(parts), 0, []
-    for block in blocks.values():
+    n1, n2 = len(surface.loci), len(surface.regions)
+    r1, r2, factors = n1 + n2 - len(parts), 0, []  # rank d1 = vertices - components
+    for regions, loci in parts:
+        locus_row = {l.id: i for i, l in enumerate(loci)}
+        rows: list[dict[int, int]] = [{} for _ in loci]  # locus loops, summed below
+        for j, r in enumerate(regions):
+            genus, free = r.topology.genus, False
+            n1 += len(r.boundary_circles) + (2 * genus if r.topology.orientable else genus)
+            if genus and not r.topology.orientable:
+                rows.append({j: 2})
+            for c in r.boundary_circles:
+                slot = surface.circle_to_slot.get(c)
+                if slot is None:
+                    free = True
+                else:
+                    i = locus_row[slot[0]]
+                    rows[i][j] = rows[i].get(j, 0) + loci[i].signs[slot[1]] * loci[i].wrapping
+            if free:
+                rows.append({j: 1})
         _check_clock()
-        cols = sorted({j for row in block for j in row})
         snf = smith_normal_form(IntegerMatrix(tuple(
-            tuple(row.get(j, 0) for j in cols) for row in block)))
+            tuple(row.get(j, 0) for j in range(len(regions)))
+            for row in rows if any(row.values()))))
         r2 += snf.rank
         factors += snf.invariant_factors
-    betti = (n0 - r1, (n1 - r1) - r2, n2 - r2)
+    betti = (len(parts), (n1 - r1) - r2, n2 - r2)
     return HomologyProfile(betti=betti, torsion=((), _divisibility_chain(factors), ()))
 
 

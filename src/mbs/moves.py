@@ -36,9 +36,9 @@ alone turns a chain of surfaces and moves into a ``MoveRecord``.
 
 ``_image`` is the one statement of how a move changes under a rotational
 isomorphism, given as an ``IsoCertificate``'s maps: a certificate's, or
-those of a symmetry that the labeling found.  ``_orbit_moves`` groups the
-moves of a surface into orbits under those symmetries and keeps the first
-move of each.  ``_Side`` is the one walk over classes: a breadth-first
+those of a symmetry that the labeling found.  ``_orbit_moves`` walks the
+moves of a surface in order, keeps each one not yet seen and closes its
+orbit under those symmetries.  ``_Side`` is the one walk over classes: a breadth-first
 frontier keyed by canonical form that ``_successors`` feeds lazily, for
 both searches and exhaustive spreading.
 """
@@ -124,11 +124,16 @@ class MoveRecord:
 
 def _fresh_ids(prefix: str, taken, count: int) -> list[str]:
     """``count`` ids ``prefix<n>`` numbered on from the largest numeric
-    suffix among the ``taken`` ids with that prefix."""
+    suffix among the ``taken`` ids with that prefix, or from ``10 ** width``,
+    above every suffix, where ``int()`` cannot read or write such numbers."""
     n = len(prefix)
-    best = max((int(t[n:]) for t in taken if t.startswith(prefix) and t[n:].isdecimal()),
-               default=0)
-    return [f"{prefix}{best + i}" for i in range(1, count + 1)]
+    suffixes = [t[n:] for t in taken if t.startswith(prefix) and t[n:].isdecimal()]
+    try:
+        best = max(map(int, suffixes), default=0)
+        return [f"{prefix}{best + i}" for i in range(1, count + 1)]
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        width = max(map(len, suffixes))
+        return [f"{prefix}1{i:0{width}d}" for i in range(1, count + 1)]
 
 
 def _arc(locus: BranchLocus, start: int, length: int,
@@ -395,33 +400,31 @@ def _moves(surface: MultibranchedSurface):
 def _orbit_moves(surface: MultibranchedSurface) -> list:
     """The first move, in :func:`_moves` order, of each orbit of the moves
     of ``surface`` under the generators of its cached rotational labeling
-    (which fix what they do not list).  Moves of one orbit give isomorphic
-    surfaces, so one per orbit reaches every class that all moves reach."""
+    (which fix what they do not list): each move not yet seen is kept and
+    its orbit closed breadth-first through :func:`_image`.  Moves of one
+    orbit give isomorphic surfaces, so one per orbit reaches every class
+    that all moves reach."""
     moves = list(_moves(surface))
     automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
     if not automorphisms:
         return moves
-    index = {move: i for i, move in enumerate(moves)}
-    root = list(range(len(moves)))  # union-find; each orbit's root is its first move
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for region_map, locus_map, alignment in automorphisms:
-        for i, move in enumerate(moves):
-            fixed = move.region_id not in region_map if isinstance(move, IXSite) \
-                else move.locus_id not in locus_map
-            if fixed:
-                continue
-            j = index.get(_image(move, surface, region_map, locus_map, alignment))
-            if j is None:  # pragma: no cover - an automorphism keeps the moves
-                raise TheoremViolationError(f"a symmetry of the surface does not keep {move}")
-            a, b = find(i), find(j)
-            root[max(a, b)] = min(a, b)
-    return [move for i, move in enumerate(moves) if find(i) == i]
+    offered, seen, kept = set(moves), set(), []
+    for first in (move for move in moves if move not in seen):  # reads seen as it grows
+        kept.append(first)
+        seen.add(first)
+        orbit = [first]  # read while it grows: breadth-first
+        for move in orbit:
+            for region_map, locus_map, alignment in automorphisms:
+                if (move.region_id not in region_map if isinstance(move, IXSite)
+                        else move.locus_id not in locus_map):
+                    continue
+                image = _image(move, surface, region_map, locus_map, alignment)
+                if image not in offered:  # pragma: no cover - an automorphism keeps the moves
+                    raise TheoremViolationError(f"a symmetry of the surface does not keep {move}")
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return kept
 
 
 def _successors(surface: MultibranchedSurface, moves):

@@ -32,6 +32,12 @@ in move order, that lands in the class of the surface before it.  It reads
 no move of the chain, so it checks the inversion that reads each inverse
 off its move and carries it through a certificate.
 
+The orbit oracle is the library's earlier one-move-per-orbit pruning, kept
+verbatim: it indexes every move, unions each move with its image under
+each generator of the rotational labelling in a union-find whose roots are
+the first moves of their orbits, and keeps the roots.  The library's
+breadth-first orbit walk must keep the same moves in the same order.
+
 The minor search oracle is the library's earlier ``is_minor`` loop, kept
 verbatim: its own frontier and seen set, each state carrying its chain, and
 the state budget tested before every reduction it tries.  That test fires
@@ -58,9 +64,17 @@ from math import gcd
 from helpers import mirror_image
 from mbs.algebra import ChainComplex, HomologyProfile, IntegerMatrix, SmithDecomposition
 from mbs.errors import TheoremViolationError, UnknownIdError
-from mbs.isomorphism import SymmetryMode, _check_clock, _Labeling, _time_limit, canonical_form
+from mbs.isomorphism import (
+    SymmetryMode,
+    _canonical,
+    _check_clock,
+    _Labeling,
+    _time_limit,
+    canonical_form,
+)
 from mbs.minors import MinorOutcome, _require_minor, apply_reduction, enumerate_reductions
 from mbs.model import MultibranchedSurface, connected_components
+from mbs.moves import IXSite, _image, _moves
 from mbs.search import SearchBudget, neighbors
 
 
@@ -463,6 +477,37 @@ def reference_invert_backward_chain(meet_surface, backward_surfaces, backward_mo
         else:
             raise TheoremViolationError("backward chain step has no reverse move")
     return tuple(surfaces), tuple(moves)
+
+
+def reference_orbit_moves(surface: MultibranchedSurface) -> list:
+    """The first move, in ``_moves`` order, of each orbit of the moves of
+    ``surface`` under the generators of its rotational labelling, by
+    union-find over the indexed moves."""
+    moves = list(_moves(surface))
+    automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
+    if not automorphisms:
+        return moves
+    index = {move: i for i, move in enumerate(moves)}
+    root = list(range(len(moves)))  # union-find; each orbit's root is its first move
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for region_map, locus_map, alignment in automorphisms:
+        for i, move in enumerate(moves):
+            fixed = move.region_id not in region_map if isinstance(move, IXSite) \
+                else move.locus_id not in locus_map
+            if fixed:
+                continue
+            j = index.get(_image(move, surface, region_map, locus_map, alignment))
+            if j is None:
+                raise TheoremViolationError(f"a symmetry of the surface does not keep {move}")
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)
+    return [move for i, move in enumerate(moves) if find(i) == i]
 
 
 def reference_is_minor(x: MultibranchedSurface, y: MultibranchedSurface,

@@ -373,6 +373,27 @@ def test_homology_matches_single_reduction():
         assert homology_profile(surface) == reference_homology_profile(surface)
 
 
+def test_homology_matches_single_reduction_on_edge_blocks():
+    """Components whose block is empty or has a zero column: closed regions
+    with no locus, a closing annulus whose locus row cancels to zero, the
+    empty surface, and a union of them with an ordinary piece."""
+    minor = ValidityMode.MINOR
+    closed = MultibranchedSurface((Region("s", RegionTopology(True, 2, 0), ()),
+                                   Region("k", RegionTopology(False, 3, 0), ())), (), minor)
+    cancel = MultibranchedSurface((Region("A", ANNULUS, ("A.a", "A.b")),),
+                                  (BranchLocus("b1", 3, ("A.a", "A.b"), (1, -1)),), minor)
+    zero_column = MultibranchedSurface(
+        (Region("A", ANNULUS, ("A.a", "A.b")), Region("M", RegionTopology(False, 1, 1), ("M.a",))),
+        (BranchLocus("b1", 2, ("A.a", "A.b", "M.a"), (1, -1, 1)),), minor)
+    empty = MultibranchedSurface((), (), minor)
+    union = join(join(join(join(cancel, closed, "x"), zero_column, "y"), empty, "z"),
+                 theta(3, minor), "t")
+    for surface in (closed, cancel, zero_column, empty, MultibranchedSurface((), ()), union):
+        assert validate(surface) == []
+        assert homology_profile(surface) == reference_homology_profile(surface)
+    assert homology_profile(cancel) == HomologyProfile((1, 2, 1), ((), (), ()))
+
+
 def test_homology_reduces_each_component_alone(monkeypatch):
     surface = union_of_random_pieces(20)
     parts = surface.components

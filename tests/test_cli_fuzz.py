@@ -21,7 +21,7 @@ DOCUMENTS = 100
 
 def _mutate(doc, rng):
     kind = rng.choice(("wrapping", "drop_slot", "genus", "orientable", "mode",
-                       "extra_circle", "signs"))
+                       "extra_circle", "signs", "id"))
     loci, regions = doc["loci"], doc["regions"]
     if kind == "wrapping" and loci:
         rng.choice(loci)["wrapping"] = rng.choice((0, 2, 5))
@@ -43,6 +43,8 @@ def _mutate(doc, rng):
     elif kind == "signs" and loci:
         locus = rng.choice(loci)
         locus["signs"] = [rng.choice((1, -1)) for _ in locus["slots"]]
+    elif kind == "id" and regions + loci:  # a suffix too long for int()
+        rng.choice(regions + loci)["id"] += "9" * rng.randint(4301, 5000)
     return kind
 
 
@@ -62,7 +64,7 @@ def _documents():
 
 def test_cli_survives_mutated_documents(tmp_path, capsys):
     docs, kinds = _documents()
-    assert len(kinds) == 7
+    assert len(kinds) == 8
     paths = []
     for i, doc in enumerate(docs):
         path = tmp_path / f"d{i}.json"

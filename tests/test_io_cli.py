@@ -412,6 +412,24 @@ def test_cli_normalize(tmp_path, capsys, theta3):
     output_validator().validate(payload)
 
 
+def test_cli_moves_on_a_locus_id_past_the_int_digit_limit(tmp_path, capsys):
+    """A locus id with a 5,000-digit suffix is valid: normalize, moves apply
+    and equiv run on it (exit 0), not into a traceback (exit 1)."""
+    doc = json.loads(serialize(theta(4)))
+    doc["loci"][0]["id"] = "b" + "9" * 5000
+    path = tmp_path / "long_id.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run(capsys, "normalize", str(path))
+    assert code == 0 and payload["moves"] == 2
+    code, walked = run(capsys, "moves", "apply", str(path),
+                       '{"move": "ix", "region": "r1", "kind": "normal_annulus"}')
+    assert code == 0 and validate(parse(json.dumps(walked))) == []
+    walked_path = tmp_path / "walked.json"
+    walked_path.write_text(json.dumps(walked))
+    code, payload = run(capsys, "equiv", str(path), str(walked_path))
+    assert code == 0 and payload["moves"] == 1
+
+
 @pytest.mark.parametrize("policy", ["first", "exhaustive"])
 @pytest.mark.parametrize("n", [2, 4])
 def test_cli_normalize_minor_mode_is_usage_error(tmp_path, capsys, policy, n):

@@ -372,6 +372,38 @@ def test_fresh_ids_continue_from_largest_suffix():
         BranchLocus("b9", 1, ("c10", "c1", "c12"), (-1, -1, 1)))
 
 
+def test_fresh_ids_past_the_int_digit_limit():
+    """A suffix too long for ``int()`` gives ids one digit longer than every
+    suffix, so they collide with none; moves on a surface with such an id
+    apply and give the classes of the same moves on the plain surface."""
+    huge = "9" * 5000
+    assert _fresh_ids("b", {"b" + huge, "b3", "c" + huge}, 2) == \
+        ["b1" + "1".zfill(5000), "b1" + "2".zfill(5000)]
+    # 4,300 nines read, but their successor has too many digits to write
+    assert _fresh_ids("b", {"b" + "9" * 4300}, 1) == ["b1" + "1".zfill(4300)]
+    assert _fresh_ids("b", {"b" + "9" * 4299}, 1) == ["b1" + "0" * 4299]
+    plain = theta(4)
+    locus, other = plain.loci
+    surface = MultibranchedSurface(plain.regions,
+                                   (dataclasses.replace(locus, id="b" + huge), other))
+    assert validate(surface) == []
+    key = {move: canonical_form(after, SymmetryMode.ROTATIONAL).data
+           for move, after in neighbors(plain)}
+    seen = set()
+    for move, after in neighbors(surface):
+        if getattr(move, "locus_id", None) == "b" + huge:
+            move = dataclasses.replace(move, locus_id=locus.id)
+        assert validate(after) == []
+        assert canonical_form(after, SymmetryMode.ROTATIONAL).data == key[move]
+        seen.add(move)
+    assert seen == key.keys()
+    spread, record = maximally_spread(apply_ix(surface, enumerate_ix(surface)[0]))
+    plain_spread, plain_record = maximally_spread(apply_ix(plain, enumerate_ix(plain)[0]))
+    assert len(record) == len(plain_record) == 3
+    assert canonical_form(spread, SymmetryMode.ROTATIONAL).data == \
+        canonical_form(plain_spread, SymmetryMode.ROTATIONAL).data
+
+
 def test_maximally_spread_records_replay():
     for seed in range(1, 25):
         surface = random_surface(seed, 3 + seed % 20)

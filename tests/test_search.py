@@ -37,7 +37,7 @@ from mbs import (
 from mbs.isomorphism import _canonical
 from mbs.moves import _moves, _orbit_moves
 from helpers import scramble
-from oracles import reference_invert_backward_chain
+from oracles import reference_invert_backward_chain, reference_orbit_moves
 
 
 def test_budget_validation():
@@ -127,6 +127,17 @@ def test_one_move_per_orbit_reaches_every_class():
         offered += len(key)
         kept += len(moves)
     assert kept < offered
+
+
+def test_orbit_moves_match_the_union_find_reference():
+    """The breadth-first orbit walk keeps the moves, in order, that the
+    earlier union-find kept, with and without symmetries to prune by."""
+    pruned = 0
+    for surface in orbit_surfaces():
+        moves = _orbit_moves(surface)
+        assert moves == reference_orbit_moves(surface), surface
+        pruned += len(moves) < len(list(_moves(surface)))
+    assert pruned == 21
 
 
 def test_pruned_search_matches_the_unpruned_search(monkeypatch):
