@@ -30,7 +30,7 @@ from .model import (
     ValidityMode,
     classify_region,
 )
-from .moves import IX_ELIGIBLE, _leaves_a_slot, _Side, _splice
+from .moves import IX_ELIGIBLE, _grow, _leaves_a_slot, _Side, _splice
 from .search import SearchBudget
 
 
@@ -153,10 +153,10 @@ def tilde_equivalent(x: MultibranchedSurface, y: MultibranchedSurface,
 def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
              budget: SearchBudget = SearchBudget(),
              mode: SymmetryMode = SymmetryMode.MIRROR) -> MinorOutcome:
-    """Breadth-first search down the reduction order from y for a surface
-    isomorphic to x.  Reflexive via the empty chain.  Reads ``max_states``,
-    the distinct states kept, and ``time_limit`` of ``budget``: a negative is
-    complete when the whole downward set fits ``max_states``."""
+    """The class walk (``moves._grow``) down the reduction order from y to
+    a surface isomorphic to x.  Reflexive via the empty chain.  Reads
+    ``max_states``, the distinct states kept, and ``time_limit`` of
+    ``budget``: a negative is complete when the downward set fits."""
     _require_minor(x)
     _require_minor(y)
     target_size = len(x.regions) + len(x.loci)
@@ -170,15 +170,8 @@ def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
     with _time_limit(budget.time_limit):
         target = canonical_form(x, mode).data
         side = _Side(y, mode)
-        while target not in side.tree:
-            if not side.frontier:
-                return MinorOutcome(None, True)
-            for key in side.level(successors):
-                if len(side.tree) > budget.max_states:
-                    return MinorOutcome(None, False)
-                if key == target:
-                    break
-        return MinorOutcome(side.chain(target)[1], True)
+        key, why = _grow((side,), successors, budget.max_states, goal=target)
+        return MinorOutcome(side.chain(key)[1] if key else None, why != "states")
     return MinorOutcome(None, False)
 
 

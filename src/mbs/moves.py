@@ -38,13 +38,14 @@ alone turns a chain of surfaces and moves into a ``MoveRecord``.
 isomorphism, given as an ``IsoCertificate``'s maps: a certificate's, or
 those of a symmetry that the labeling found.  ``_orbit_moves`` walks the
 moves of a surface in order, keeps each one not yet seen and closes its
-orbit under those symmetries.  ``_Side`` is the one walk over classes: a breadth-first
-frontier keyed by canonical form that ``_successors`` feeds lazily, for
-both searches and exhaustive spreading.
+orbit under those symmetries.  ``_grow`` is the one walk over classes, and
+the one rule for when it stops: it grows ``_Side`` trees from successors
+that ``_successors`` builds lazily, for both searches and spreading.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import IneligibleMoveError, ModeError, ReplayError, TheoremViolationError
@@ -438,9 +439,8 @@ def _successors(surface: MultibranchedSurface, moves):
 
 
 class _Side:
-    """A breadth-first frontier of states keyed by their canonical form in
-    ``mode``: one side of the equivalence search, the minor search, or
-    exhaustive spreading."""
+    """One tree of the class walk :func:`_grow`: states keyed by canonical
+    form in ``mode``, and the frontier, ``depth`` levels below the start."""
 
     def __init__(self, start: MultibranchedSurface,
                  mode: SymmetryMode = SymmetryMode.ROTATIONAL):
@@ -451,21 +451,6 @@ class _Side:
         self.frontier: list[bytes] = [key]
         self.depth = 0
 
-    def level(self, successors):
-        """Advance the frontier one level, yielding each new state key as it
-        is recorded; ``successors(surface)`` gives ``(move, after)`` pairs,
-        and the deadline is read after each."""
-        parents, self.frontier = self.frontier, []
-        self.depth += 1
-        for parent in parents:
-            for move, after in successors(self.tree[parent][0]):
-                _check_clock()
-                key = canonical_form(after, self.mode).data
-                if key not in self.tree:
-                    self.tree[key] = (after, parent, move)
-                    self.frontier.append(key)
-                    yield key
-
     def chain(self, key: bytes):
         """Surfaces and moves from the start to ``key``, as two tuples."""
         steps = []
@@ -474,6 +459,38 @@ class _Side:
             steps.append((surface, move))
         surfaces, moves = zip(*reversed(steps))
         return surfaces, moves[1:]  # the start has no move
+
+
+def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None):
+    """Grow the live side with the fewest frontier states (the first on a
+    tie) by one level, in frontier order, until the walk stops.
+    ``successors(surface)`` gives ``(move, after)`` pairs; the deadline is
+    read after each.  Returns ``(key, None)`` at a start or new state that is
+    ``goal``, or a new state in another side's tree; else ``(None, why)``:
+    ``"states"`` when the trees hold more than ``max_states`` states,
+    ``"depth"`` when every frontier left is ``max_depth`` levels deep, and
+    ``"space"`` when every frontier is empty."""
+    if any(goal in side.tree for side in sides):
+        return goal, None
+    while True:
+        live = [s for s in sides if s.frontier and s.depth < max_depth]
+        if not live:
+            return None, "depth" if any(s.frontier for s in sides) else "space"
+        side = min(live, key=lambda s: len(s.frontier))
+        parents, side.frontier = side.frontier, []
+        side.depth += 1
+        for parent in parents:
+            for move, after in successors(side.tree[parent][0]):
+                _check_clock()
+                key = canonical_form(after, side.mode).data
+                if key in side.tree:
+                    continue
+                side.tree[key] = (after, parent, move)
+                side.frontier.append(key)
+                if sum(len(s.tree) for s in sides) > max_states:
+                    return None, "states"
+                if key == goal or any(key in s.tree for s in sides if s is not side):
+                    return key, None
 
 
 def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
@@ -513,9 +530,7 @@ def _spreadings(surface: MultibranchedSurface):
     ascending canonical order: the walk of a :class:`_Side` over XI-moves
     until its frontier empties.  The caller checks the mode."""
     side = _Side(surface)
-    while side.frontier:
-        for _ in side.level(lambda s: _successors(s, _xi_choices(s))):
-            pass
+    _grow((side,), lambda s: _successors(s, _xi_choices(s)))
     return [side.chain(key) for key in sorted(side.tree)
             if is_maximally_spread_surface(side.tree[key][0])]
 

@@ -5,14 +5,15 @@ that is stable under the move rules); a found connection is re-verified in
 the caller's requested mode before it is returned.  Running out of budget is
 an outcome, never a non-equivalence verdict.
 
-Each side is a class walk of the move layer (``moves._Side``), which reads
-the deadline between successor builds.  A state's successors are built for
-one move per orbit of the symmetries that its cached rotational labeling
-found, the first move of each orbit in the move order of the move layer
-(canonical augmentation in the sense of McKay's isomorph-free generation).
-Any other move of an orbit gives a surface isomorphic to that of an earlier
-kept move, whose key the frontier already holds, so the trees, meets and
-records are those of applying every move, as :func:`neighbors` does.
+Both sides are the trees of one class walk (``moves._grow``), which reads
+the deadline between successor builds and says why it stopped.  A state's
+successors are built for one move per orbit of the symmetries that its
+cached rotational labeling found, the first move of each orbit in the move
+order of the move layer (canonical augmentation in the sense of McKay's
+isomorph-free generation).  Any other move of an orbit gives a surface
+isomorphic to that of an earlier kept move, whose key the frontier already
+holds, so the trees, meets and records are those of applying every move,
+as :func:`neighbors` does.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .model import (
 from .moves import (
     MoveRecord,
     _apply,
+    _grow,
     _image,
     _moves,
     _orbit_moves,
@@ -50,8 +52,8 @@ from .moves import (
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_depth: int = 4          # search_equivalence: moves per side
-    max_states: int = 5000      # search_equivalence (both sides), is_minor: distinct states
+    max_depth: int = 4          # search_equivalence: levels per side of the class walk
+    max_states: int = 5000      # search_equivalence, is_minor: states in the walk's trees
     max_cell_count: int = 80    # search_equivalence: larger successors are pruned
     time_limit: float = 10.0    # seconds: both searches and less_than
 
@@ -77,6 +79,10 @@ class InvariantMismatch:
 
 
 SearchOutcome = Found | ExhaustedWithinBudget | InvariantMismatch
+
+_REASONS = {"states": "state or time budget exhausted",
+            "depth": "depth budget exhausted",
+            "space": "state space exhausted within budget"}
 
 
 def neighbors(surface: MultibranchedSurface):
@@ -144,7 +150,6 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     found sequence is verified by replay before it is returned.  Minor-mode
     surfaces that pass the quick checks raise :class:`ModeError`.
     """
-    exhausted = ExhaustedWithinBudget("state or time budget exhausted")
     with _time_limit(budget.time_limit):
         if euler_characteristic(x) != euler_characteristic(y):
             return InvariantMismatch("euler_characteristic")
@@ -163,24 +168,9 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
                     _successors(surface, _orbit_moves(surface))
                     if after.cell_count <= budget.max_cell_count)
 
-        meet = None
-        while meet is None:
-            live = [s for s in (side_x, side_y)
-                    if s.frontier and s.depth < budget.max_depth]
-            if not live:
-                return ExhaustedWithinBudget(
-                    "depth budget exhausted" if side_x.frontier or side_y.frontier
-                    else "state space exhausted within budget")
-            # advance the smaller frontier by one BFS level
-            side = min(live, key=lambda s: (len(s.frontier), s is side_y))
-            other = side_y if side is side_x else side_x
-            side.frontier.sort()
-            for key in side.level(successors):
-                if len(side_x.tree) + len(side_y.tree) > budget.max_states:
-                    return exhausted
-                if key in other.tree:
-                    meet = key
-                    break
+        meet, why = _grow((side_x, side_y), successors, budget.max_states, budget.max_depth)
+        if meet is None:
+            return ExhaustedWithinBudget(_REASONS[why])
 
         fwd_surfaces, fwd_moves = side_x.chain(meet)
         bwd_surfaces, bwd_moves = side_y.chain(meet)
@@ -191,4 +181,4 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
         if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover
             raise TheoremViolationError("replayed endpoint is not isomorphic to target")
         return Found(record)
-    return exhausted
+    return ExhaustedWithinBudget(_REASONS["states"])  # out of time

@@ -46,6 +46,14 @@ left that would add a new one, so a downward set of exactly ``max_states``
 states reads incomplete here.  The library must find the same chains, and
 may differ only by answering completely at that boundary.
 
+The search oracle is the library's earlier bidirectional loop of
+``search_equivalence``, kept verbatim: it sorts a side's frontier before
+growing it by one level with its own level loop (the earlier
+``_Side.level``), and names the budget that ran out in its own words.  The
+library grows each level in discovery order, so where neither run ends on
+the state budget it must reach the same outcome and reason by a record of
+the same length; where one does, the other may find a record.
+
 The isomorphism oracle is VF2 (``networkx``'s ``DiGraphMatcher``) on an
 incidence digraph that drops the signs, so it decides isomorphism of
 surfaces whose signs are all +1.  A region node is labelled by its topology
@@ -62,7 +70,13 @@ from itertools import combinations
 from math import gcd
 
 from helpers import mirror_image
-from mbs.algebra import ChainComplex, HomologyProfile, IntegerMatrix, SmithDecomposition
+from mbs.algebra import (
+    ChainComplex,
+    HomologyProfile,
+    IntegerMatrix,
+    SmithDecomposition,
+    homology_profile,
+)
 from mbs.errors import TheoremViolationError, UnknownIdError
 from mbs.isomorphism import (
     SymmetryMode,
@@ -70,12 +84,31 @@ from mbs.isomorphism import (
     _check_clock,
     _Labeling,
     _time_limit,
+    are_isomorphic,
     canonical_form,
 )
 from mbs.minors import MinorOutcome, _require_minor, apply_reduction, enumerate_reductions
-from mbs.model import MultibranchedSurface, connected_components
-from mbs.moves import IXSite, _image, _moves
-from mbs.search import SearchBudget, neighbors
+from mbs.model import MultibranchedSurface, connected_components, euler_characteristic
+from mbs.moves import (
+    IXSite,
+    MoveRecord,
+    _image,
+    _moves,
+    _orbit_moves,
+    _record,
+    _Side,
+    _successors,
+    replay,
+)
+from mbs.search import (
+    ExhaustedWithinBudget,
+    Found,
+    InvariantMismatch,
+    SearchBudget,
+    SearchOutcome,
+    _invert_backward_chain,
+    neighbors,
+)
 
 
 def det_bareiss(rows) -> int:
@@ -547,6 +580,77 @@ def reference_is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
             frontier = next_frontier
         return MinorOutcome(None, True)
     return MinorOutcome(None, False)
+
+
+def _level(side, successors):
+    """Advance the frontier one level, yielding each new state key as it
+    is recorded; ``successors(surface)`` gives ``(move, after)`` pairs,
+    and the deadline is read after each."""
+    parents, side.frontier = side.frontier, []
+    side.depth += 1
+    for parent in parents:
+        for move, after in successors(side.tree[parent][0]):
+            _check_clock()
+            key = canonical_form(after, side.mode).data
+            if key not in side.tree:
+                side.tree[key] = (after, parent, move)
+                side.frontier.append(key)
+                yield key
+
+
+def reference_search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
+                                 budget: SearchBudget = SearchBudget(),
+                                 mode: SymmetryMode = SymmetryMode.MIRROR) -> SearchOutcome:
+    """Look for an IX/XI sequence carrying x to a surface isomorphic to y,
+    growing the side with the smaller sorted frontier level by level."""
+    exhausted = ExhaustedWithinBudget("state or time budget exhausted")
+    with _time_limit(budget.time_limit):
+        if euler_characteristic(x) != euler_characteristic(y):
+            return InvariantMismatch("euler_characteristic")
+        if connected_components(x) != connected_components(y):
+            return InvariantMismatch("connected_components")
+        if homology_profile(x) != homology_profile(y):
+            return InvariantMismatch("homology_profile")
+        if canonical_form(x, mode).data == canonical_form(y, mode).data:
+            return Found(MoveRecord(()))
+        side_x, side_y = _Side(x), _Side(y)
+
+        def successors(surface):
+            # one move per orbit of the symmetries that the parent's labeling
+            # found: the others give a class that an earlier successor has
+            return ((move, after) for move, after in
+                    _successors(surface, _orbit_moves(surface))
+                    if after.cell_count <= budget.max_cell_count)
+
+        meet = None
+        while meet is None:
+            live = [s for s in (side_x, side_y)
+                    if s.frontier and s.depth < budget.max_depth]
+            if not live:
+                return ExhaustedWithinBudget(
+                    "depth budget exhausted" if side_x.frontier or side_y.frontier
+                    else "state space exhausted within budget")
+            # advance the smaller frontier by one BFS level
+            side = min(live, key=lambda s: (len(s.frontier), s is side_y))
+            other = side_y if side is side_x else side_x
+            side.frontier.sort()
+            for key in _level(side, successors):
+                if len(side_x.tree) + len(side_y.tree) > budget.max_states:
+                    return exhausted
+                if key in other.tree:
+                    meet = key
+                    break
+
+        fwd_surfaces, fwd_moves = side_x.chain(meet)
+        bwd_surfaces, bwd_moves = side_y.chain(meet)
+
+        surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, bwd_moves)
+        record = _record(fwd_surfaces + surfaces, fwd_moves + moves)
+        endpoint = replay(x, record)
+        if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover
+            raise TheoremViolationError("replayed endpoint is not isomorphic to target")
+        return Found(record)
+    return exhausted
 
 
 def _incidence_digraph(surface: MultibranchedSurface):

@@ -48,7 +48,15 @@ from mbs import (
     theta,
     validate,
 )
-from mbs.moves import _apply, _fresh_ids, all_maximal_spreadings
+from mbs.moves import (
+    _apply,
+    _fresh_ids,
+    _grow,
+    _Side,
+    _successors,
+    _xi_choices,
+    all_maximal_spreadings,
+)
 from test_move_golden import golden_corpus
 
 
@@ -308,6 +316,42 @@ def test_all_maximal_spreadings_enumerates_each_class_once(monkeypatch):
     for listed in calls.values():
         surface = listed[0][0]
         assert sorted(l for _, l in listed) == sorted(l.id for l in surface.loci)
+
+
+def xi_successors(surface):
+    return _successors(surface, _xi_choices(surface))
+
+
+def test_class_walk_stops_for_each_of_its_reasons():
+    # spreading theta(4) ends when no XI-move is left
+    side = _Side(theta(4))
+    assert _grow((side,), xi_successors) == (None, "space")
+    assert not side.frontier and side.depth == 3 and len(side.tree) == 4
+    # one level deep, with XI-moves left to take
+    side = _Side(theta(4))
+    assert _grow((side,), xi_successors, max_depth=1) == (None, "depth")
+    assert side.frontier and side.depth == 1
+    # the third state goes over a budget of two
+    side = _Side(theta(4))
+    assert _grow((side,), xi_successors, max_states=2) == (None, "states")
+    assert len(side.tree) == 3
+    # a start that is the goal builds no successor
+    calls = []
+    side = _Side(theta(4))
+    (root,) = side.tree
+    assert _grow((side,), lambda s: calls.append(s) or xi_successors(s), goal=root) == \
+        (root, None)
+    assert not calls and side.depth == 0
+
+
+def test_class_walk_stops_where_two_trees_meet():
+    start = theta(4)
+    spread = _apply(start, next(_xi_choices(start)))[0]
+    x, y = _Side(start), _Side(spread)
+    key, why = _grow((x, y), xi_successors)
+    assert why is None and key in x.tree and key in y.tree
+    # the first side on a tie grows first: theta(4)'s first XI-move meets y
+    assert x.depth == 1 and y.depth == 0
 
 
 # sha256 of the sorted (rotational canonical form, witness length) pairs of

@@ -37,7 +37,11 @@ from mbs import (
 from mbs.isomorphism import _canonical
 from mbs.moves import _moves, _orbit_moves
 from helpers import scramble
-from oracles import reference_invert_backward_chain, reference_orbit_moves
+from oracles import (
+    reference_invert_backward_chain,
+    reference_orbit_moves,
+    reference_search_equivalence,
+)
 
 
 def test_budget_validation():
@@ -165,6 +169,39 @@ def test_pruned_search_matches_the_unpruned_search(monkeypatch):
     assert {type(o) for o in outcomes} == {Found, InvariantMismatch, ExhaustedWithinBudget}
     assert ExhaustedWithinBudget("depth budget exhausted") in outcomes
     assert ExhaustedWithinBudget("state or time budget exhausted") in outcomes
+
+
+def test_search_matches_the_sorted_reference():
+    """Growing each level in discovery order, not sorted, keeps the outcome,
+    the reason and the record length wherever neither run ends on the state
+    budget; where one does, the other may find a record."""
+    starts = [theta(n) for n in range(3, 7)] + [moebius_annulus(), quasi_pure()] + \
+        [random_surface(s, 8 + s % 16) for s in range(1, 30)]
+    states = ExhaustedWithinBudget("state or time budget exhausted")
+    outcomes, budget_moved = set(), []
+    for i, start in enumerate(starts):
+        for length in range(1, 5):
+            walked = random_walk(start, 100 * i + length, length)[0]
+            for max_states in (10, 40, 5000):
+                for max_depth in (2, 4):
+                    budget = SearchBudget(max_depth=max_depth, max_states=max_states)
+                    got = search_equivalence(start, walked, budget)
+                    want = reference_search_equivalence(start, walked, budget)
+                    if isinstance(got, Found):
+                        endpoint = replay(start, got.record)
+                        assert are_isomorphic(endpoint, walked) is not None
+                    outcomes.add(got if got == states else type(got))
+                    if states in (got, want):
+                        if got != want:
+                            budget_moved.append((i, max_states, max_depth))
+                            assert Found in (type(got), type(want))
+                        continue
+                    assert type(got) is type(want), (i, length, budget)
+                    assert getattr(got, "reason", None) == getattr(want, "reason", None)
+                    if isinstance(got, Found):
+                        assert len(got.record) == len(want.record), (i, length, budget)
+    assert outcomes == {Found, states}
+    assert len(budget_moved) <= 4, budget_moved
 
 
 def test_search_identity(theta3):
