@@ -31,7 +31,9 @@ codes, so equal bytes in one mode hold exactly for isomorphic surfaces, and
 identical components never multiply the search.  The MIRROR labeling is
 the lesser of the rotational labeling and one reversed pass, in which every
 component reads backwards: the reversal is global, never chosen per
-component.
+component.  The reversed pass reads the code of the rotational pass of the
+mirror image (``_mirror_image``), so a surface is MIRROR-isomorphic to y
+exactly when it is rotationally isomorphic to y or to y's mirror image.
 
 The labeling that realises the least encoding records, per locus, where the
 encoding starts reading its cycle, in which direction, and the sign
@@ -63,7 +65,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 from .errors import MbsError, UnknownIdError
-from .model import MultibranchedSurface
+from .model import BranchLocus, MultibranchedSurface, Region
 
 FORMAT_PREFIX = b"mbscf2"
 
@@ -313,6 +315,13 @@ def _canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
                _search_canonical(surface, (-1,)), key=lambda labeling: labeling.code)
 
 
+def _mirror_image(surface: MultibranchedSurface) -> MultibranchedSurface:
+    """``surface`` with every slot cycle, and its signs, read backwards."""
+    loci = tuple(BranchLocus(l.id, l.wrapping, l.slots[::-1], l.signs[::-1])
+                 for l in surface.loci)
+    return MultibranchedSurface(surface.regions, loci, surface.mode)
+
+
 def canonical_form(surface: MultibranchedSurface, mode: SymmetryMode) -> CanonicalForm:
     """Deterministic, symmetry-invariant byte encoding; equal bytes in one
     mode hold exactly for isomorphic surfaces."""
@@ -352,8 +361,6 @@ class IsoCertificate:
         """Image of ``surface`` under the certificate.  Slot cycles come out
         aligned with the target's stored basepoints; region boundary lists
         keep the source order (the order is not structural)."""
-        from .model import BranchLocus, Region
-
         regions = tuple(
             Region(self.region_map[r.id], r.topology,
                    tuple(self.circle_map[c] for c in r.boundary_circles))

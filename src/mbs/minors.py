@@ -161,11 +161,11 @@ def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
     _require_minor(y)
     target_size = len(x.regions) + len(x.loci)
 
-    def successors(surface):
+    def successors(surface, _):  # a reduction has no undo
         for step in enumerate_reductions(surface):
             after = apply_reduction(surface, step)
             if len(after.regions) + len(after.loci) >= target_size:
-                yield step, after
+                yield step, after, None
 
     with _time_limit(budget.time_limit):
         target = canonical_form(x, mode).data

@@ -38,9 +38,11 @@ alone turns a chain of surfaces and moves into a ``MoveRecord``.
 isomorphism, given as an ``IsoCertificate``'s maps: a certificate's, or
 those of a symmetry that the labeling found.  ``_orbit_moves`` walks the
 moves of a surface in order, keeps each one not yet seen and closes its
-orbit under those symmetries.  ``_grow`` is the one walk over classes, and
+orbit under those symmetries, and drops the orbit of the undo of the move
+that made the surface.  ``_grow`` is the one walk over classes, and
 the one rule for when it stops: it grows ``_Side`` trees from successors
-that ``_successors`` builds lazily, for both searches and spreading.
+that ``_successors`` builds lazily, for both searches and spreading, and
+keeps each state's undo beside its move.
 """
 
 from __future__ import annotations
@@ -398,20 +400,25 @@ def _moves(surface: MultibranchedSurface):
     yield from _xi_choices(surface)
 
 
-def _orbit_moves(surface: MultibranchedSurface) -> list:
+def _orbit_moves(surface: MultibranchedSurface, undo=None) -> list:
     """The first move, in :func:`_moves` order, of each orbit of the moves
     of ``surface`` under the generators of its cached rotational labeling
     (which fix what they do not list): each move not yet seen is kept and
     its orbit closed breadth-first through :func:`_image`.  Moves of one
     orbit give isomorphic surfaces, so one per orbit reaches every class
-    that all moves reach."""
+    that all moves reach.  The orbit of ``undo``, the undo of the move that
+    made ``surface``, is closed first and none of it kept: it reaches only
+    the class that move started from (canonical augmentation: McKay,
+    "Isomorph-free exhaustive generation", 1998)."""
     moves = list(_moves(surface))
     automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
     if not automorphisms:
-        return moves
+        return [move for move in moves if move != undo]
     offered, seen, kept = set(moves), set(), []
-    for first in (move for move in moves if move not in seen):  # reads seen as it grows
-        kept.append(first)
+    firsts = [undo] + moves if undo in offered else moves
+    for first in (move for move in firsts if move not in seen):  # reads seen as it grows
+        if first != undo:
+            kept.append(first)
         seen.add(first)
         orbit = [first]  # read while it grows: breadth-first
         for move in orbit:
@@ -429,13 +436,14 @@ def _orbit_moves(surface: MultibranchedSurface) -> list:
 
 
 def _successors(surface: MultibranchedSurface, moves):
-    """``(move, after)`` for each of ``moves``, moves of ``surface``, built
-    one at a time as they are taken."""
+    """``(move, after, undo)`` for each of ``moves``, moves of ``surface``,
+    built one at a time as they are taken; ``undo`` is the move of
+    ``after`` that :func:`_apply` names."""
     ids = None  # every XI successor takes the same fresh ids
     for move in moves:
         if ids is None and not isinstance(move, IXSite):
             ids = _xi_ids(surface)
-        yield move, _apply(surface, move, ids)[0]
+        yield move, *_apply(surface, move, ids)
 
 
 class _Side:
@@ -446,8 +454,8 @@ class _Side:
                  mode: SymmetryMode = SymmetryMode.ROTATIONAL):
         key = canonical_form(start, mode).data
         self.mode = mode
-        # state key -> (surface, parent key, move from parent)
-        self.tree: dict[bytes, tuple] = {key: (start, None, None)}
+        # state key -> (surface, parent key, move from parent, its undo)
+        self.tree: dict[bytes, tuple] = {key: (start, None, None, None)}
         self.frontier: list[bytes] = [key]
         self.depth = 0
 
@@ -455,7 +463,7 @@ class _Side:
         """Surfaces and moves from the start to ``key``, as two tuples."""
         steps = []
         while key is not None:
-            surface, key, move = self.tree[key]
+            surface, key, move, _ = self.tree[key]
             steps.append((surface, move))
         surfaces, moves = zip(*reversed(steps))
         return surfaces, moves[1:]  # the start has no move
@@ -464,12 +472,14 @@ class _Side:
 def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None):
     """Grow the live side with the fewest frontier states (the first on a
     tie) by one level, in frontier order, until the walk stops.
-    ``successors(surface)`` gives ``(move, after)`` pairs; the deadline is
-    read after each.  Returns ``(key, None)`` at a start or new state that is
-    ``goal``, or a new state in another side's tree; else ``(None, why)``:
-    ``"states"`` when the trees hold more than ``max_states`` states,
-    ``"depth"`` when every frontier left is ``max_depth`` levels deep, and
-    ``"space"`` when every frontier is empty."""
+    ``successors(surface, undo)``, ``undo`` being that of the move that made
+    ``surface`` (None at a start), gives ``(move, after, undo)`` triples;
+    the deadline is read after each.  Returns ``(key, None)`` at a start or
+    new state that is ``goal``, or a new state in another side's tree; else
+    ``(None, why)``: ``"states"`` when the trees hold more than
+    ``max_states`` states, ``"depth"`` when every frontier left is
+    ``max_depth`` levels deep, and ``"space"`` when every frontier is
+    empty."""
     if any(goal in side.tree for side in sides):
         return goal, None
     while True:
@@ -480,12 +490,13 @@ def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None)
         parents, side.frontier = side.frontier, []
         side.depth += 1
         for parent in parents:
-            for move, after in successors(side.tree[parent][0]):
+            surface, _, _, undo = side.tree[parent]
+            for move, after, back in successors(surface, undo):
                 _check_clock()
                 key = canonical_form(after, side.mode).data
                 if key in side.tree:
                     continue
-                side.tree[key] = (after, parent, move)
+                side.tree[key] = (after, parent, move, back)
                 side.frontier.append(key)
                 if sum(len(s.tree) for s in sides) > max_states:
                     return None, "states"
@@ -530,7 +541,8 @@ def _spreadings(surface: MultibranchedSurface):
     ascending canonical order: the walk of a :class:`_Side` over XI-moves
     until its frontier empties.  The caller checks the mode."""
     side = _Side(surface)
-    _grow((side,), lambda s: _successors(s, _xi_choices(s)))
+    # an XI-move's undo is an IX-move, which spreading never offers
+    _grow((side,), lambda s, _: _successors(s, _xi_choices(s)))
     return [side.chain(key) for key in sorted(side.tree)
             if is_maximally_spread_surface(side.tree[key][0])]
 

@@ -1,9 +1,13 @@
 """Bounded exploration of the move graph.
 
 States are identified by their rotational canonical form (the finest mode
-that is stable under the move rules); a found connection is re-verified in
-the caller's requested mode before it is returned.  Running out of budget is
-an outcome, never a non-equivalence verdict.
+that is stable under the move rules).  The start test reads the rotational
+codes of x and y, which the two sides are keyed by; in MIRROR mode it reads
+that of y's mirror image as well, and only when those two codes differ.  A
+found connection is replayed, and its endpoint is verified to be
+rotationally isomorphic to y, which is stronger than any requested mode,
+before it is returned.  Running out of budget is an outcome, never a
+non-equivalence verdict.
 
 Both sides are the trees of one class walk (``moves._grow``), which reads
 the deadline between successor builds and says why it stopped.  A state's
@@ -13,7 +17,9 @@ order of the move layer (canonical augmentation in the sense of McKay's
 isomorph-free generation).  Any other move of an orbit gives a surface
 isomorphic to that of an earlier kept move, whose key the frontier already
 holds, so the trees, meets and records are those of applying every move,
-as :func:`neighbors` does.
+as :func:`neighbors` does.  Nor is the orbit of a state's undo (the move
+that :func:`moves._apply` names as reversing the move that made the
+state) built: it gives the parent's class, which the tree already holds.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import TheoremViolationError
 from .isomorphism import (
     SymmetryMode,
     _check_clock,
+    _mirror_image,
     _time_limit,
     are_isomorphic,
     canonical_form,
@@ -89,7 +96,7 @@ def neighbors(surface: MultibranchedSurface):
     """All one-move successors, in the move order of the move layer (IX
     sites first).  Deterministic.  The moves are defined on strict
     surfaces, so a minor-mode surface raises :class:`ModeError`."""
-    return list(_successors(surface, _moves(surface)))
+    return [(move, after) for move, after, _ in _successors(surface, _moves(surface))]
 
 
 def _walk(surface: MultibranchedSurface, seed: int, length: int):
@@ -140,14 +147,25 @@ def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
     return tuple(surfaces), tuple(moves)
 
 
+def _key(surface: MultibranchedSurface, mode: SymmetryMode = SymmetryMode.ROTATIONAL):
+    """The canonical bytes of ``surface`` in ``mode``, after a read of the
+    deadline, which a labelling from the cache does not read."""
+    _check_clock()
+    return canonical_form(surface, mode).data
+
+
 def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
                        budget: SearchBudget = SearchBudget(),
                        mode: SymmetryMode = SymmetryMode.MIRROR) -> SearchOutcome:
     """Look for an IX/XI sequence carrying x to a surface isomorphic to y.
 
-    Quick-rejects on Euler characteristic, component count and homology;
-    otherwise meets in the middle over rotational canonical-form bytes.  A
-    found sequence is verified by replay before it is returned.  Minor-mode
+    Quick-rejects on Euler characteristic, component count and homology.
+    The empty sequence is found when x and y are isomorphic in ``mode``:
+    rotationally, or in MIRROR mode x rotationally isomorphic to the
+    mirror image of y, or in DIHEDRAL_PER_LOCUS mode by that mode's
+    canonical form.  Otherwise the search meets in the middle over
+    rotational canonical-form bytes, and the endpoint of a found sequence
+    is verified by replay to be rotationally isomorphic to y.  Minor-mode
     surfaces that pass the quick checks raise :class:`ModeError`.
     """
     with _time_limit(budget.time_limit):
@@ -157,15 +175,19 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
             return InvariantMismatch("connected_components")
         if homology_profile(x) != homology_profile(y):
             return InvariantMismatch("homology_profile")
-        if canonical_form(x, mode).data == canonical_form(y, mode).data:
+        key_x, key_y = _key(x), _key(y)
+        if key_x == key_y or (
+                mode is SymmetryMode.MIRROR and key_x == _key(_mirror_image(y))) or (
+                mode is SymmetryMode.DIHEDRAL_PER_LOCUS and _key(x, mode) == _key(y, mode)):
             return Found(MoveRecord(()))
         side_x, side_y = _Side(x), _Side(y)
 
-        def successors(surface):
+        def successors(surface, undo):
             # one move per orbit of the symmetries that the parent's labeling
-            # found: the others give a class that an earlier successor has
-            return ((move, after) for move, after in
-                    _successors(surface, _orbit_moves(surface))
+            # found, but none of the undo's: the others give a class that an
+            # earlier successor has, and the undo's that of the parent
+            return ((move, after, back) for move, after, back in
+                    _successors(surface, _orbit_moves(surface, undo))
                     if after.cell_count <= budget.max_cell_count)
 
         meet, why = _grow((side_x, side_y), successors, budget.max_states, budget.max_depth)
@@ -178,7 +200,8 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
         surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, bwd_moves)
         record = _record(fwd_surfaces + surfaces, fwd_moves + moves)
         endpoint = replay(x, record)
-        if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover
+        # y's side keys the rotational class of y, so the endpoint lies in it
+        if are_isomorphic(endpoint, y, SymmetryMode.ROTATIONAL) is None:  # pragma: no cover
             raise TheoremViolationError("replayed endpoint is not isomorphic to target")
         return Found(record)
     return ExhaustedWithinBudget(_REASONS["states"])  # out of time

@@ -49,10 +49,13 @@ may differ only by answering completely at that boundary.
 The search oracle is the library's earlier bidirectional loop of
 ``search_equivalence``, kept verbatim: it sorts a side's frontier before
 growing it by one level with its own level loop (the earlier
-``_Side.level``), and names the budget that ran out in its own words.  The
-library grows each level in discovery order, so where neither run ends on
-the state budget it must reach the same outcome and reason by a record of
-the same length; where one does, the other may find a record.
+``_Side.level``), and names the budget that ran out in its own words.  It
+builds the first move of every orbit, so unlike the library it also builds
+the undo of the move that made each state, and its start test and
+closing check label in the requested mode.  The library grows each level
+in discovery order, so where neither run ends on the state budget it must
+reach the same outcome and reason by a record of the same length; where
+one does, the other may find a record.
 
 The isomorphism oracle is VF2 (``networkx``'s ``DiGraphMatcher``) on an
 incidence digraph that drops the signs, so it decides isomorphism of
@@ -584,16 +587,16 @@ def reference_is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
 
 def _level(side, successors):
     """Advance the frontier one level, yielding each new state key as it
-    is recorded; ``successors(surface)`` gives ``(move, after)`` pairs,
-    and the deadline is read after each."""
+    is recorded; ``successors(surface)`` gives ``(move, after, undo)``
+    triples, and the deadline is read after each."""
     parents, side.frontier = side.frontier, []
     side.depth += 1
     for parent in parents:
-        for move, after in successors(side.tree[parent][0]):
+        for move, after, undo in successors(side.tree[parent][0]):
             _check_clock()
             key = canonical_form(after, side.mode).data
             if key not in side.tree:
-                side.tree[key] = (after, parent, move)
+                side.tree[key] = (after, parent, move, undo)
                 side.frontier.append(key)
                 yield key
 
@@ -618,7 +621,7 @@ def reference_search_equivalence(x: MultibranchedSurface, y: MultibranchedSurfac
         def successors(surface):
             # one move per orbit of the symmetries that the parent's labeling
             # found: the others give a class that an earlier successor has
-            return ((move, after) for move, after in
+            return ((move, after, undo) for move, after, undo in
                     _successors(surface, _orbit_moves(surface))
                     if after.cell_count <= budget.max_cell_count)
 

@@ -7,10 +7,13 @@ import pytest
 
 from mbs import (
     BranchLocus,
+    Found,
     MbsError,
+    MoveRecord,
     MultibranchedSurface,
     Region,
     RegionTopology,
+    SearchBudget,
     SymmetryMode,
     UnknownIdError,
     ValidityMode,
@@ -28,13 +31,14 @@ from mbs import (
     quasi_pure,
     random_surface,
     random_walk,
+    replay,
     search_equivalence,
     theta,
     validate,
 )
 from helpers import mirror_image, scramble
 import mbs.isomorphism
-from mbs.isomorphism import _canonical
+from mbs.isomorphism import _canonical, _mirror_image, _search_canonical
 from oracles import reference_canonical_labelling, vf2_isomorphic
 
 ALL_MODES = tuple(SymmetryMode)
@@ -292,8 +296,10 @@ def test_labellings_match_digest():
 
 
 def test_mirror_search_labels_each_end_once(monkeypatch):
-    # the MIRROR check reads the rotational pass that the search keys on
-    # from the cache, so x and y are read forwards once and backwards once
+    # the MIRROR start test reads the rotational passes that the sides key
+    # on, and the mirror image of y forwards once in place of reversed
+    # passes on x and y; the closing check is rotational, so the replayed
+    # endpoint is never read backwards
     x = random_surface(11, 12)
     y, _ = random_walk(x, 11, 3)
     passes = []
@@ -309,8 +315,59 @@ def test_mirror_search_labels_each_end_once(monkeypatch):
     assert outcome.record.steps
     # no surface is labelled twice with one direction setting
     assert len(set(passes)) == len(passes)
-    for end in (x, y):
-        assert {d for s, d in passes if s == end} == {(1,), (-1,)}
+    assert [d for s, d in passes if s == x] == [(1,)]
+    assert [d for s, d in passes if s == y] == [(1,)]
+    assert [d for s, d in passes if s == mirror_image(y)] == [(1,)]
+    endpoint = replay(x, outcome.record)
+    assert (1,) in {d for s, d in passes if s == endpoint}
+    assert (endpoint, (-1,)) not in passes
+
+
+def test_reversed_pass_reads_the_mirror_image_forwards():
+    # the MIRROR start test of the search rests on this: the rotational
+    # code of y's mirror image is the code of y's reversed pass
+    ch = chiral_surface()
+    surfaces = [ch, disjoint_union(ch, ch), disjoint_union(ch, chiral_surface(True))]
+    for seed in range(1, 201):
+        surface = random_surface(seed, 3 + seed % 28)
+        surfaces += [surface, random_walk(surface, seed, 3)[0]]
+    surfaces += [random_surface(seed, 3 + seed % 28, ValidityMode.MINOR)
+                 for seed in range(1, 81)]
+    surfaces += [maximally_spread(theta(n))[0] for n in range(3, 6)]
+    chiral = 0
+    for surface in surfaces:
+        reversed_code = _search_canonical(surface, (-1,)).code
+        assert reversed_code == \
+            _canonical(_mirror_image(surface), SymmetryMode.ROTATIONAL).code, surface
+        chiral += reversed_code != _canonical(surface, SymmetryMode.ROTATIONAL).code
+    assert len(surfaces) == 486
+    assert chiral == 124
+
+
+def test_search_start_finds_the_empty_record_exactly_for_isomorphic_ends():
+    """x against a presentation of itself, the mirror image of that and a
+    surface of the same homology: the search's start test gives the empty
+    record in each mode exactly when the canonical forms of that mode are
+    equal."""
+    ch = chiral_surface()
+    pairs = [(disjoint_union(ch, ch), disjoint_union(ch, chiral_surface(True)))]
+    pairs += [(random_surface(a, 8 + a % 8), random_surface(b, 8 + b % 8))
+              for a, b in ((10, 107), (2, 8), (9, 40))]
+    seen = set()
+    for i, (x, other) in enumerate(pairs):
+        assert homology_profile(x) == homology_profile(other)
+        for y in (scramble(x, i), mirror_image(scramble(x, i)), other):
+            for mode in ALL_MODES:
+                outcome = search_equivalence(x, y, SearchBudget(max_depth=1), mode)
+                same = canonical_form(x, mode) == canonical_form(y, mode)
+                assert (outcome == Found(MoveRecord(()))) == same, (i, mode)
+                seen.add((mode, same))
+    assert seen == {(mode, same) for mode in ALL_MODES for same in (True, False)}
+    # the union of ch with its mirror image is DIHEDRAL-isomorphic to two
+    # copies of ch, but neither MIRROR- nor rotationally isomorphic
+    x, y = pairs[0]
+    assert [canonical_form(x, mode) == canonical_form(y, mode) for mode in ALL_MODES] == \
+        [False, False, True]
 
 
 def test_spread_theta7_labels_quickly():

@@ -52,6 +52,7 @@ from mbs.moves import (
     _apply,
     _fresh_ids,
     _grow,
+    _moves,
     _Side,
     _successors,
     _xi_choices,
@@ -318,7 +319,7 @@ def test_all_maximal_spreadings_enumerates_each_class_once(monkeypatch):
         assert sorted(l for _, l in listed) == sorted(l.id for l in surface.loci)
 
 
-def xi_successors(surface):
+def xi_successors(surface, undo=None):
     return _successors(surface, _xi_choices(surface))
 
 
@@ -339,7 +340,7 @@ def test_class_walk_stops_for_each_of_its_reasons():
     calls = []
     side = _Side(theta(4))
     (root,) = side.tree
-    assert _grow((side,), lambda s: calls.append(s) or xi_successors(s), goal=root) == \
+    assert _grow((side,), lambda s, _: calls.append(s) or xi_successors(s), goal=root) == \
         (root, None)
     assert not calls and side.depth == 0
 
@@ -523,13 +524,15 @@ def test_every_move_has_an_inverse():
     """The inverse read off each move takes the move's result back to the
     rotational class of its input: for an IX-move the XI choice that the
     contraction names, which the merged locus offers, and for an XI-move
-    the IX-move along the region it created."""
+    the IX-move along the region it created.  The result offers the inverse
+    among its moves, which the search's skip of a state's undo needs."""
     checked = {IXSite: 0, NormalSplit: 0, QuasiSplit: 0, MoebiusSplit: 0}
     for surface in golden_corpus():
         want = canonical_form(surface, SymmetryMode.ROTATIONAL)
         for move, after in neighbors(surface):
             applied, undo = _apply(surface, move)
             assert applied == after, (surface, move)
+            assert undo in _moves(after), (surface, move)
             back = apply_move(after, undo)
             assert canonical_form(back, SymmetryMode.ROTATIONAL) == want, (surface, move)
             checked[type(move)] += 1

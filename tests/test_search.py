@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 import threading
 import time
@@ -34,6 +36,7 @@ from mbs import (
     search_equivalence,
     theta,
 )
+from mbs.io import record_to_document
 from mbs.isomorphism import _canonical
 from mbs.moves import _moves, _orbit_moves
 from helpers import scramble
@@ -126,7 +129,7 @@ def test_one_move_per_orbit_reaches_every_class():
         moves = _orbit_moves(surface)
         successors = mbs.moves._successors(surface, moves)
         assert {canonical_form(after, SymmetryMode.ROTATIONAL).data
-                for _, after in successors} == set(key.values())
+                for _, after, _ in successors} == set(key.values())
         assert moves == [move for move in key if move in moves]  # move order
         offered += len(key)
         kept += len(moves)
@@ -142,6 +145,24 @@ def test_orbit_moves_match_the_union_find_reference():
         assert moves == reference_orbit_moves(surface), surface
         pruned += len(moves) < len(list(_moves(surface)))
     assert pruned == 21
+
+
+def test_orbit_moves_drop_exactly_the_orbit_of_the_undo():
+    """Given the undo of the move that made a surface, the orbit walk keeps
+    what it keeps without it but one move, the first of the undo's orbit,
+    and that move leads back to the class the move started from."""
+    checked, symmetric = 0, 0
+    for surface in orbit_surfaces():
+        want = canonical_form(surface, SymmetryMode.ROTATIONAL)
+        for _, after, undo in mbs.moves._successors(surface, _orbit_moves(surface)):
+            full, kept = _orbit_moves(after), _orbit_moves(after, undo)
+            (dropped,) = [move for move in full if move not in kept]
+            assert kept == [move for move in full if move != dropped]
+            back = mbs.moves._apply(after, dropped)[0]
+            assert canonical_form(back, SymmetryMode.ROTATIONAL) == want, (surface, undo)
+            checked += 1
+            symmetric += dropped != undo
+    assert (checked, symmetric) == (773, 32)
 
 
 def test_pruned_search_matches_the_unpruned_search(monkeypatch):
@@ -161,7 +182,9 @@ def test_pruned_search_matches_the_unpruned_search(monkeypatch):
     outcomes = []
     for x, y, budget, mode in cases:
         got = search_equivalence(x, y, budget, mode)
-        monkeypatch.setattr(mbs.search, "_orbit_moves", lambda surface: list(_moves(surface)))
+        # every move, the undo of the move that made the state among them
+        monkeypatch.setattr(mbs.search, "_orbit_moves",
+                            lambda surface, undo: list(_moves(surface)))
         want = search_equivalence(x, y, budget, mode)
         monkeypatch.undo()
         assert got == want, (x, y)
@@ -202,6 +225,28 @@ def test_search_matches_the_sorted_reference():
                         assert len(got.record) == len(want.record), (i, length, budget)
     assert outcomes == {Found, states}
     assert len(budget_moved) <= 4, budget_moved
+
+
+# sha256 over the record documents of MIRROR searches between walk pairs,
+# recorded when the search still labelled the reversed passes of x, y and
+# the endpoint and built the undo of each state's move
+SEARCH_DIGEST = "023e2a778ca121493bf310b9cda31268c8eeec83445c7e677b558e1acd0c7c01"
+
+
+def test_search_records_match_digest():
+    starts = [theta(4), theta(5), moebius_annulus(), quasi_pure()] + \
+        [random_surface(i, 30) for i in (2, 5, 6)]
+    digest = hashlib.sha256()
+    for n, start in enumerate(starts):
+        for seed in range(1, 9):
+            length = 1 + seed % 4
+            y = scramble(random_walk(start, 10 * n + seed, length)[0], seed)
+            outcome = search_equivalence(start, y, SearchBudget(max_depth=length),
+                                         SymmetryMode.MIRROR)
+            assert isinstance(outcome, Found), (n, seed)
+            digest.update(json.dumps(record_to_document(outcome.record),
+                                     sort_keys=True).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
 
 
 def test_search_identity(theta3):
