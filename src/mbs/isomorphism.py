@@ -85,9 +85,11 @@ def _check_clock():
 
 @contextmanager
 def _time_limit(seconds: float):
-    """Bound the block by ``seconds``: a clock check past the deadline, in
-    the block or in any labelling it starts, ends the block.  lru_cache does
-    not cache a raised call, so no partial labelling is kept."""
+    """Bound the block by ``seconds``: a clock check past the deadline ends
+    the block.  :func:`canonical_form` and :func:`are_isomorphic` check on
+    entry, also for a cached labelling, as do each node of a labelling's
+    search and each block of ``homology_profile``; no caller checks itself.
+    lru_cache does not cache a raised call, so no partial labelling is kept."""
     token = _DEADLINE.set(time.monotonic() + seconds)
     try:
         yield
@@ -325,6 +327,7 @@ def _mirror_image(surface: MultibranchedSurface) -> MultibranchedSurface:
 def canonical_form(surface: MultibranchedSurface, mode: SymmetryMode) -> CanonicalForm:
     """Deterministic, symmetry-invariant byte encoding; equal bytes in one
     mode hold exactly for isomorphic surfaces."""
+    _check_clock()
     body = _canonical(surface, mode).body
     return CanonicalForm(mode, FORMAT_PREFIX + b"/" + mode.value.encode() + b":" + body)
 
@@ -424,6 +427,7 @@ def are_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,
     locus of x read from slot ``rx`` in direction ``dx`` matches the locus
     of y read from ``ry`` in direction ``dy``, step for step.
     """
+    _check_clock()
     lx = _canonical(x, mode)
     ly = _canonical(y, mode)
     if lx.code != ly.code:

@@ -11,6 +11,9 @@ A contraction is the IX-move's splice evaluated with minor-mode degree
 rules, and :mod:`mbs.moves` also decides which regions are contractible:
 the IX-eligible ones whose contraction leaves the merged locus a slot.
 
+:func:`less_than` (one level) and :func:`is_minor` are one class walk,
+``_descend``, whose deadline ``canonical_form`` reads at every reduct.
+
 The obstruction screen computes the two cheap necessary conditions aligned
 with the known non-embeddable families (a non-orientable closed region, and
 the gcd of the wrapping numbers); it is not a decision procedure for sphere
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import IneligibleMoveError, ModeError
-from .isomorphism import SymmetryMode, _check_clock, _time_limit, canonical_form
+from .isomorphism import SymmetryMode, _time_limit, canonical_form
 from .model import (
     BranchLocus,
     MultibranchedSurface,
@@ -119,20 +122,36 @@ def apply_reduction(surface: MultibranchedSurface, step: ReductionStep):
     return contract_region(surface, step.region_id)
 
 
+def _descend(x, y, budget: SearchBudget, mode: SymmetryMode, **limits):
+    """The walk of :func:`is_minor` and :func:`less_than` (``moves._grow``):
+    the chain or None, and whether neither the state limit nor
+    ``budget.time_limit`` cut the walk short."""
+    _require_minor(x)
+    _require_minor(y)
+    size = len(x.regions) + len(x.loci)
+
+    def successors(surface, _):  # a reduction has no undo
+        for step in enumerate_reductions(surface):
+            after = apply_reduction(surface, step)
+            if len(after.regions) + len(after.loci) >= size:  # none grows back
+                yield step, after, None
+
+    with _time_limit(budget.time_limit):
+        target = canonical_form(x, mode).data
+        side = _Side(y, mode)
+        key, why = _grow((side,), successors, goal=target, **limits)
+        return side.chain(key)[1] if key else None, why != "states"
+    return None, False
+
+
 def less_than(x: MultibranchedSurface, y: MultibranchedSurface,
               budget: SearchBudget = SearchBudget(),
               mode: SymmetryMode = SymmetryMode.MIRROR):
-    """Single-step relation: the reduction of y isomorphic to x, or None,
-    also when ``budget.time_limit``, the only component read, passes first."""
-    _require_minor(x)
-    _require_minor(y)
-    with _time_limit(budget.time_limit):
-        target = canonical_form(x, mode).data
-        for step in enumerate_reductions(y):
-            _check_clock()
-            if canonical_form(apply_reduction(y, step), mode).data == target:
-                return (step,)
-    return None
+    """Single-step relation: the first reduction of y isomorphic to x, by
+    one level of the walk of :func:`is_minor`, or None: also when x and y
+    are isomorphic, as the empty chain is no step, and when
+    ``budget.time_limit``, the only component read, passes first."""
+    return _descend(x, y, budget, mode, max_depth=1)[0] or None
 
 
 def tilde_equivalent(x: MultibranchedSurface, y: MultibranchedSurface,
@@ -153,26 +172,11 @@ def tilde_equivalent(x: MultibranchedSurface, y: MultibranchedSurface,
 def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
              budget: SearchBudget = SearchBudget(),
              mode: SymmetryMode = SymmetryMode.MIRROR) -> MinorOutcome:
-    """The class walk (``moves._grow``) down the reduction order from y to
-    a surface isomorphic to x.  Reflexive via the empty chain.  Reads
+    """The class walk down the reduction order from y to a surface
+    isomorphic to x.  Reflexive via the empty chain.  Reads
     ``max_states``, the distinct states kept, and ``time_limit`` of
     ``budget``: a negative is complete when the downward set fits."""
-    _require_minor(x)
-    _require_minor(y)
-    target_size = len(x.regions) + len(x.loci)
-
-    def successors(surface, _):  # a reduction has no undo
-        for step in enumerate_reductions(surface):
-            after = apply_reduction(surface, step)
-            if len(after.regions) + len(after.loci) >= target_size:
-                yield step, after, None
-
-    with _time_limit(budget.time_limit):
-        target = canonical_form(x, mode).data
-        side = _Side(y, mode)
-        key, why = _grow((side,), successors, budget.max_states, goal=target)
-        return MinorOutcome(side.chain(key)[1] if key else None, why != "states")
-    return MinorOutcome(None, False)
+    return MinorOutcome(*_descend(x, y, budget, mode, max_states=budget.max_states))
 
 
 def obstruction_screen(surface: MultibranchedSurface) -> ObstructionFlags:

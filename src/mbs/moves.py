@@ -42,7 +42,8 @@ orbit under those symmetries, and drops the orbit of the undo of the move
 that made the surface.  ``_grow`` is the one walk over classes, and
 the one rule for when it stops: it grows ``_Side`` trees from successors
 that ``_successors`` builds lazily, for both searches and spreading, and
-keeps each state's undo beside its move.
+keeps each state's undo beside its move.  Nothing here reads the
+deadline: ``canonical_form`` does, for every state that the walk keys.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import IneligibleMoveError, ModeError, ReplayError, TheoremViolationError
-from .isomorphism import SymmetryMode, _canonical, _check_clock, canonical_form, canonical_hash
+from .isomorphism import SymmetryMode, _canonical, canonical_form, canonical_hash
 from .model import (
     ANNULUS,
     MOEBIUS,
@@ -412,8 +413,6 @@ def _orbit_moves(surface: MultibranchedSurface, undo=None) -> list:
     "Isomorph-free exhaustive generation", 1998)."""
     moves = list(_moves(surface))
     automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
-    if not automorphisms:
-        return [move for move in moves if move != undo]
     offered, seen, kept = set(moves), set(), []
     firsts = [undo] + moves if undo in offered else moves
     for first in (move for move in firsts if move not in seen):  # reads seen as it grows
@@ -473,13 +472,13 @@ def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None)
     """Grow the live side with the fewest frontier states (the first on a
     tie) by one level, in frontier order, until the walk stops.
     ``successors(surface, undo)``, ``undo`` being that of the move that made
-    ``surface`` (None at a start), gives ``(move, after, undo)`` triples;
-    the deadline is read after each.  Returns ``(key, None)`` at a start or
-    new state that is ``goal``, or a new state in another side's tree; else
-    ``(None, why)``: ``"states"`` when the trees hold more than
-    ``max_states`` states, ``"depth"`` when every frontier left is
-    ``max_depth`` levels deep, and ``"space"`` when every frontier is
-    empty."""
+    ``surface`` (None at a start), gives ``(move, after, undo)`` triples,
+    and labelling each ``after`` reads the deadline.  Returns ``(key,
+    None)`` at a start or new state that is ``goal``, or a new state in
+    another side's tree; else ``(None, why)``: ``"states"`` when the trees
+    hold more than ``max_states`` states, ``"depth"`` when every frontier
+    left is ``max_depth`` levels deep, and ``"space"`` when every frontier
+    is empty."""
     if any(goal in side.tree for side in sides):
         return goal, None
     while True:
@@ -492,7 +491,6 @@ def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None)
         for parent in parents:
             surface, _, _, undo = side.tree[parent]
             for move, after, back in successors(surface, undo):
-                _check_clock()
                 key = canonical_form(after, side.mode).data
                 if key in side.tree:
                     continue

@@ -9,17 +9,18 @@ rotationally isomorphic to y, which is stronger than any requested mode,
 before it is returned.  Running out of budget is an outcome, never a
 non-equivalence verdict.
 
-Both sides are the trees of one class walk (``moves._grow``), which reads
-the deadline between successor builds and says why it stopped.  A state's
-successors are built for one move per orbit of the symmetries that its
-cached rotational labeling found, the first move of each orbit in the move
-order of the move layer (canonical augmentation in the sense of McKay's
-isomorph-free generation).  Any other move of an orbit gives a surface
-isomorphic to that of an earlier kept move, whose key the frontier already
-holds, so the trees, meets and records are those of applying every move,
-as :func:`neighbors` does.  Nor is the orbit of a state's undo (the move
-that :func:`moves._apply` names as reversing the move that made the
-state) built: it gives the parent's class, which the tree already holds.
+Both sides are the trees of one class walk (``moves._grow``), which says
+why it stopped.  A state's successors are built for one move per orbit of
+the symmetries that its cached rotational labeling found, the first move
+of each orbit in the move order of the move layer (canonical augmentation
+in the sense of McKay's isomorph-free generation).  Any other move of an
+orbit gives a surface isomorphic to that of an earlier kept move, whose
+key the frontier already holds, so the trees, meets and records are those
+of applying every move, as :func:`neighbors` does.  Nor is the orbit of a
+state's undo (the move that :func:`moves._apply` names as reversing the
+move that made the state) built: it gives the parent's class, which the
+tree already holds, and the chain inversion reads it there.  Nothing here
+reads the deadline: ``canonical_form`` and ``are_isomorphic`` do.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .algebra import homology_profile
 from .errors import TheoremViolationError
 from .isomorphism import (
     SymmetryMode,
-    _check_clock,
     _mirror_image,
     _time_limit,
     are_isomorphic,
@@ -122,36 +122,27 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
     return surfaces[-1], _record(surfaces, walk)
 
 
-def _invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
-    """Turn the backward chain (target ... meet) into forward moves from
-    ``meet_surface``, a surface in the meet class, down to the target class.
+def _invert_backward_chain(meet_surface, side: _Side, key: bytes):
+    """Forward moves from ``meet_surface``, a surface in the class of state
+    ``key`` of y's tree ``side``, down to the class of the tree's root.
 
-    The chain is walked backwards, and each move's inverse is the undo
-    ``_apply`` names.  The undo is a move of the y-side surface; ``_image``
-    carries it through one ROTATIONAL certificate from that surface to the
-    current one, and the carried move goes through the checked ``apply_move``.
-    Returns the surfaces after ``meet_surface`` and the moves, as two tuples.
+    The tree is walked to its root by parent keys.  Each state's stored undo
+    is a move of its y-side surface; ``_image`` carries it through one
+    ROTATIONAL certificate from that surface to the current one, and the
+    carried move goes through the checked ``apply_move``.  Returns the
+    surfaces after ``meet_surface`` and the moves, as two tuples.
     """
-    surfaces, moves = [], []
-    current = meet_surface
-    for i in range(len(backward_moves) - 1, -1, -1):
-        _, undo = _apply(backward_surfaces[i], backward_moves[i])
-        cert = are_isomorphic(backward_surfaces[i + 1], current, SymmetryMode.ROTATIONAL)
-        _check_clock()
+    surfaces, moves = [meet_surface], []
+    surface, parent, _, undo = side.tree[key]
+    while parent is not None:
+        cert = are_isomorphic(surface, surfaces[-1], SymmetryMode.ROTATIONAL)
         if cert is None:  # pragma: no cover - each step keeps the class
             raise TheoremViolationError("backward chain left the class of its surface")
-        moves.append(_image(undo, backward_surfaces[i + 1], cert.region_map,
-                            cert.locus_map, cert.locus_alignment))
-        current = apply_move(current, moves[-1])
-        surfaces.append(current)
-    return tuple(surfaces), tuple(moves)
-
-
-def _key(surface: MultibranchedSurface, mode: SymmetryMode = SymmetryMode.ROTATIONAL):
-    """The canonical bytes of ``surface`` in ``mode``, after a read of the
-    deadline, which a labelling from the cache does not read."""
-    _check_clock()
-    return canonical_form(surface, mode).data
+        moves.append(_image(undo, surface, cert.region_map, cert.locus_map,
+                            cert.locus_alignment))
+        surfaces.append(apply_move(surfaces[-1], moves[-1]))
+        surface, parent, _, undo = side.tree[parent]
+    return tuple(surfaces[1:]), tuple(moves)
 
 
 def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
@@ -166,7 +157,8 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     canonical form.  Otherwise the search meets in the middle over
     rotational canonical-form bytes, and the endpoint of a found sequence
     is verified by replay to be rotationally isomorphic to y.  Minor-mode
-    surfaces that pass the quick checks raise :class:`ModeError`.
+    surfaces that pass the quick checks and are isomorphic at the start
+    return the empty record; any other such pair raises :class:`ModeError`.
     """
     with _time_limit(budget.time_limit):
         if euler_characteristic(x) != euler_characteristic(y):
@@ -175,10 +167,12 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
             return InvariantMismatch("connected_components")
         if homology_profile(x) != homology_profile(y):
             return InvariantMismatch("homology_profile")
-        key_x, key_y = _key(x), _key(y)
-        if key_x == key_y or (
-                mode is SymmetryMode.MIRROR and key_x == _key(_mirror_image(y))) or (
-                mode is SymmetryMode.DIHEDRAL_PER_LOCUS and _key(x, mode) == _key(y, mode)):
+        form_x = canonical_form(x, SymmetryMode.ROTATIONAL)
+        if form_x == canonical_form(y, SymmetryMode.ROTATIONAL) or (
+                mode is SymmetryMode.MIRROR
+                and form_x == canonical_form(_mirror_image(y), SymmetryMode.ROTATIONAL)) or (
+                mode is SymmetryMode.DIHEDRAL_PER_LOCUS
+                and canonical_form(x, mode) == canonical_form(y, mode)):
             return Found(MoveRecord(()))
         side_x, side_y = _Side(x), _Side(y)
 
@@ -195,9 +189,7 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
             return ExhaustedWithinBudget(_REASONS[why])
 
         fwd_surfaces, fwd_moves = side_x.chain(meet)
-        bwd_surfaces, bwd_moves = side_y.chain(meet)
-
-        surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, bwd_moves)
+        surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], side_y, meet)
         record = _record(fwd_surfaces + surfaces, fwd_moves + moves)
         endpoint = replay(x, record)
         # y's side keys the rotational class of y, so the endpoint lies in it

@@ -495,14 +495,17 @@ def reference_canonical_labelling(surface: MultibranchedSurface, mode: SymmetryM
     return best
 
 
-def reference_invert_backward_chain(meet_surface, backward_surfaces, backward_moves):
-    """The search's chain inversion by neighbour scan; ``backward_moves`` is
-    taken for the library's signature and not read.  Returns the surfaces
-    after ``meet_surface`` and the moves, as two tuples."""
+def reference_invert_backward_chain(meet_surface, side, key):
+    """The search's chain inversion by neighbour scan, from state ``key`` of
+    y's tree ``side`` to its root; the undos the tree stores are not read.
+    Returns the surfaces after ``meet_surface`` and the moves, as two
+    tuples."""
     surfaces, moves = [], []
     current = meet_surface
-    for i in range(len(backward_surfaces) - 2, -1, -1):
-        want = canonical_form(backward_surfaces[i], SymmetryMode.ROTATIONAL).data
+    _, parent, _, _ = side.tree[key]
+    while parent is not None:
+        backward_surface, next_parent, _, _ = side.tree[parent]
+        want = canonical_form(backward_surface, SymmetryMode.ROTATIONAL).data
         for move, after in neighbors(current):
             _check_clock()
             if canonical_form(after, SymmetryMode.ROTATIONAL).data == want:
@@ -512,6 +515,7 @@ def reference_invert_backward_chain(meet_surface, backward_surfaces, backward_mo
                 break
         else:
             raise TheoremViolationError("backward chain step has no reverse move")
+        parent = next_parent
     return tuple(surfaces), tuple(moves)
 
 
@@ -544,6 +548,22 @@ def reference_orbit_moves(surface: MultibranchedSurface) -> list:
             a, b = find(i), find(j)
             root[max(a, b)] = min(a, b)
     return [move for i, move in enumerate(moves) if find(i) == i]
+
+
+def reference_less_than(x: MultibranchedSurface, y: MultibranchedSurface,
+                        budget: SearchBudget = SearchBudget(),
+                        mode: SymmetryMode = SymmetryMode.MIRROR):
+    """Single-step relation by a loop over the reductions of y: the first
+    one isomorphic to x, or None, also when the time limit passes first."""
+    _require_minor(x)
+    _require_minor(y)
+    with _time_limit(budget.time_limit):
+        target = canonical_form(x, mode).data
+        for step in enumerate_reductions(y):
+            _check_clock()
+            if canonical_form(apply_reduction(y, step), mode).data == target:
+                return (step,)
+    return None
 
 
 def reference_is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
@@ -645,9 +665,7 @@ def reference_search_equivalence(x: MultibranchedSurface, y: MultibranchedSurfac
                     break
 
         fwd_surfaces, fwd_moves = side_x.chain(meet)
-        bwd_surfaces, bwd_moves = side_y.chain(meet)
-
-        surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], bwd_surfaces, bwd_moves)
+        surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], side_y, meet)
         record = _record(fwd_surfaces + surfaces, fwd_moves + moves)
         endpoint = replay(x, record)
         if are_isomorphic(endpoint, y, mode) is None:  # pragma: no cover

@@ -517,3 +517,20 @@ def test_are_isomorphic_agrees_with_a_vf2_oracle():
                 agreed += 1
                 isomorphic += want
     assert agreed > 600 and 0.6 * agreed < isomorphic < 0.95 * agreed
+
+
+@pytest.mark.parametrize("entry", [
+    lambda s: canonical_form(s, SymmetryMode.MIRROR),
+    lambda s: are_isomorphic(s, s, SymmetryMode.MIRROR),
+], ids=["canonical_form", "are_isomorphic"])
+def test_time_limit_is_read_by_a_cached_labelling(entry):
+    """A labelling served from the cache still reads the deadline, so a
+    bounded block whose deadline has passed ends at the call."""
+    surface = theta(4)
+    entry(surface)  # labels it, and caches the labelling
+    reached = []
+    with mbs.isomorphism._time_limit(0.01):
+        time.sleep(0.02)
+        entry(surface)
+        reached.append(True)
+    assert not reached

@@ -30,7 +30,7 @@ from mbs import (
     validate,
 )
 from mbs.minors import apply_reduction
-from oracles import reference_is_minor
+from oracles import reference_is_minor, reference_less_than
 
 
 @pytest.fixture
@@ -227,6 +227,24 @@ def test_is_minor_matches_reference():
                 assert not is_minor(x, y, SearchBudget(max_states=m - 1)).complete
                 boundary += 1
     assert boundary
+
+
+def test_less_than_matches_reference():
+    """One level of the class walk gives the chain of the loop over the
+    reductions of y, on the corpus plus y itself (the empty chain is no
+    step) and the first three one-step reductions of each y, in every
+    mode."""
+    pairs = list(minor_corpus())
+    for y in {id(y): y for _, y in pairs}.values():
+        pairs += [(y, y)] + [(apply_reduction(y, step), y)
+                             for step in enumerate_reductions(y)[:3]]
+    found = 0
+    for x, y in pairs:
+        for mode in SymmetryMode:
+            chain = less_than(x, y, mode=mode)
+            assert chain == reference_less_than(x, y, mode=mode), (x, y, mode)
+            found += chain is not None
+    assert len(pairs) == 602 and found > 900
 
 
 def test_tilde_equivalent(theta3m):

@@ -359,9 +359,9 @@ def test_chain_inversion_matches_the_neighbour_scan(monkeypatch):
     library = mbs.search._invert_backward_chain
     inverted = []
 
-    def counted(meet_surface, backward_surfaces, backward_moves):
-        inverted.append(len(backward_moves))
-        return library(meet_surface, backward_surfaces, backward_moves)
+    def counted(meet_surface, side, key):
+        inverted.append(len(side.chain(key)[1]))  # the meet's depth in y's tree
+        return library(meet_surface, side, key)
 
     starts = [theta(4), theta(5), moebius_annulus(), quasi_pure()]
     starts += [random_surface(i, 30) for i in (2, 5, 6)]
@@ -438,8 +438,8 @@ def test_time_limit_holds_through_chain_inversion(monkeypatch):
     start = theta(4)
     walked, _ = random_walk(start, seed=2, length=2)
     budget = SearchBudget(max_depth=2, time_limit=0.2)
-    # every labelling of the search is cached, so no labelling reads the
-    # clock and only the inversion's own check can end the search
+    # every labelling of the search is cached, so the search meets well
+    # before its deadline, and the certificate's read on entry ends it
     assert isinstance(search_equivalence(start, walked, SearchBudget(max_depth=2)), Found)
     plain = mbs.search.are_isomorphic
     inverting = []
