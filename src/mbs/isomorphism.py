@@ -49,9 +49,17 @@ of the surface (McKay and Piperno find automorphisms the same way), and
 the labeling keeps it in the certificate's shape: a region map, a locus map
 and a cycle alignment, each locus aligned by the difference of the two
 starts.  It keeps these as generators when they move something and reverse
-no locus.  They generate a subgroup of the rotational automorphisms, since
-the pruned subtrees hold leaves that are never met; the search uses them to
-apply one move per orbit.
+no locus.  The search prunes by them as it goes (automorphism pruning in
+the sense of McKay and Piperno, "Practical graph isomorphism, II", 2014): a
+symmetry found so far that fixes a node's chosen loci and numbered regions,
+and their potentials up to the component's gauge flip, maps each child
+``(locus, rotation)`` to ``(image locus, rotation - offset)`` and the
+child's subtree onto the image's, leaf code for leaf code, so a child in
+the orbit of an expanded sibling is not expanded.  The first least leaf
+never lies in such a subtree, so the labeling is the one that expanding
+every child gives.  The generators generate a subgroup of the rotational
+automorphisms, since the pruned subtrees hold leaves that are never met;
+the search uses them to apply one move per orbit.
 """
 
 from __future__ import annotations
@@ -125,7 +133,9 @@ class _Labeling:
     sign bit is 0 exactly when ``p_locus * sign * p_region`` is 1.
 
     ``automorphisms`` holds the symmetries that tied leaves gave (see the
-    module docstring), which take no part in comparing labelings.  A
+    module docstring), which take no part in comparing labelings; the
+    search that found them also pruned by them, so it meets fewer ties
+    than expanding every child would.  A
     generator ``(region_map, locus_map, locus_alignment)`` reads as the
     maps of a ROTATIONAL :class:`IsoCertificate` from the surface to
     itself, but lists only the regions and loci it moves; every other one
@@ -141,7 +151,7 @@ class _Labeling:
     @cached_property
     def body(self) -> bytes:
         """The code as canonical-form bytes, built once per labeling."""
-        return " ".join(str(x) for x in self.code).encode("ascii")
+        return " ".join(map(str, self.code)).encode("ascii")
 
 
 def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]) -> _Labeling:
@@ -161,39 +171,50 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
         t = r.topology
         n_att = sum(1 for c in r.boundary_circles if c in attached)
         table_row[r.id] = (int(t.orientable), t.genus, t.boundary_count, n_att)
-    automorphisms = {}
+    automorphisms = {}  # key -> (region_map, locus_map, alignment)
 
-    def pair_leaves(seq_a, numbers_a, seq_b, numbers_b):
-        """Keep the symmetry that pairs two leaves with equal codes position
-        by position, unless it is the identity or reverses a locus."""
+    def pair_leaves(leaf_a, leaf_b):
+        """The symmetry that pairs two leaves ``(chosen, region_number,
+        p_region)`` with equal codes position by position, and the
+        orientable regions whose potentials it flips; None when it is the
+        identity, reverses a locus or is already known."""
+        (seq_a, numbers_a, p_a), (seq_b, numbers_b, p_b) = leaf_a, leaf_b
         locus_map, alignment = {}, {}
         for (a, rot_a, dir_a, _), (b, rot_b, dir_b, _) in zip(seq_a, seq_b):
             if dir_a != dir_b:
-                return
+                return None
             offset = (rot_a - rot_b) % len(surface.locus_by_id[a].slots)
             if a != b or offset:
                 locus_map[a], alignment[a] = b, (offset, False)
         region_of = {n: rid for rid, n in numbers_b.items()}
         region_map = {r: region_of[n] for r, n in numbers_a.items() if region_of[n] != r}
-        if alignment or region_map:
-            generator = (region_map, locus_map, alignment)
-            automorphisms.setdefault(tuple(tuple(m.items()) for m in generator), generator)
+        generator = (region_map, locus_map, alignment)
+        key = tuple(tuple(m.items()) for m in generator)
+        if not (alignment or region_map) or key in automorphisms:
+            return None
+        automorphisms[key] = generator
+        return generator, frozenset(r for r, p in p_a.items()
+                                    if p != p_b[region_of[numbers_a[r]]])
 
-    def block_of(locus, rot, direction, region_number, p_region):
+    # per locus, its slots' regions, signs and whether the region is orientable
+    rings = {l.id: [(circle_region[c], eta, orientable[circle_region[c]])
+                    for c, eta in zip(l.slots, l.signs)] for l in surface.loci}
+
+    def block_of(locus, rot, direction, region_number, p_region, least):
         """The block of ``locus`` read from ``rot`` in ``direction``, the
-        locus potentials that can emit it, and the regions it numbers."""
-        k = len(locus.slots)
-        block = [locus.wrapping, k]
+        locus potentials that can emit it, and the regions it numbers; None
+        as soon as the block exceeds ``least``, the least sibling block."""
+        ring = rings[locus.id]
+        steps = ring[rot:] + ring[:rot] if direction == 1 else ring[rot::-1] + ring[:rot:-1]
+        block = [locus.wrapping, len(ring)]
         fresh = {}          # region -> (number, sign at its first slot)
+        numbered = len(region_number)
         p_forced = 0
-        for step in range(k):
-            idx = (rot + direction * step) % k
-            rid = circle_region[locus.slots[idx]]
-            eta = locus.signs[idx]
+        for rid, eta, is_orientable in steps:
             sign_bit = 0
-            if rid in region_number:
-                number = region_number[rid]
-                if orientable[rid]:
+            number = region_number.get(rid)
+            if number is not None:
+                if is_orientable:
                     # the bit is p_locus * eta * p_region; the first such
                     # bit decides p_locus, since the least block has it 0
                     rel = eta * p_region[rid]
@@ -204,11 +225,22 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
             elif rid in fresh:
                 # p_locus cancels: the bit is eta times the first sign
                 number, first = fresh[rid]
-                if orientable[rid] and eta != first:
+                if is_orientable and eta != first:
                     sign_bit = 1
             else:
-                number = len(region_number) + len(fresh)
+                number = numbered + len(fresh)
                 fresh[rid] = (number, eta)
+            if least is not None:
+                # compare with the least block as far as they agree
+                at = len(block)
+                if number != least[at]:
+                    if number > least[at]:
+                        return None, None, None
+                    least = None
+                elif sign_bit != least[at + 1]:
+                    if sign_bit:
+                        return None, None, None
+                    least = None
             block += (number, sign_bit)
         if p_forced:
             potentials = (p_forced,)
@@ -227,42 +259,93 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
             (region,) = regions
             return (0, 1) + table_row[region.id], (), {region.id: 0}, {}
         best = None
+        symmetries = []  # (generator, flipped regions) found in this component
+
+        def fixes(symmetry, chosen, region_number, p_region):
+            """The symmetry fixes the node: its chosen loci, the numbered
+            regions and, up to the component's gauge flip, their potentials
+            (one that flips some of them and not others maps the node to
+            another node)."""
+            (region_map, locus_map, _), flipped = symmetry
+            return (region_map.keys().isdisjoint(region_number)
+                    and not any(locus_id in locus_map for locus_id, *_ in chosen)
+                    and len(flipped.intersection(p_region)) in (0, len(p_region)))
+
+        def close(covered, stabilizer, k):
+            """Add to ``covered`` the images of its children, (locus id,
+            rotation, direction), under ``stabilizer`` until none is new."""
+            orbit = list(covered)  # read while it grows
+            for locus_id, rot, direction in orbit:
+                for (_, locus_map, alignment), _ in stabilizer:
+                    if locus_id in locus_map:
+                        image = (locus_map[locus_id],
+                                 (rot - alignment[locus_id][0]) % k, direction)
+                        if image not in covered:
+                            covered.add(image)
+                            orbit.append(image)
 
         def rec(remaining, code, chosen, region_number, p_region):
             nonlocal best
             _check_clock()
             if not remaining:
-                full = code + tuple(x for rid in sorted(region_number, key=region_number.get)
-                                    for x in table_row[rid])
+                # region_number lists the regions in number order
+                full = code + tuple(x for rid in region_number for x in table_row[rid])
+                leaf = (tuple(chosen), region_number, p_region)
                 if best is None or full < best[0]:
-                    best = (full, tuple(chosen), region_number, p_region)
+                    best = (full, *leaf)
                 elif full == best[0]:
-                    pair_leaves(best[1], best[2], chosen, region_number)
+                    symmetry = pair_leaves(best[1:], leaf)
+                    if symmetry:
+                        symmetries.append(symmetry)
                 return
             # remaining keeps the (wrapping, k, id) order, so every
             # candidate has one (wrapping, k) and every child block the
             # same length; a child whose block exceeds a sibling's cannot
             # lead to the least code: expand only the least blocks
             head = remaining[0]
-            candidates = [l for l in remaining
-                          if l.wrapping == head.wrapping and len(l.slots) == len(head.slots)]
+            k = len(head.slots)
+            candidates = [l for l in remaining if l.wrapping == head.wrapping and len(l.slots) == k]
             least, children = None, []
+            if best is not None and code == best[0][:len(code)]:
+                # a block above the best code's next one cannot lead to it
+                least = best[0][len(code):len(code) + 2 + 2 * k]
             for locus in candidates:
                 for direction in directions:
-                    for rot in range(len(locus.slots)):
+                    for rot in range(k):
                         block, potentials, fresh = block_of(
-                            locus, rot, direction, region_number, p_region)
+                            locus, rot, direction, region_number, p_region, least)
+                        if block is None:
+                            continue
                         if least is None or block < least:
                             least, children = block, []
                         if block == least:
                             children.append((locus, rot, direction, potentials, fresh))
+            if not children:
+                return
             new_code = code + least
+            # a symmetry found so far that fixes this node maps the subtree
+            # of an expanded child onto that of the child's image, leaf code
+            # for leaf code, so the image is not expanded: the first least
+            # leaf never lies in its subtree, as its preimage comes first
+            # (automorphism pruning: McKay and Piperno, 2014)
+            several = len(children) > 1
+            stabilizer, read, covered = [], 0, set()
             # children that number the same regions with the same new
             # potentials lead to isomorphic subtrees: the encoding never
             # distinguishes circles beyond their region, so the consumed loci
             # are then interchangeable
             tried = set()
             for locus, rot, direction, potentials, fresh in children:
+                child = (locus.id, rot, direction)
+                if several and read < len(symmetries):
+                    grown = [symmetry for symmetry in symmetries[read:]
+                             if fixes(symmetry, chosen, region_number, p_region)]
+                    read = len(symmetries)
+                    if grown:
+                        stabilizer += grown
+                        close(covered, stabilizer, k)
+                if child in covered:
+                    continue
                 ids = tuple(fresh)
                 for p_locus in potentials:
                     deltas = tuple(p_locus * eta for rid, (_, eta) in fresh.items()
@@ -285,6 +368,10 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                     rec([l for l in remaining if l is not locus], new_code,
                         chosen + [(locus.id, rot, direction, p_locus)],
                         new_numbers, new_p)
+                if several:
+                    covered.add(child)
+                    if stabilizer:
+                        close(covered, stabilizer, k)
 
         rec(sorted(loci, key=lambda l: (l.wrapping, len(l.slots), l.id)),
             (len(loci), len(regions)), [], {}, {})

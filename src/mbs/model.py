@@ -139,6 +139,20 @@ class MultibranchedSurface:
     mode: ValidityMode = ValidityMode.STRICT
 
     @cached_property
+    def _hash(self) -> int:
+        # the value the dataclass hash gives, computed once per instance
+        return hash((self.regions, self.loci, self.mode))
+
+    def __hash__(self):
+        return self._hash
+
+    def __getstate__(self):
+        # string hashes differ between processes: recompute after unpickling
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    @cached_property
     def region_by_id(self) -> dict[str, Region]:
         return {r.id: r for r in self.regions}
 

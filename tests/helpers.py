@@ -74,3 +74,51 @@ def join(x: MultibranchedSurface, y: MultibranchedSurface,
                              tuple(prefix + c for c in l.slots), l.signs)
                  for l in y.loci)
     return MultibranchedSurface(x.regions + regions, x.loci + loci, x.mode)
+
+
+def is_automorphism(surface: MultibranchedSurface, generator) -> bool:
+    """Whether a generator ``(region_map, locus_map, alignment)`` of a
+    labelling, which lists only what it moves, is a rotational symmetry of
+    ``surface`` up to sign gauge: slot ``j`` of a locus's image shows the
+    image of slot ``offset + j``, regions keep their topology, and the sign
+    ratios of the matched slots are a gauge (a flip per locus times a flip
+    per orientable region; any sign at a non-orientable region)."""
+    region_map, locus_map, alignment = generator
+    regions = {r.id: region_map.get(r.id, r.id) for r in surface.regions}
+    if sorted(regions.values()) != sorted(regions) or any(
+            surface.region_by_id[rid].topology != surface.region_by_id[image].topology
+            for rid, image in regions.items()):
+        return False
+    loci = {l.id: locus_map.get(l.id, l.id) for l in surface.loci}
+    if sorted(loci.values()) != sorted(loci):
+        return False
+    parity = {}  # union-find with parity over ("l", id) and ("r", id)
+
+    def find(node):
+        flip = 1
+        while parity.get(node, (node, 1))[0] != node:
+            node, step = parity[node]
+            flip *= step
+        return node, flip
+
+    for locus in surface.loci:
+        target = surface.locus(loci[locus.id])
+        offset, reversed_ = alignment.get(locus.id, (0, False))
+        k = len(locus.slots)
+        if reversed_ or target.wrapping != locus.wrapping or len(target.slots) != k:
+            return False
+        for j, image in enumerate(target.slots):
+            i = (offset + j) % k
+            rid = surface.circle_to_region[locus.slots[i]]
+            if regions[rid] != surface.circle_to_region[image]:
+                return False
+            if not surface.region_by_id[rid].topology.orientable:
+                continue
+            # the flips of the locus and of the region multiply to the ratio
+            (a, fa), (b, fb) = find(("l", locus.id)), find(("r", rid))
+            ratio = locus.signs[i] * target.signs[j] * fa * fb
+            if a != b:
+                parity[a] = (b, ratio)
+            elif ratio != 1:
+                return False
+    return True

@@ -26,6 +26,12 @@ validity-mode flag followed by the sorted component codes.  The library's
 labeller must reproduce its labelling exactly: code, locus order, region
 numbering and potentials.
 
+The symmetry search oracle is the library's labeller before it pruned by
+the symmetries it finds, kept verbatim: it expands every least child that
+the prefix and gauge cuts leave, and keeps a generator for each tied leaf it
+meets.  The library must reproduce its labelling exactly, and its
+generators must give orbits of the moves that are equal or coarser.
+
 The chain inversion oracle is the search's earlier neighbour scan: from a
 surface in the class of each y-side surface it takes the first neighbour,
 in move order, that lands in the class of the surface before it.  It reads
@@ -80,7 +86,7 @@ from mbs.algebra import (
     SmithDecomposition,
     homology_profile,
 )
-from mbs.errors import TheoremViolationError, UnknownIdError
+from mbs.errors import MbsError, TheoremViolationError, UnknownIdError
 from mbs.isomorphism import (
     SymmetryMode,
     _canonical,
@@ -495,6 +501,169 @@ def reference_canonical_labelling(surface: MultibranchedSurface, mode: SymmetryM
     return best
 
 
+def reference_symmetry_search(surface: MultibranchedSurface,
+                              directions: tuple[int, ...] = (1,)) -> _Labeling:
+    """One pass of the labeller as it was before it pruned by the symmetries
+    it finds: the least labeling, every locus read in one of ``directions``,
+    and a generator for each tied leaf that it meets."""
+    for l in surface.loci:
+        if not l.slots:
+            raise MbsError(f"locus {l.id} has no slots")
+        for c in l.slots:
+            if c not in surface.circle_to_region:
+                raise UnknownIdError(f"locus {l.id} has a slot for unknown circle {c!r}")
+    orientable = {r.id: r.topology.orientable for r in surface.regions}
+    circle_region = surface.circle_to_region
+    attached = surface.circle_to_slot
+    table_row = {}
+    for r in surface.regions:
+        t = r.topology
+        n_att = sum(1 for c in r.boundary_circles if c in attached)
+        table_row[r.id] = (int(t.orientable), t.genus, t.boundary_count, n_att)
+    automorphisms = {}
+
+    def pair_leaves(seq_a, numbers_a, seq_b, numbers_b):
+        """Keep the symmetry that pairs two leaves with equal codes position
+        by position, unless it is the identity or reverses a locus."""
+        locus_map, alignment = {}, {}
+        for (a, rot_a, dir_a, _), (b, rot_b, dir_b, _) in zip(seq_a, seq_b):
+            if dir_a != dir_b:
+                return
+            offset = (rot_a - rot_b) % len(surface.locus_by_id[a].slots)
+            if a != b or offset:
+                locus_map[a], alignment[a] = b, (offset, False)
+        region_of = {n: rid for rid, n in numbers_b.items()}
+        region_map = {r: region_of[n] for r, n in numbers_a.items() if region_of[n] != r}
+        if alignment or region_map:
+            generator = (region_map, locus_map, alignment)
+            automorphisms.setdefault(tuple(tuple(m.items()) for m in generator), generator)
+
+    def block_of(locus, rot, direction, region_number, p_region):
+        """The block of ``locus`` read from ``rot`` in ``direction``, the
+        locus potentials that can emit it, and the regions it numbers."""
+        k = len(locus.slots)
+        block = [locus.wrapping, k]
+        fresh = {}          # region -> (number, sign at its first slot)
+        p_forced = 0
+        for step in range(k):
+            idx = (rot + direction * step) % k
+            rid = circle_region[locus.slots[idx]]
+            eta = locus.signs[idx]
+            sign_bit = 0
+            if rid in region_number:
+                number = region_number[rid]
+                if orientable[rid]:
+                    # the bit is p_locus * eta * p_region; the first such
+                    # bit decides p_locus, since the least block has it 0
+                    rel = eta * p_region[rid]
+                    if not p_forced:
+                        p_forced = rel
+                    elif rel != p_forced:
+                        sign_bit = 1
+            elif rid in fresh:
+                # p_locus cancels: the bit is eta times the first sign
+                number, first = fresh[rid]
+                if orientable[rid] and eta != first:
+                    sign_bit = 1
+            else:
+                number = len(region_number) + len(fresh)
+                fresh[rid] = (number, eta)
+            block += (number, sign_bit)
+        if p_forced:
+            potentials = (p_forced,)
+        elif not p_region:
+            # no potential is fixed yet (as at the root): -1 is the image
+            # of +1 under the global gauge flip and reaches the same codes
+            potentials = (1,)
+        else:
+            potentials = (1, -1)
+        return tuple(block), potentials, fresh
+
+    def label_component(regions, loci):
+        """The least code of one connected component, with the locus
+        sequence, region numbers and potentials that realise it."""
+        if not loci:
+            (region,) = regions
+            return (0, 1) + table_row[region.id], (), {region.id: 0}, {}
+        best = None
+
+        def rec(remaining, code, chosen, region_number, p_region):
+            nonlocal best
+            _check_clock()
+            if not remaining:
+                full = code + tuple(x for rid in sorted(region_number, key=region_number.get)
+                                    for x in table_row[rid])
+                if best is None or full < best[0]:
+                    best = (full, tuple(chosen), region_number, p_region)
+                elif full == best[0]:
+                    pair_leaves(best[1], best[2], chosen, region_number)
+                return
+            # remaining keeps the (wrapping, k, id) order, so every
+            # candidate has one (wrapping, k) and every child block the
+            # same length; a child whose block exceeds a sibling's cannot
+            # lead to the least code: expand only the least blocks
+            head = remaining[0]
+            candidates = [l for l in remaining
+                          if l.wrapping == head.wrapping and len(l.slots) == len(head.slots)]
+            least, children = None, []
+            for locus in candidates:
+                for direction in directions:
+                    for rot in range(len(locus.slots)):
+                        block, potentials, fresh = block_of(
+                            locus, rot, direction, region_number, p_region)
+                        if least is None or block < least:
+                            least, children = block, []
+                        if block == least:
+                            children.append((locus, rot, direction, potentials, fresh))
+            new_code = code + least
+            # children that number the same regions with the same new
+            # potentials lead to isomorphic subtrees: the encoding never
+            # distinguishes circles beyond their region, so the consumed loci
+            # are then interchangeable
+            tried = set()
+            for locus, rot, direction, potentials, fresh in children:
+                ids = tuple(fresh)
+                for p_locus in potentials:
+                    deltas = tuple(p_locus * eta for rid, (_, eta) in fresh.items()
+                                   if orientable[rid])
+                    if (ids, deltas) in tried:
+                        continue
+                    tried.add((ids, deltas))
+                    if not p_region:
+                        # the gauge image with p_locus = -1 is not expanded,
+                        # and neither are its twins
+                        tried.add((ids, tuple(-d for d in deltas)))
+                    if best is not None and new_code > best[0][:len(new_code)]:
+                        return
+                    new_numbers = dict(region_number)
+                    new_p = dict(p_region)
+                    for rid, (number, eta) in fresh.items():
+                        new_numbers[rid] = number
+                        if orientable[rid]:
+                            new_p[rid] = p_locus * eta
+                    rec([l for l in remaining if l is not locus], new_code,
+                        chosen + [(locus.id, rot, direction, p_locus)],
+                        new_numbers, new_p)
+
+        rec(sorted(loci, key=lambda l: (l.wrapping, len(l.slots), l.id)),
+            (len(loci), len(regions)), [], {}, {})
+        return best
+
+    parts = sorted((label_component(regions, loci)
+                    for regions, loci in surface.components),
+                   key=lambda part: part[0])
+    code = (0 if surface.mode.value == "strict" else 1,) + \
+        tuple(x for part in parts for x in part[0])
+    locus_seq, region_number, p_region = [], {}, {}
+    for _, chosen, numbers, potentials in parts:
+        locus_seq += chosen
+        offset = len(region_number)
+        region_number.update((rid, offset + n) for rid, n in numbers.items())
+        p_region.update(potentials)
+    return _Labeling(code, tuple(locus_seq), region_number, p_region,
+                     tuple(automorphisms.values()))
+
+
 def reference_invert_backward_chain(meet_surface, side, key):
     """The search's chain inversion by neighbour scan, from state ``key`` of
     y's tree ``side`` to its root; the undos the tree stores are not read.
@@ -527,6 +696,13 @@ def reference_orbit_moves(surface: MultibranchedSurface) -> list:
     automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
     if not automorphisms:
         return moves
+    roots = orbit_roots(surface, moves, automorphisms)
+    return [move for i, move in enumerate(moves) if roots[i] == i]
+
+
+def orbit_roots(surface: MultibranchedSurface, moves, automorphisms) -> list[int]:
+    """Per move of ``moves``, all moves of ``surface``, the index of the first
+    move of its orbit under ``automorphisms``."""
     index = {move: i for i, move in enumerate(moves)}
     root = list(range(len(moves)))  # union-find; each orbit's root is its first move
 
@@ -547,7 +723,7 @@ def reference_orbit_moves(surface: MultibranchedSurface) -> list:
                 raise TheoremViolationError(f"a symmetry of the surface does not keep {move}")
             a, b = find(i), find(j)
             root[max(a, b)] = min(a, b)
-    return [move for i, move in enumerate(moves) if find(i) == i]
+    return [find(i) for i in range(len(moves))]
 
 
 def reference_less_than(x: MultibranchedSurface, y: MultibranchedSurface,

@@ -1,7 +1,14 @@
+import json
+import os
+import pickle
+import subprocess
+import sys
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
+import mbs
 from mbs import (
     BranchLocus,
     FixtureError,
@@ -29,6 +36,8 @@ from mbs import (
 )
 from helpers import join
 from oracles import _components
+
+SRC = str(Path(mbs.__file__).resolve().parents[1])
 
 
 def test_topology_euler():
@@ -308,6 +317,38 @@ def test_components_computed_once(monkeypatch, mode):
     for symmetry in SymmetryMode:
         canonical_form(surface, symmetry)
     assert len(calls) == 1
+
+
+def test_hash_is_the_dataclass_hash_computed_once():
+    surface = random_walk(theta(5), 3, 2)[0]
+    assert hash(surface) == hash((surface.regions, surface.loci, surface.mode))
+    assert surface.__dict__["_hash"] == hash(surface)
+    assert hash(surface.in_mode(ValidityMode.MINOR)) != hash(surface)
+
+
+UNPICKLE = """
+import json, pickle, sys
+from mbs import random_walk, theta
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = random_walk(theta(5), 3, 2)[0]
+print(json.dumps([loaded == fresh, hash(loaded) == hash(fresh),
+                  {fresh: "hit"}.get(loaded), hash(fresh)]))
+"""
+
+
+def test_cached_hash_does_not_travel_through_pickle():
+    """String hashes differ between processes, so a surface unpickled under
+    another hash seed hashes as an equal surface built there does."""
+    surface = random_walk(theta(5), 3, 2)[0]
+    here = hash(surface)  # cached before pickling
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    done = subprocess.run([sys.executable, "-c", UNPICKLE], input=pickle.dumps(surface),
+                          env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed},
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    equal, same_hash, looked_up, there = json.loads(done.stdout)
+    assert there != here  # the seeds differ, so a hash that travelled would be stale
+    assert (equal, same_hash, looked_up) == (True, True, "hit")
 
 
 def test_random_surface_deterministic_and_valid():

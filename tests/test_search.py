@@ -39,11 +39,13 @@ from mbs import (
 from mbs.io import record_to_document
 from mbs.isomorphism import _canonical
 from mbs.moves import _moves, _orbit_moves
-from helpers import scramble
+from helpers import is_automorphism, scramble
 from oracles import (
+    orbit_roots,
     reference_invert_backward_chain,
     reference_orbit_moves,
     reference_search_equivalence,
+    reference_symmetry_search,
 )
 
 
@@ -110,19 +112,10 @@ def test_one_move_per_orbit_reaches_every_class():
         automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
         for region_map, locus_map, alignment in automorphisms:
             assert locus_map.keys() == alignment.keys()
+            assert is_automorphism(surface, (region_map, locus_map, alignment))
             all_regions = {r.id: region_map.get(r.id, r.id) for r in surface.regions}
             all_loci = {l.id: locus_map.get(l.id, l.id) for l in surface.loci}
             all_alignment = {l.id: alignment.get(l.id, (0, False)) for l in surface.loci}
-            for locus in surface.loci:  # slot j of the image shows slot offset + j
-                target = surface.locus(all_loci[locus.id])
-                offset, reversed_ = all_alignment[locus.id]
-                assert not reversed_
-                assert target.wrapping == locus.wrapping
-                assert len(target.slots) == len(locus.slots)
-                for j, c_image in enumerate(target.slots):
-                    c = locus.slots[(offset + j) % len(locus.slots)]
-                    assert all_regions[surface.circle_to_region[c]] == \
-                        surface.circle_to_region[c_image]
             for move in key:
                 image = mbs.moves._image(move, surface, all_regions, all_loci, all_alignment)
                 assert key[image] == key[move], (surface, move, image)
@@ -147,6 +140,39 @@ def test_orbit_moves_match_the_union_find_reference():
     assert pruned == 21
 
 
+def test_symmetry_pruning_matches_the_reference():
+    """Pruning the labeller's search by the symmetries it has found keeps
+    the labelling of the unpruned reference search; each generator it keeps
+    is a symmetry, and they give orbits of the moves that are the
+    reference's or unions of them, never finer ones."""
+    surfaces = []
+    for surface in orbit_surfaces():
+        surfaces += [surface] + [after for _, after in neighbors(surface)]
+    surfaces += [random_surface(seed, 3 + seed % 30) for seed in range(1, 401)]
+    surfaces += [random_walk(theta(n), seed, 2)[0] for n in (4, 5, 6) for seed in range(1, 21)]
+    # in two of these walks of spread theta, pruning by a symmetry that does
+    # not fix the node would lose the least leaf
+    surfaces += [random_walk(maximally_spread(theta(n))[0], seed, 2)[0]
+                 for n in (5, 6, 7) for seed in range(1, 11)]
+    equal = coarser = 0
+    for surface in surfaces:
+        labelling = _canonical.__wrapped__(surface, SymmetryMode.ROTATIONAL)
+        reference = reference_symmetry_search(surface)
+        assert labelling == reference, surface
+        assert all(is_automorphism(surface, generator)
+                   for generator in labelling.automorphisms), surface
+        moves = list(_moves(surface))
+        want = orbit_roots(surface, moves, reference.automorphisms)
+        got = orbit_roots(surface, moves, labelling.automorphisms)
+        # each reference orbit lies inside one orbit
+        assert all(got[i] == got[want[i]] for i in range(len(moves))), surface
+        if got == want:
+            equal += 1
+        else:
+            coarser += 1
+    assert (equal, coarser) == (1669, 3)
+
+
 def test_orbit_moves_drop_exactly_the_orbit_of_the_undo():
     """Given the undo of the move that made a surface, the orbit walk keeps
     what it keeps without it but one move, the first of the undo's orbit,
@@ -162,7 +188,7 @@ def test_orbit_moves_drop_exactly_the_orbit_of_the_undo():
             assert canonical_form(back, SymmetryMode.ROTATIONAL) == want, (surface, undo)
             checked += 1
             symmetric += dropped != undo
-    assert (checked, symmetric) == (773, 32)
+    assert (checked, symmetric) == (770, 32)
 
 
 def test_pruned_search_matches_the_unpruned_search(monkeypatch):
@@ -486,9 +512,10 @@ def test_time_limit_is_read_between_successor_builds(monkeypatch):
 @pytest.fixture(scope="module")
 def cliff():
     """Spread random_surface(54, 27), with 9 regions and 10 tribranched
-    normal loci, and a 3-move walk of it: one labelling of either takes
-    most of a second, so a bounded search first passes its deadline inside
-    the MIRROR labelling of the start."""
+    normal loci, and a 3-move walk of it: one rotational labelling of
+    either takes 0.15 to 0.5 s, several times the 0.04 s limit below, so
+    a bounded search first passes its deadline inside the MIRROR
+    labelling of the start."""
     start = maximally_spread(random_surface(54, 27))[0]
     return start, random_walk(start, 1, 3)[0]
 
@@ -496,7 +523,7 @@ def cliff():
 def test_time_limit_holds_inside_a_labelling(cliff):
     mbs.isomorphism._canonical.cache_clear()
     began = time.monotonic()
-    outcome = search_equivalence(*cliff, SearchBudget(max_depth=6, time_limit=0.1))
+    outcome = search_equivalence(*cliff, SearchBudget(max_depth=6, time_limit=0.04))
     assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
     assert time.monotonic() - began < 0.5
 
@@ -505,7 +532,7 @@ def test_minor_time_limit_holds_inside_a_labelling(cliff):
     mbs.isomorphism._canonical.cache_clear()
     began = time.monotonic()
     outcome = is_minor(random_surface(1, 5, ValidityMode.MINOR),
-                       cliff[0].in_mode(ValidityMode.MINOR), SearchBudget(time_limit=0.1))
+                       cliff[0].in_mode(ValidityMode.MINOR), SearchBudget(time_limit=0.04))
     assert not outcome.complete
     assert time.monotonic() - began < 0.5
 
@@ -516,7 +543,7 @@ def test_time_limit_leaves_other_threads_labelling(cliff):
 
     def bounded():
         began = time.monotonic()
-        outcome = search_equivalence(*cliff, SearchBudget(max_depth=6, time_limit=0.1))
+        outcome = search_equivalence(*cliff, SearchBudget(max_depth=6, time_limit=0.04))
         ended.append((outcome, time.monotonic() - began))
 
     worker = threading.Thread(target=bounded)
