@@ -220,14 +220,14 @@ def _cmd_screen(args) -> int:
 def _cmd_gen(args) -> int:
     from .fixtures import build_fixture
 
-    params = {}
-    if args.name == "theta":
-        params["n"] = args.n
-    if args.name == "closed_surface":
-        params["orientable"] = not args.non_orientable
-        params["genus"] = args.genus
-    if args.mode:
-        params["mode"] = ValidityMode(args.mode)
+    # exactly the flags given: build_fixture refuses one that its fixture
+    # does not take (exit 2)
+    given = {"n": args.n, "genus": args.genus,
+             "orientable": False if args.non_orientable else None,
+             "mode": ValidityMode(args.mode) if args.mode else None}
+    params = {k: v for k, v in given.items() if v is not None}
+    if args.name == "closed_surface":  # a torus unless told otherwise
+        params = {"orientable": True, "genus": 1, **params}
     surface = build_fixture(args.name, **params)
     _emit(io.surface_to_document(surface))
     return OK
@@ -242,7 +242,8 @@ def _cmd_rand(args) -> int:
     if args.length:
         from .search import _walk
 
-        surface = _walk(surface, args.seed, args.length)[0][-1]
+        for _, surface in _walk(surface, args.seed, args.length):
+            pass  # only the last surface is printed
     _emit(io.surface_to_document(surface))
     return OK
 
@@ -306,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="build a named fixture")
     p.add_argument("name", choices=("theta", "mb", "qn", "closed_surface"))
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int)
     p.add_argument("--non-orientable", action="store_true")
-    p.add_argument("--genus", type=int, default=1)
+    p.add_argument("--genus", type=int)
     p.add_argument("--mode", choices=("strict", "minor"))
     p.set_defaults(func=_cmd_gen)
 

@@ -318,10 +318,11 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                             continue
                         if least is None or block < least:
                             least, children = block, []
-                        if block == least:
-                            children.append((locus, rot, direction, potentials, fresh))
+                        children.append((locus, rot, direction, potentials, fresh))
             if not children:
                 return
+            # no child needs the best code's bound again: least is at most
+            # its next block, and a better leaf found below shares new_code
             new_code = code + least
             # a symmetry found so far that fixes this node maps the subtree
             # of an expanded child onto that of the child's image, leaf code
@@ -357,8 +358,6 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                         # the gauge image with p_locus = -1 is not expanded,
                         # and neither are its twins
                         tried.add((ids, tuple(-d for d in deltas)))
-                    if best is not None and new_code > best[0][:len(new_code)]:
-                        return
                     new_numbers = dict(region_number)
                     new_p = dict(p_region)
                     for rid, (number, eta) in fresh.items():

@@ -41,13 +41,15 @@ moves of a surface in order, keeps each one not yet seen and closes its
 orbit under those symmetries, and drops the orbit of the undo of the move
 that made the surface.  ``_grow`` is the one walk over classes, and
 the one rule for when it stops: it grows ``_Side`` trees from successors
-that ``_successors`` builds lazily, for both searches and spreading, and
-keeps each state's undo beside its move.  Nothing here reads the
+that ``_successors`` builds lazily, for both searches and both spreading
+policies (greedy spreading offers each state its first XI choice only, so
+its tree is one chain), and keeps each state's undo beside its move.  Nothing here reads the
 deadline: ``canonical_form`` does, for every state that the walk keys.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -505,42 +507,37 @@ def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None)
 def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
     """Apply XI-moves until every locus is non-spreadable.
 
-    ``first`` takes the lexicographically least choice (locus id, then
-    enumeration order) at each step.  ``exhaustive`` explores all maximal
-    spreading sequences and returns the endpoint with the least canonical
+    The policy picks the successor rule of one walk, :func:`_spreadings`.
+    ``first`` offers only the lexicographically least choice (locus id,
+    then enumeration order), so its walk is one chain.  ``exhaustive``
+    offers every choice and returns the endpoint with the least canonical
     form, the first of :func:`all_maximal_spreadings`.
-    Returns ``(surface, MoveRecord)``.  XI-moves are strict-only, so a
+    Returns ``(surface, MoveRecord)``; a maximally spread input comes back
+    with an empty record and unlabelled.  XI-moves are strict-only, so a
     minor-mode surface raises :class:`ModeError`.
     """
     _require_strict(surface)
-    if policy == "exhaustive":
-        surfaces, moves = _spreadings(surface)[0]
-        return surfaces[-1], _record(surfaces, moves)
-    if policy != "first":
+    rules = {"first": lambda s: itertools.islice(_xi_choices(s), 1),
+             "exhaustive": _xi_choices}
+    if policy not in rules:
         raise ValueError(f"unknown policy {policy!r}")
-
-    budget = spread_potential(surface)
-    surfaces, moves = [surface], []
-    while True:
-        current = surfaces[-1]
-        choice = next(_xi_choices(current), None)
-        if choice is None:
-            break
-        moves.append(choice)
-        surfaces.append(_apply(current, choice)[0])
-        if len(moves) > budget:  # pragma: no cover - potential argument
-            raise TheoremViolationError("spreading exceeded its potential bound")
+    if is_maximally_spread_surface(surface):
+        return surface, MoveRecord(())
+    surfaces, moves = _spreadings(surface, rules[policy])[0]
+    if len(moves) > spread_potential(surface):  # pragma: no cover - potential argument
+        raise TheoremViolationError("spreading exceeded its potential bound")
     return surfaces[-1], _record(surfaces, moves)
 
 
-def _spreadings(surface: MultibranchedSurface):
+def _spreadings(surface: MultibranchedSurface, choices):
     """The chains ``(surfaces, moves)`` from ``surface`` to each maximally
-    spread class that XI-moves reach, one chain per rotational class, in
-    ascending canonical order: the walk of a :class:`_Side` over XI-moves
-    until its frontier empties.  The caller checks the mode."""
+    spread class that the XI choices ``choices(s)`` of each state ``s``
+    reach, one chain per rotational class, in ascending canonical order:
+    the walk of a :class:`_Side` until its frontier empties.  The caller
+    checks the mode."""
     side = _Side(surface)
     # an XI-move's undo is an IX-move, which spreading never offers
-    _grow((side,), lambda s, _: _successors(s, _xi_choices(s)))
+    _grow((side,), lambda s, _: _successors(s, choices(s)))
     return [side.chain(key) for key in sorted(side.tree)
             if is_maximally_spread_surface(side.tree[key][0])]
 
@@ -550,7 +547,7 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
     rotational class in ascending canonical order, each with its record."""
     _require_strict(surface)
     return [(surfaces[-1], _record(surfaces, moves))
-            for surfaces, moves in _spreadings(surface)]
+            for surfaces, moves in _spreadings(surface, _xi_choices)]
 
 
 def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurface:

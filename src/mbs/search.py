@@ -100,17 +100,16 @@ def neighbors(surface: MultibranchedSurface):
 
 
 def _walk(surface: MultibranchedSurface, seed: int, length: int):
-    """The surfaces and moves of :func:`random_walk`, which labels none of
-    them."""
+    """The steps ``(move, after)`` of :func:`random_walk`, built one at a
+    time as they are taken; it labels none of them."""
     rng = random.Random(f"walk/{seed}")
-    surfaces, walk = [surface], []
     for _ in range(length):
-        moves = list(_moves(surfaces[-1]))
+        moves = list(_moves(surface))
         if not moves:
-            break
-        walk.append(moves[rng.randrange(len(moves))])
-        surfaces.append(_apply(surfaces[-1], walk[-1])[0])
-    return surfaces, walk
+            return
+        move = moves[rng.randrange(len(moves))]
+        surface = _apply(surface, move)[0]
+        yield move, surface
 
 
 def random_walk(surface: MultibranchedSurface, seed: int, length: int):
@@ -118,8 +117,9 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
     the seed.  A surface without successors ends the walk early.  Returns
     ``(surface, MoveRecord)``; the record replays.  A walk of length at
     least 1 needs a strict surface (see :func:`neighbors`)."""
-    surfaces, walk = _walk(surface, seed, length)
-    return surfaces[-1], _record(surfaces, walk)
+    steps = list(_walk(surface, seed, length))
+    surfaces = [surface, *(after for _, after in steps)]
+    return surfaces[-1], _record(surfaces, [move for move, _ in steps])
 
 
 def _invert_backward_chain(meet_surface, side: _Side, key: bytes):

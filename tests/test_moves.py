@@ -54,6 +54,7 @@ from mbs.moves import (
     _grow,
     _moves,
     _Side,
+    _spreadings,
     _successors,
     _xi_choices,
     all_maximal_spreadings,
@@ -274,6 +275,39 @@ def test_spreading_requires_strict_mode(policy, mb):
                     mb.in_mode(ValidityMode.MINOR)):
         with pytest.raises(ModeError):
             maximally_spread(surface, policy=policy)
+
+
+@pytest.mark.parametrize("policy", ["first", "exhaustive"])
+def test_spreading_labels_no_more_than_it_needs(monkeypatch, policy):
+    # both policies are one walk that labels each surface it builds once,
+    # forwards, and the record reads those labellings again; greedy
+    # spreading builds only its chain, and a spread input labels nothing
+    labelled = []
+    search = mbs.isomorphism._search_canonical
+
+    def counted(surface, directions):
+        labelled.append((surface, directions))
+        return search(surface, directions)
+
+    monkeypatch.setattr(mbs.isomorphism, "_search_canonical", counted)
+    mbs.isomorphism._canonical.cache_clear()
+    spread, record = maximally_spread(theta(5), policy)
+    chain = [theta(5)]
+    for step in record.steps:
+        chain.append(apply_move(chain[-1], step.move))
+    assert chain[-1] == spread and len(record) == 4
+    if policy == "first":
+        assert labelled == [(s, (1,)) for s in chain]
+    else:  # the record labels nothing that the walk did not
+        walked = list(labelled)
+        mbs.isomorphism._canonical.cache_clear()
+        labelled.clear()
+        _spreadings(theta(5), _xi_choices)
+        assert labelled == walked and len(set(walked)) == len(walked) > len(chain)
+        assert {d for _, d in walked} == {(1,)}
+    labelled.clear()
+    assert maximally_spread(spread, policy) == (spread, MoveRecord(()))
+    assert labelled == []
 
 
 def test_all_maximal_spreadings_requires_strict_mode():
