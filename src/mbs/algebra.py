@@ -24,7 +24,6 @@ invariant factors merge into one divisibility chain through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import ModeError
@@ -32,11 +31,12 @@ from .isomorphism import _check_clock
 from .model import (
     MultibranchedSurface,
     ValidityMode,
+    _frozen,
     euler_characteristic,
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntegerMatrix:
     """Dense arbitrary-precision integer matrix (rows of equal length).
 
@@ -82,7 +82,7 @@ class IntegerMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
 
-@dataclass(frozen=True)
+@_frozen
 class SmithDecomposition:
     """U @ M @ V == S with S diagonal, non-negative, each entry dividing the next."""
 
@@ -199,7 +199,7 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class ChainComplex:
     """Boundary matrices with their cell labels.
 
@@ -261,7 +261,7 @@ def build_chain_complex(surface: MultibranchedSurface) -> ChainComplex:
                         tuple("F." + r.id for r in regions))
 
 
-@dataclass(frozen=True)
+@_frozen
 class HomologyProfile:
     """Betti numbers and torsion coefficients of H0, H1, H2.
 
@@ -342,7 +342,7 @@ def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
     return HomologyProfile(betti=betti, torsion=((), _divisibility_chain(factors), ()))
 
 
-@dataclass(frozen=True)
+@_frozen
 class DecompositionSummary:
     """Piece counts of the neighborhood split along its annulus system:
     one solid torus per locus, one interval bundle per region with boundary

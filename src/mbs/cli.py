@@ -218,14 +218,20 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .fixtures import build_fixture
+    import inspect
 
-    # exactly the flags given: build_fixture refuses one that its fixture
-    # does not take (exit 2)
-    given = {"n": args.n, "genus": args.genus,
-             "orientable": False if args.non_orientable else None,
-             "mode": ValidityMode(args.mode) if args.mode else None}
-    params = {k: v for k, v in given.items() if v is not None}
+    from .fixtures import _BUILDERS, build_fixture
+
+    # exactly the flags given, each under the builder parameter it sets; a
+    # flag that the fixture's builder does not take is refused by name (exit 2)
+    given = {"n": ("--n", args.n), "genus": ("--genus", args.genus),
+             "orientable": ("--non-orientable", False if args.non_orientable else None),
+             "mode": ("--mode", ValidityMode(args.mode) if args.mode else None)}
+    params = {k: v for k, (_, v) in given.items() if v is not None}
+    taken = inspect.signature(_BUILDERS[args.name]).parameters
+    refused = [given[key][0] for key in params if key not in taken]
+    if refused:
+        raise MbsError(f"{args.name} does not take {', '.join(refused)}")
     if args.name == "closed_surface":  # a torus unless told otherwise
         params = {"orientable": True, "genus": 1, **params}
     surface = build_fixture(args.name, **params)

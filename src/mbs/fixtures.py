@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import random
 
 from .errors import FixtureError, ModeError
@@ -78,6 +77,8 @@ def build_fixture(name: str, **params) -> MultibranchedSurface:
         builder = _BUILDERS[name]
     except KeyError:
         raise FixtureError(f"unknown fixture {name!r}") from None
+    import inspect  # here, so that loading the fixtures does not load it
+
     try:
         inspect.signature(builder).bind(**params)
     except TypeError as exc:

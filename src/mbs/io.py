@@ -169,7 +169,7 @@ def load(path) -> MultibranchedSurface:
 
 def _xi_variants() -> dict:
     """The XI move documents: variant -> (descriptor class, its integer
-    fields in dataclass order).  Every XI document also names its locus."""
+    fields in field order).  Every XI document also names its locus."""
     from .moves import MoebiusSplit, NormalSplit, QuasiSplit
 
     return {"normal_split": (NormalSplit, ("gap_a", "gap_b")),

@@ -68,12 +68,11 @@ import hashlib
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
 from .errors import MbsError, UnknownIdError
-from .model import BranchLocus, MultibranchedSurface, Region
+from .model import BranchLocus, MultibranchedSurface, Region, _frozen
 
 FORMAT_PREFIX = b"mbscf2"
 
@@ -113,13 +112,13 @@ class SymmetryMode(Enum):
     DIHEDRAL_PER_LOCUS = "dihedral"
 
 
-@dataclass(frozen=True)
+@_frozen
 class CanonicalForm:
     mode: SymmetryMode
     data: bytes
 
 
-@dataclass(frozen=True)
+@_frozen(uncompared=("automorphisms",))
 class _Labeling:
     """The labeling that realises the canonical code.
 
@@ -146,7 +145,7 @@ class _Labeling:
     locus_seq: tuple[tuple[str, int, int, int], ...]  # (id, rotation, direction, p_locus)
     region_number: dict
     p_region: dict
-    automorphisms: tuple[tuple[dict, dict, dict], ...] = field(default=(), compare=False)
+    automorphisms: tuple[tuple[dict, dict, dict], ...] = ()
 
     @cached_property
     def body(self) -> bytes:
@@ -425,7 +424,7 @@ def canonical_hash(surface: MultibranchedSurface, mode: SymmetryMode) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-@dataclass(frozen=True)
+@_frozen
 class IsoCertificate:
     """An explicit isomorphism: id bijections, per-locus cycle alignment
     ``(offset, reversed)`` meaning ``Y.slots[j] = circles[X.slots[(offset +/- j) % k]]``,

@@ -23,7 +23,6 @@ or 3-sphere embeddability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import IneligibleMoveError, ModeError
 from .isomorphism import SymmetryMode, _time_limit, canonical_form
@@ -31,18 +30,19 @@ from .model import (
     BranchLocus,
     MultibranchedSurface,
     ValidityMode,
+    _frozen,
     classify_region,
 )
 from .moves import IX_ELIGIBLE, _grow, _leaves_a_slot, _Side, _splice
 from .search import SearchBudget
 
 
-@dataclass(frozen=True)
+@_frozen
 class RemoveRegion:
     region_id: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class ContractRegion:
     region_id: str
 
@@ -50,13 +50,13 @@ class ContractRegion:
 ReductionStep = RemoveRegion | ContractRegion
 
 
-@dataclass(frozen=True)
+@_frozen
 class ObstructionFlags:
     has_nonorientable_closed_region: bool
     locus_wrapping_gcd: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class MinorOutcome:
     """``sequence`` is the reduction chain when found.  ``complete`` tells
     whether the whole downward set was explored, which makes a missing

@@ -23,11 +23,69 @@ Disk regions are excluded in both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from .errors import UnknownIdError
+
+
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls=None, *, uncompared=()):
+    """Make ``cls`` an immutable value type over the fields its own body
+    annotates, in annotation order; a field's class attribute, if any, is
+    its default.
+
+    The class gets ``__init__`` taking the fields positionally or by name
+    (and calling ``__post_init__`` last, if the class has one), a
+    ``__repr__`` naming each field, ``__eq__`` between instances of the
+    same class and ``__hash__`` over the fields, both skipping the names in
+    ``uncompared``, ``__match_args__``, and assignment and deletion that
+    raise :class:`AttributeError`.  A method the class body defines itself
+    is kept.  ``__init__``, ``__eq__`` and ``__hash__`` are compiled from
+    one source per class, so each reads its fields directly; an instance
+    keeps its fields in ``__dict__``, where ``cached_property`` works too.
+    """
+    if cls is None:
+        return lambda cls: _frozen(cls, uncompared=uncompared)
+    names = tuple(cls.__annotations__)
+    defaults = [n for n in names if n in cls.__dict__]
+    params = ", ".join(f"{n}=_default_{n}" if n in defaults else n for n in names)
+    keys = "".join(f"self.{n}, " for n in names if n not in uncompared)
+    other = keys.replace("self.", "other.")
+    source = (
+        f"def __init__(self, {params}):\n"
+        f"    self.__dict__.update({', '.join(f'{n}={n}' for n in names)})\n"
+        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+        + "def __eq__(self, other):\n"
+        "    if other.__class__ is not self.__class__:\n"
+        "        return NotImplemented\n"
+        f"    return self is other or ({keys}) == ({other})\n"
+        "def __hash__(self):\n"
+        f"    return hash(({keys}))\n"
+    )
+    methods = {f"_default_{n}": cls.__dict__[n] for n in defaults}
+    exec(source, methods)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    methods["__repr__"] = __repr__
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        if name not in cls.__dict__:
+            methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, methods[name])
+    cls.__match_args__ = names
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
 
 
 class ValidityMode(Enum):
@@ -45,7 +103,7 @@ class RegionClass(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@_frozen
 class RegionTopology:
     """Homeomorphism type of a compact surface piece.
 
@@ -80,14 +138,14 @@ ANNULUS = RegionTopology(orientable=True, genus=0, boundary_count=2)
 MOEBIUS = RegionTopology(orientable=False, genus=1, boundary_count=1)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Region:
     id: str
     topology: RegionTopology
     boundary_circles: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_frozen
 class BranchLocus:
     """A branch circle with wrapping number and cyclic slot order.
 
@@ -115,7 +173,7 @@ class BranchLocus:
         return len(self.slots)
 
 
-@dataclass(frozen=True)
+@_frozen
 class LocusProfile:
     degree: int
     wrapping: int
@@ -126,7 +184,7 @@ class LocusProfile:
     is_spreadable: bool
 
 
-@dataclass(frozen=True)
+@_frozen
 class MultibranchedSurface:
     """The central immutable value: regions plus loci plus a validity mode.
 
@@ -140,7 +198,7 @@ class MultibranchedSurface:
 
     @cached_property
     def _hash(self) -> int:
-        # the value the dataclass hash gives, computed once per instance
+        # the value the field hash would give, computed once per instance
         return hash((self.regions, self.loci, self.mode))
 
     def __hash__(self):
@@ -230,7 +288,7 @@ class MultibranchedSurface:
         return MultibranchedSurface(self.regions, self.loci, mode)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ValidationIssue:
     rule: str
     subject: str

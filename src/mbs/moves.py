@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import IneligibleMoveError, ModeError, ReplayError, TheoremViolationError
 from .isomorphism import SymmetryMode, _canonical, canonical_form, canonical_hash
@@ -63,6 +62,7 @@ from .model import (
     Region,
     RegionClass,
     ValidityMode,
+    _frozen,
     classify_region,
     locus_profile,
 )
@@ -74,13 +74,13 @@ IX_ELIGIBLE = (
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class IXSite:
     region_id: str
     kind: RegionClass
 
 
-@dataclass(frozen=True)
+@_frozen
 class NormalSplit:
     """Split a normal locus at two gaps; each arc keeps at least two slots."""
 
@@ -89,7 +89,7 @@ class NormalSplit:
     gap_b: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class QuasiSplit:
     """Pull a consecutive arc of ``length`` slots starting at ``start`` off an
     unnormal locus onto a fresh normal locus.  When ``length`` equals the
@@ -101,7 +101,7 @@ class QuasiSplit:
     length: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class MoebiusSplit:
     """Reverse a Moebius contraction at a wrapping-2 locus, cutting at ``cut_gap``."""
 
@@ -113,14 +113,14 @@ XIChoice = NormalSplit | QuasiSplit | MoebiusSplit
 MoveDescriptor = IXSite | NormalSplit | QuasiSplit | MoebiusSplit
 
 
-@dataclass(frozen=True)
+@_frozen
 class MoveStep:
     move: MoveDescriptor
     hash_before: int
     hash_after: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class MoveRecord:
     steps: tuple[MoveStep, ...]
 

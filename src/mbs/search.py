@@ -26,7 +26,6 @@ reads the deadline: ``canonical_form`` and ``are_isomorphic`` do.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import homology_profile
 from .errors import TheoremViolationError
@@ -39,6 +38,7 @@ from .isomorphism import (
 )
 from .model import (
     MultibranchedSurface,
+    _frozen,
     connected_components,
     euler_characteristic,
 )
@@ -57,7 +57,7 @@ from .moves import (
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class SearchBudget:
     max_depth: int = 4          # search_equivalence: levels per side of the class walk
     max_states: int = 5000      # search_equivalence, is_minor: states in the walk's trees
@@ -70,17 +70,17 @@ class SearchBudget:
             raise ValueError("all budget components must be positive")
 
 
-@dataclass(frozen=True)
+@_frozen
 class Found:
     record: MoveRecord
 
 
-@dataclass(frozen=True)
+@_frozen
 class ExhaustedWithinBudget:
     reason: str = "budget"
 
 
-@dataclass(frozen=True)
+@_frozen
 class InvariantMismatch:
     which: str
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from functools import reduce
@@ -413,7 +412,7 @@ def with_topology(surface, region, orientable, genus):
     """``surface`` with ``region`` given the genus and orientability."""
     topology = RegionTopology(orientable, genus, region.topology.boundary_count)
     return MultibranchedSurface(
-        tuple(dataclasses.replace(r, topology=topology) if r is region else r
+        tuple(Region(r.id, topology, r.boundary_circles) if r is region else r
               for r in surface.regions), surface.loci, surface.mode)
 
 

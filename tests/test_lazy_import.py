@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mbs
-from mbs import serialize, theta
+from mbs import ValidityMode, serialize, theta
 
 SRC = str(Path(mbs.__file__).resolve().parents[1])
 
@@ -63,7 +63,7 @@ PUBLIC = {
 SUBMODULES = sorted(PUBLIC) + ["cli"]
 LAYERS = {"algebra", "isomorphism", "minors", "moves", "search"}
 
-# runs the CLI as ``python -m mbs`` does, then reports the mbs modules loaded
+# runs the CLI as ``python -m mbs`` does, then reports every module loaded
 CLI_PROBE = """
 import contextlib, io, json, runpy, sys
 sys.argv = ["mbs", *json.loads(sys.argv[1])]
@@ -72,14 +72,16 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("mbs", run_name="__main__")
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, [m for m in sys.modules if m.startswith("mbs.")]]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
 def fresh_python(code, *args, cwd=None):
     """Run ``code`` in a new interpreter that imports this checkout's mbs,
-    and return the JSON it prints."""
-    done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+    and return the JSON it prints.  ``-S`` keeps out the modules that the
+    installation's ``site`` would load, so every module listed is one that
+    ``code`` loaded."""
+    done = subprocess.run([sys.executable, "-S", "-c", code, *args], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -89,13 +91,14 @@ def fresh_python(code, *args, cwd=None):
 def loaded_by(argv, cwd):
     code, modules = fresh_python(CLI_PROBE, json.dumps(argv), cwd=cwd)
     assert code == 0, argv
-    return {m.removeprefix("mbs.") for m in modules}
+    return set(modules)
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("lazy")
     (folder / "t.json").write_bytes(serialize(theta(4)))
+    (folder / "m.json").write_bytes(serialize(theta(4, ValidityMode.MINOR)))
     return folder
 
 
@@ -110,6 +113,10 @@ COMMANDS = [
     (["moves", "list", "t.json"], {"isomorphism", "moves"}),
     (["moves", "apply", "t.json", IX_MOVE], {"isomorphism", "moves"}),
     (["normalize", "t.json"], {"isomorphism", "moves"}),
+    (["equiv", "t.json", "t.json"], {"isomorphism", "moves", "search", "algebra"}),
+    (["minor", "m.json", "m.json"],
+     {"isomorphism", "moves", "search", "algebra", "minors"}),
+    (["screen", "m.json"], {"isomorphism", "moves", "search", "algebra", "minors"}),
 ]
 
 
@@ -117,8 +124,13 @@ COMMANDS = [
                          ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
 def test_command_loads_only_its_layers(files, argv, allowed):
     loaded = loaded_by(argv, files)
-    assert {"cli", "errors", "io", "model"} <= loaded
-    assert loaded & LAYERS <= allowed
+    layers = {m.removeprefix("mbs.") for m in loaded if m.startswith("mbs.")}
+    assert {"cli", "errors", "io", "model"} <= layers
+    assert layers & LAYERS <= allowed
+    # the value types need no dataclasses, and only gen's parameter check
+    # reads a signature; each of the two costs milliseconds to import
+    assert "dataclasses" not in loaded
+    assert ("inspect" in loaded) == (argv[0] == "gen")
 
 
 def test_bare_import_loads_model_errors_and_io():

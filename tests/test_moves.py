@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -13,6 +12,7 @@ from mbs import (
     ModeError,
     MoebiusSplit,
     MoveRecord,
+    MoveStep,
     MultibranchedSurface,
     NormalSplit,
     QuasiSplit,
@@ -463,15 +463,18 @@ def test_fresh_ids_past_the_int_digit_limit():
     assert _fresh_ids("b", {"b" + "9" * 4299}, 1) == ["b1" + "0" * 4299]
     plain = theta(4)
     locus, other = plain.loci
-    surface = MultibranchedSurface(plain.regions,
-                                   (dataclasses.replace(locus, id="b" + huge), other))
+    renamed = BranchLocus("b" + huge, locus.wrapping, locus.slots, locus.signs)
+    surface = MultibranchedSurface(plain.regions, (renamed, other))
     assert validate(surface) == []
     key = {move: canonical_form(after, SymmetryMode.ROTATIONAL).data
            for move, after in neighbors(plain)}
     seen = set()
     for move, after in neighbors(surface):
         if getattr(move, "locus_id", None) == "b" + huge:
-            move = dataclasses.replace(move, locus_id=locus.id)
+            # the same choice at the plain locus: every XI choice names its
+            # locus first
+            move = type(move)(locus.id, *[getattr(move, name)
+                                          for name in move.__match_args__[1:]])
         assert validate(after) == []
         assert canonical_form(after, SymmetryMode.ROTATIONAL).data == key[move]
         seen.add(move)
@@ -511,10 +514,10 @@ def test_maximally_spread_lists_no_ix_sites(monkeypatch):
 def test_replay_rejects_wrong_hashes(theta3):
     _, record = random_walk(theta3, seed=1, length=2)
     first, second = record.steps
-    bad_before = dataclasses.replace(first, hash_before=first.hash_before ^ 1)
+    bad_before = MoveStep(first.move, first.hash_before ^ 1, first.hash_after)
     with pytest.raises(ReplayError, match="before step 0"):
         replay(theta3, MoveRecord((bad_before, second)))
-    bad_after = dataclasses.replace(second, hash_after=second.hash_after ^ 1)
+    bad_after = MoveStep(second.move, second.hash_before, second.hash_after ^ 1)
     with pytest.raises(ReplayError, match="after step 1"):
         replay(theta3, MoveRecord((first, bad_after)))
 
