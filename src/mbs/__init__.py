@@ -42,7 +42,10 @@ from .model import (
 
 __version__ = "0.1.0"
 
-# public name -> the submodule that defines it, imported on first access
+# public name -> the submodule imported on first access: the defining one,
+# except that SearchBudget (defined in moves) maps to search and the screen
+# names (defined in model) to minors, so importing one still loads the
+# layers that use it
 _LAZY = {
     name: module
     for module, names in {

@@ -17,10 +17,15 @@ from .model import (
     ValidityMode,
     connected_components,
     euler_characteristic,
+    obstruction_screen,
     validate,
 )
 
-# Each command imports the layers it runs, so a command loads only those.
+# Each command imports the layers it runs, so a command loads only those:
+# screen needs only the model unless it counts a minor-mode file's
+# reductions, minor takes SearchBudget from moves and loads no search layer,
+# gen reads a builder's parameters without inspect, and only commands that
+# print a canonical hash load hashlib.
 
 OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
 
@@ -41,7 +46,7 @@ def _load(path):
 
 def _budget(**limits):
     """The search budget from the flags given; a non-positive one is a usage error."""
-    from .search import SearchBudget
+    from .moves import SearchBudget
 
     try:
         return SearchBudget(**{k: v for k, v in limits.items() if v is not None})
@@ -202,8 +207,6 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    from .minors import enumerate_reductions, obstruction_screen
-
     surface = _load(args.file)
     flags = obstruction_screen(surface)
     payload = {
@@ -212,15 +215,15 @@ def _cmd_screen(args) -> int:
         "locus_wrapping_gcd": flags.locus_wrapping_gcd,
     }
     if surface.mode is ValidityMode.MINOR:
+        from .minors import enumerate_reductions
+
         payload["reduction_count"] = len(enumerate_reductions(surface))
     _emit(payload)
     return OK
 
 
 def _cmd_gen(args) -> int:
-    import inspect
-
-    from .fixtures import _BUILDERS, build_fixture
+    from .fixtures import _BUILDERS, _parameters, build_fixture
 
     # exactly the flags given, each under the builder parameter it sets; a
     # flag that the fixture's builder does not take is refused by name (exit 2)
@@ -228,7 +231,7 @@ def _cmd_gen(args) -> int:
              "orientable": ("--non-orientable", False if args.non_orientable else None),
              "mode": ("--mode", ValidityMode(args.mode) if args.mode else None)}
     params = {k: v for k, (_, v) in given.items() if v is not None}
-    taken = inspect.signature(_BUILDERS[args.name]).parameters
+    taken, _ = _parameters(_BUILDERS[args.name])
     refused = [given[key][0] for key in params if key not in taken]
     if refused:
         raise MbsError(f"{args.name} does not take {', '.join(refused)}")

@@ -69,6 +69,15 @@ _BUILDERS = {"theta": theta, "mb": moebius_annulus, "qn": quasi_pure,
              "closed_surface": closed_surface}
 
 
+def _parameters(builder) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The parameter names that ``builder`` accepts, and those of them it
+    requires, read from its code object (``inspect`` costs milliseconds to
+    import); every builder takes each parameter positionally or by name."""
+    code = builder.__code__
+    accepted = code.co_varnames[:code.co_argcount]
+    return accepted, accepted[:len(accepted) - len(builder.__defaults__ or ())]
+
+
 def build_fixture(name: str, **params) -> MultibranchedSurface:
     """Build the named fixture from its builder's parameters; raises
     FixtureError on unknown names, unexpected or missing parameters, and
@@ -77,12 +86,12 @@ def build_fixture(name: str, **params) -> MultibranchedSurface:
         builder = _BUILDERS[name]
     except KeyError:
         raise FixtureError(f"unknown fixture {name!r}") from None
-    import inspect  # here, so that loading the fixtures does not load it
-
-    try:
-        inspect.signature(builder).bind(**params)
-    except TypeError as exc:
-        raise FixtureError(f"{name}: {exc}") from None
+    accepted, required = _parameters(builder)
+    wrong = [f"missing a required argument: {p!r}" for p in required if p not in params]
+    wrong += [f"got an unexpected keyword argument {p!r}" for p in params
+              if p not in accepted]
+    if wrong:
+        raise FixtureError(f"{name}: {'; '.join(wrong)}")
     return _validated(name, builder(**params))
 
 

@@ -64,7 +64,6 @@ the search uses them to apply one move per orbit.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -420,6 +419,8 @@ def canonical_form(surface: MultibranchedSurface, mode: SymmetryMode) -> Canonic
 def canonical_hash(surface: MultibranchedSurface, mode: SymmetryMode) -> int:
     """64-bit hash of the canonical form bytes.  Collisions are possible;
     equality of surfaces is decided on the bytes."""
+    import hashlib  # here: only hashing commands pay for loading OpenSSL
+
     digest = hashlib.blake2b(canonical_form(surface, mode).data, digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 

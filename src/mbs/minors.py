@@ -14,15 +14,12 @@ the IX-eligible ones whose contraction leaves the merged locus a slot.
 :func:`less_than` (one level) and :func:`is_minor` are one class walk,
 ``_descend``, whose deadline ``canonical_form`` reads at every reduct.
 
-The obstruction screen computes the two cheap necessary conditions aligned
-with the known non-embeddable families (a non-orientable closed region, and
-the gcd of the wrapping numbers); it is not a decision procedure for sphere
-or 3-sphere embeddability.
+The obstruction screen, :func:`obstruction_screen` and its
+:class:`ObstructionFlags`, is defined in :mod:`mbs.model`, as it reads only
+the regions and loci, and is re-exported here.
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import IneligibleMoveError, ModeError
 from .isomorphism import SymmetryMode, _time_limit, canonical_form
@@ -33,8 +30,8 @@ from .model import (
     _frozen,
     classify_region,
 )
-from .moves import IX_ELIGIBLE, _grow, _leaves_a_slot, _Side, _splice
-from .search import SearchBudget
+from .model import ObstructionFlags, obstruction_screen  # noqa: F401  (re-exported)
+from .moves import IX_ELIGIBLE, SearchBudget, _grow, _leaves_a_slot, _Side, _splice
 
 
 @_frozen
@@ -48,12 +45,6 @@ class ContractRegion:
 
 
 ReductionStep = RemoveRegion | ContractRegion
-
-
-@_frozen
-class ObstructionFlags:
-    has_nonorientable_closed_region: bool
-    locus_wrapping_gcd: int
 
 
 @_frozen
@@ -177,15 +168,3 @@ def is_minor(x: MultibranchedSurface, y: MultibranchedSurface,
     ``max_states``, the distinct states kept, and ``time_limit`` of
     ``budget``: a negative is complete when the downward set fits."""
     return MinorOutcome(*_descend(x, y, budget, mode, max_states=budget.max_states))
-
-
-def obstruction_screen(surface: MultibranchedSurface) -> ObstructionFlags:
-    """Cheap necessary-condition flags; membership in an embeddable class is
-    not decided here."""
-    closed_nonor = any(
-        (not r.topology.orientable) and r.topology.boundary_count == 0
-        for r in surface.regions)
-    gcd = 0
-    for l in surface.loci:
-        gcd = math.gcd(gcd, l.wrapping)
-    return ObstructionFlags(closed_nonor, gcd if gcd else 1)

@@ -19,10 +19,17 @@ Two validity modes exist.  ``STRICT`` requires every locus to have degree at
 least 3 and every region to have boundary; ``MINOR`` relaxes both so that
 the reduction calculus can produce degree-1/2 loci and closed regions.
 Disk regions are excluded in both modes.
+
+The obstruction screen lives here because it reads only the regions and
+loci: a non-orientable closed region, and the gcd of the wrapping numbers,
+are the two cheap necessary conditions aligned with the known
+non-embeddable families.  It is not a decision procedure for sphere or
+3-sphere embeddability.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import cached_property
 
@@ -435,3 +442,21 @@ def euler_characteristic(surface: MultibranchedSurface) -> int:
 def connected_components(surface: MultibranchedSurface) -> int:
     """Number of connected components of the region-locus incidence graph."""
     return len(surface.components)
+
+
+@_frozen
+class ObstructionFlags:
+    has_nonorientable_closed_region: bool
+    locus_wrapping_gcd: int
+
+
+def obstruction_screen(surface: MultibranchedSurface) -> ObstructionFlags:
+    """Cheap necessary-condition flags; membership in an embeddable class is
+    not decided here."""
+    closed_nonor = any(
+        (not r.topology.orientable) and r.topology.boundary_count == 0
+        for r in surface.regions)
+    gcd = 0
+    for l in surface.loci:
+        gcd = math.gcd(gcd, l.wrapping)
+    return ObstructionFlags(closed_nonor, gcd if gcd else 1)

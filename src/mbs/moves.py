@@ -470,6 +470,22 @@ class _Side:
         return surfaces, moves[1:]  # the start has no move
 
 
+@_frozen
+class SearchBudget:
+    """The limits of the searches' class walks, :func:`_grow` in
+    :mod:`mbs.search` and :mod:`mbs.minors`; re-exported by the first."""
+
+    max_depth: int = 4          # search_equivalence: levels per side of the class walk
+    max_states: int = 5000      # search_equivalence, is_minor: states in the walk's trees
+    max_cell_count: int = 80    # search_equivalence: larger successors are pruned
+    time_limit: float = 10.0    # seconds: both searches and less_than
+
+    def __post_init__(self):
+        if min(self.max_depth, self.max_states, self.max_cell_count) < 1 \
+                or not self.time_limit > 0:  # NaN never times out
+            raise ValueError("all budget components must be positive")
+
+
 def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None):
     """Grow the live side with the fewest frontier states (the first on a
     tie) by one level, in frontier order, until the walk stops.

@@ -44,6 +44,7 @@ from .model import (
 )
 from .moves import (
     MoveRecord,
+    SearchBudget,
     _apply,
     _grow,
     _image,
@@ -55,19 +56,6 @@ from .moves import (
     apply_move,
     replay,
 )
-
-
-@_frozen
-class SearchBudget:
-    max_depth: int = 4          # search_equivalence: levels per side of the class walk
-    max_states: int = 5000      # search_equivalence, is_minor: states in the walk's trees
-    max_cell_count: int = 80    # search_equivalence: larger successors are pruned
-    time_limit: float = 10.0    # seconds: both searches and less_than
-
-    def __post_init__(self):
-        if min(self.max_depth, self.max_states, self.max_cell_count) < 1 \
-                or not self.time_limit > 0:  # NaN never times out
-            raise ValueError("all budget components must be positive")
 
 
 @_frozen

@@ -536,7 +536,8 @@ def test_cli_rand_negative_length_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [("mb", "--n", "5"), ("qn", "--genus", "2"),
-                                  ("theta", "--non-orientable")])
+                                  ("theta", "--non-orientable"),
+                                  ("closed_surface", "--n", "3")])
 def test_cli_gen_refuses_a_flag_its_fixture_does_not_take(capsys, argv):
     """The error names the flag as typed, not the builder's parameter."""
     name, flag = argv[:2]

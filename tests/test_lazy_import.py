@@ -114,10 +114,12 @@ COMMANDS = [
     (["moves", "apply", "t.json", IX_MOVE], {"isomorphism", "moves"}),
     (["normalize", "t.json"], {"isomorphism", "moves"}),
     (["equiv", "t.json", "t.json"], {"isomorphism", "moves", "search", "algebra"}),
-    (["minor", "m.json", "m.json"],
-     {"isomorphism", "moves", "search", "algebra", "minors"}),
-    (["screen", "m.json"], {"isomorphism", "moves", "search", "algebra", "minors"}),
+    (["minor", "m.json", "m.json"], {"isomorphism", "moves", "minors"}),
+    (["screen", "m.json"], {"isomorphism", "moves", "minors"}),
+    (["screen", "t.json"], set()),
 ]
+# the commands that may print a canonical hash, in a record or on its own
+HASHING = {"invariants", "normalize", "equiv"}
 
 
 @pytest.mark.parametrize("argv, allowed", COMMANDS,
@@ -127,10 +129,13 @@ def test_command_loads_only_its_layers(files, argv, allowed):
     layers = {m.removeprefix("mbs.") for m in loaded if m.startswith("mbs.")}
     assert {"cli", "errors", "io", "model"} <= layers
     assert layers & LAYERS <= allowed
-    # the value types need no dataclasses, and only gen's parameter check
-    # reads a signature; each of the two costs milliseconds to import
+    # the value types need no dataclasses, gen reads a builder's parameters
+    # from its code object, and hashlib loads OpenSSL; each of the three
+    # costs milliseconds to import
     assert "dataclasses" not in loaded
-    assert ("inspect" in loaded) == (argv[0] == "gen")
+    assert "inspect" not in loaded
+    if argv[0] not in HASHING:
+        assert "hashlib" not in loaded
 
 
 def test_bare_import_loads_model_errors_and_io():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pickle
@@ -34,6 +35,7 @@ from mbs import (
     theta,
     validate,
 )
+from mbs.fixtures import _BUILDERS, _parameters
 from helpers import join
 from oracles import _components
 
@@ -232,6 +234,19 @@ def test_build_fixture_dispatch(theta3, mb):
         build_fixture("mb", n=3)
     with pytest.raises(FixtureError):
         build_fixture("closed_surface", genus=1)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builder_parameters_match_the_signature(name):
+    # inspect is the oracle: the library reads the code object instead
+    params = inspect.signature(_BUILDERS[name]).parameters.values()
+    accepted, required = _parameters(_BUILDERS[name])
+    assert accepted == tuple(p.name for p in params)
+    assert required == tuple(p.name for p in params if p.default is p.empty)
+    with pytest.raises(FixtureError) as caught:
+        build_fixture(name, not_a_parameter=1, nor_this=2)
+    for p in ("not_a_parameter", "nor_this", *required):
+        assert repr(p) in str(caught.value), (name, p)
 
 
 FIXTURE_CASES = [("theta", {"n": n}, lambda mode, n=n: theta(n, mode)) for n in range(-1, 7)]

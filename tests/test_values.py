@@ -6,6 +6,10 @@ import pickle
 
 import pytest
 
+import mbs.minors
+import mbs.model
+import mbs.moves
+import mbs.search
 from mbs import (
     ANNULUS,
     BranchLocus,
@@ -179,3 +183,30 @@ def test_move_record_survives_pickle():
     assert loaded.steps[0].move == record.steps[0].move
     with pytest.raises(AttributeError):
         loaded.steps = ()
+
+
+def test_moved_types_keep_their_old_import_paths():
+    assert mbs.minors.obstruction_screen is mbs.model.obstruction_screen
+    assert mbs.minors.ObstructionFlags is mbs.model.ObstructionFlags
+    assert mbs.search.SearchBudget is mbs.moves.SearchBudget
+
+
+def test_search_budget_and_flags_survive_pickle():
+    budget = SearchBudget(max_depth=2, time_limit=0.5)
+    loaded = pickle.loads(pickle.dumps(budget))
+    assert type(loaded) is SearchBudget and loaded == budget
+    assert repr(loaded) == "SearchBudget(max_depth=2, max_states=5000, " \
+        "max_cell_count=80, time_limit=0.5)"
+    # pickled when SearchBudget was defined in mbs.search and the flags in
+    # mbs.minors: both still load
+    old_budget = (
+        b"\x80\x02cmbs.search\nSearchBudget\nq\x00)\x81q\x01}q\x02(X\t\x00\x00\x00"
+        b"max_depthq\x03K\x02X\n\x00\x00\x00max_statesq\x04M\x88\x13X\x0e\x00\x00\x00"
+        b"max_cell_countq\x05KPX\n\x00\x00\x00time_limitq\x06G?\xe0\x00\x00\x00\x00"
+        b"\x00\x00ub.")
+    assert pickle.loads(old_budget) == budget
+    old_flags = (
+        b"\x80\x02cmbs.minors\nObstructionFlags\nq\x00)\x81q\x01}q\x02(X\x1f\x00\x00"
+        b"\x00has_nonorientable_closed_regionq\x03\x89X\x12\x00\x00\x00"
+        b"locus_wrapping_gcdq\x04K\x01ub.")
+    assert pickle.loads(old_flags) == obstruction_screen(theta(4))
