@@ -43,9 +43,9 @@ from .model import (
 __version__ = "0.1.0"
 
 # public name -> the submodule imported on first access: the defining one,
-# except that SearchBudget (defined in moves) maps to search and the screen
-# names (defined in model) to minors, so importing one still loads the
-# layers that use it
+# except that SearchBudget (defined in moves) maps to search, so importing it
+# still loads the search layers (bench/ops.py warms them with it before
+# timing)
 _LAZY = {
     name: module
     for module, names in {
@@ -64,10 +64,11 @@ _LAZY = {
             "canonical_form", "canonical_hash",
         ),
         "minors": (
-            "ContractRegion", "MinorOutcome", "ObstructionFlags", "RemoveRegion",
-            "contract_region", "enumerate_reductions", "is_minor", "less_than",
-            "obstruction_screen", "remove_region", "tilde_equivalent",
+            "ContractRegion", "MinorOutcome", "RemoveRegion", "contract_region",
+            "enumerate_reductions", "is_minor", "less_than", "remove_region",
+            "tilde_equivalent",
         ),
+        "model": ("ObstructionFlags", "obstruction_screen"),
         "moves": (
             "IXSite", "MoebiusSplit", "MoveRecord", "MoveStep", "NormalSplit",
             "QuasiSplit", "apply_ih", "apply_ix", "apply_move", "apply_xi",

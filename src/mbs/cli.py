@@ -139,10 +139,13 @@ def _cmd_moves_apply(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    from .moves import maximally_spread
+    from .moves import all_maximal_spreadings, maximally_spread
 
     surface = _load(args.file)
-    result, record = maximally_spread(surface, policy=args.policy)
+    if args.policy == "first":
+        result, record = maximally_spread(surface)
+    else:  # the endpoint with the least canonical form
+        result, record = all_maximal_spreadings(surface)[0]
     _emit({"command": "normalize",
            "surface": io.surface_to_document(result),
            "record": io.record_to_document(record),

@@ -240,15 +240,7 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                         return None, None, None
                     least = None
             block += (number, sign_bit)
-        if p_forced:
-            potentials = (p_forced,)
-        elif not p_region:
-            # no potential is fixed yet (as at the root): -1 is the image
-            # of +1 under the global gauge flip and reaches the same codes
-            potentials = (1,)
-        else:
-            potentials = (1, -1)
-        return tuple(block), potentials, fresh
+        return tuple(block), (p_forced,) if p_forced else (1, -1), fresh
 
     def label_component(regions, loci):
         """The least code of one connected component, with the locus
@@ -353,8 +345,10 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                         continue
                     tried.add((ids, deltas))
                     if not p_region:
-                        # the gauge image with p_locus = -1 is not expanded,
-                        # and neither are its twins
+                        # no potential is fixed yet (as at the root): the
+                        # image of p_locus under the component's gauge flip
+                        # reaches the same codes, so neither it nor its
+                        # twins are expanded
                         tried.add((ids, tuple(-d for d in deltas)))
                     new_numbers = dict(region_number)
                     new_p = dict(p_region)

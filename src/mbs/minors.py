@@ -146,14 +146,12 @@ def less_than(x: MultibranchedSurface, y: MultibranchedSurface,
 
 
 def tilde_equivalent(x: MultibranchedSurface, y: MultibranchedSurface,
-                     budget: SearchBudget = SearchBudget(),
                      mode: SymmetryMode = SymmetryMode.MIRROR) -> bool:
     """Equivalence through single steps in both directions.
 
     Every reduction strictly shrinks ``regions + loci``, so mutually related
     non-isomorphic surfaces cannot exist and the relation is isomorphism of
-    minor-mode surfaces.  ``budget`` is accepted for symmetry with
-    :func:`less_than` and is not needed.
+    minor-mode surfaces, which needs no search budget.
     """
     _require_minor(x)
     _require_minor(y)

@@ -41,10 +41,11 @@ moves of a surface in order, keeps each one not yet seen and closes its
 orbit under those symmetries, and drops the orbit of the undo of the move
 that made the surface.  ``_grow`` is the one walk over classes, and
 the one rule for when it stops: it grows ``_Side`` trees from successors
-that ``_successors`` builds lazily, for both searches and both spreading
-policies (greedy spreading offers each state its first XI choice only, so
-its tree is one chain), and keeps each state's undo beside its move.  Nothing here reads the
-deadline: ``canonical_form`` does, for every state that the walk keys.
+that ``_successors`` builds lazily, for both searches, greedy spreading
+(which offers each state its first XI choice only, so its tree is one
+chain) and :func:`all_maximal_spreadings`, and keeps each state's undo
+beside its move.  Nothing here reads the deadline: ``canonical_form``
+does, for every state that the walk keys.
 """
 
 from __future__ import annotations
@@ -520,28 +521,20 @@ def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None)
                     return key, None
 
 
-def maximally_spread(surface: MultibranchedSurface, policy: str = "first"):
-    """Apply XI-moves until every locus is non-spreadable.
-
-    The policy picks the successor rule of one walk, :func:`_spreadings`.
-    ``first`` offers only the lexicographically least choice (locus id,
-    then enumeration order), so its walk is one chain.  ``exhaustive``
-    offers every choice and returns the endpoint with the least canonical
-    form, the first of :func:`all_maximal_spreadings`.
+def maximally_spread(surface: MultibranchedSurface):
+    """Apply XI-moves until every locus is non-spreadable, taking at each
+    state only the lexicographically least choice (locus id, then
+    enumeration order): the walk of :func:`_spreadings` is then one chain.
+    The endpoint with the least canonical form over every choice is the
+    first of :func:`all_maximal_spreadings`.
     Returns ``(surface, MoveRecord)``; a maximally spread input comes back
     with an empty record and unlabelled.  XI-moves are strict-only, so a
     minor-mode surface raises :class:`ModeError`.
     """
     _require_strict(surface)
-    rules = {"first": lambda s: itertools.islice(_xi_choices(s), 1),
-             "exhaustive": _xi_choices}
-    if policy not in rules:
-        raise ValueError(f"unknown policy {policy!r}")
     if is_maximally_spread_surface(surface):
         return surface, MoveRecord(())
-    surfaces, moves = _spreadings(surface, rules[policy])[0]
-    if len(moves) > spread_potential(surface):  # pragma: no cover - potential argument
-        raise TheoremViolationError("spreading exceeded its potential bound")
+    ((surfaces, moves),) = _spreadings(surface, lambda s: itertools.islice(_xi_choices(s), 1))
     return surfaces[-1], _record(surfaces, moves)
 
 
@@ -549,13 +542,18 @@ def _spreadings(surface: MultibranchedSurface, choices):
     """The chains ``(surfaces, moves)`` from ``surface`` to each maximally
     spread class that the XI choices ``choices(s)`` of each state ``s``
     reach, one chain per rotational class, in ascending canonical order:
-    the walk of a :class:`_Side` until its frontier empties.  The caller
-    checks the mode."""
+    the walk of a :class:`_Side` until its frontier empties.  No chain is
+    longer than :func:`spread_potential` allows.  The caller checks the
+    mode."""
     side = _Side(surface)
     # an XI-move's undo is an IX-move, which spreading never offers
     _grow((side,), lambda s, _: _successors(s, choices(s)))
-    return [side.chain(key) for key in sorted(side.tree)
-            if is_maximally_spread_surface(side.tree[key][0])]
+    chains = [side.chain(key) for key in sorted(side.tree)
+              if is_maximally_spread_surface(side.tree[key][0])]
+    bound = spread_potential(surface)
+    if any(len(moves) > bound for _, moves in chains):  # pragma: no cover - potential argument
+        raise TheoremViolationError("spreading exceeded its potential bound")
+    return chains
 
 
 def all_maximal_spreadings(surface: MultibranchedSurface):

@@ -37,6 +37,7 @@ from mbs import (
 from mbs import io as mbs_io
 from mbs.cli import main
 from mbs.minors import MinorOutcome
+from mbs.moves import all_maximal_spreadings
 from mbs.search import ExhaustedWithinBudget, SearchBudget
 
 SCHEMA_DIR = Path(mbs_io.__file__).parent / "schemas"
@@ -411,6 +412,22 @@ def test_cli_normalize(tmp_path, capsys, theta3):
     assert canonical_form(spread, SymmetryMode.ROTATIONAL).data == \
         canonical_form(theta3, SymmetryMode.ROTATIONAL).data
     output_validator().validate(payload)
+
+
+@pytest.mark.parametrize("policy", ["first", "exhaustive"])
+def test_cli_normalize_prints_the_policy_spreading(tmp_path, capsys, policy):
+    # first: greedy spreading; exhaustive: the least of all endpoints
+    spread = {"first": maximally_spread,
+              "exhaustive": lambda s: all_maximal_spreadings(s)[0]}[policy]
+    for surface in (theta(3), theta(5), maximally_spread(theta(5))[0]):
+        path = write(tmp_path, "s.json", surface)
+        code, payload = run(capsys, "normalize", path, "--policy", policy)
+        result, record = spread(surface)
+        assert code == 0 and payload == {
+            "command": "normalize",
+            "surface": mbs_io.surface_to_document(result),
+            "record": mbs_io.record_to_document(record),
+            "moves": len(record)}
 
 
 def test_cli_moves_on_a_locus_id_past_the_int_digit_limit(tmp_path, capsys):

@@ -145,6 +145,15 @@ def test_bare_import_loads_model_errors_and_io():
         {"mbs.errors", "mbs.io", "mbs.model"}
 
 
+def test_screen_names_load_only_the_model():
+    # the screen is defined in the model, which a bare import has loaded
+    modules = fresh_python("import json, sys\n"
+                           "from mbs import ObstructionFlags, obstruction_screen\n"
+                           "print(json.dumps(sorted(sys.modules)))")
+    assert {m for m in modules if m.startswith("mbs.")} == \
+        {"mbs.errors", "mbs.io", "mbs.model"}
+
+
 def test_search_names_load_the_search_layers():
     # what a caller timing searches imports before its first timed call
     modules = fresh_python("import json, sys, mbs\n"

@@ -257,15 +257,18 @@ def test_maximally_spread_fixture_cases(theta3, mb):
     assert are_isomorphic(spread, mb, SymmetryMode.ROTATIONAL) is not None
 
 
+# greedy spreading, and the exhaustive spreading's least endpoint
+SPREADS = {"first": maximally_spread,
+           "exhaustive": lambda surface: all_maximal_spreadings(surface)[0]}
+
+
 def test_maximally_spread_policies(mb):
     merged = apply_ix(mb, enumerate_ix(mb)[0])
-    first, _ = maximally_spread(merged, policy="first")
-    exhaustive, _ = maximally_spread(merged, policy="exhaustive")
+    first, _ = maximally_spread(merged)
+    exhaustive, _ = all_maximal_spreadings(merged)[0]
     assert are_isomorphic(first, exhaustive, SymmetryMode.ROTATIONAL) is not None
     endpoints = all_maximal_spreadings(merged)
     assert len(endpoints) == 1
-    with pytest.raises(ValueError):
-        maximally_spread(merged, policy="bogus")
 
 
 @pytest.mark.parametrize("policy", ["first", "exhaustive"])
@@ -274,12 +277,12 @@ def test_spreading_requires_strict_mode(policy, mb):
     for surface in (theta(2, ValidityMode.MINOR), theta(4, ValidityMode.MINOR),
                     mb.in_mode(ValidityMode.MINOR)):
         with pytest.raises(ModeError):
-            maximally_spread(surface, policy=policy)
+            SPREADS[policy](surface)
 
 
 @pytest.mark.parametrize("policy", ["first", "exhaustive"])
 def test_spreading_labels_no_more_than_it_needs(monkeypatch, policy):
-    # both policies are one walk that labels each surface it builds once,
+    # both spreadings are one walk that labels each surface it builds once,
     # forwards, and the record reads those labellings again; greedy
     # spreading builds only its chain, and a spread input labels nothing
     labelled = []
@@ -291,7 +294,7 @@ def test_spreading_labels_no_more_than_it_needs(monkeypatch, policy):
 
     monkeypatch.setattr(mbs.isomorphism, "_search_canonical", counted)
     mbs.isomorphism._canonical.cache_clear()
-    spread, record = maximally_spread(theta(5), policy)
+    spread, record = SPREADS[policy](theta(5))
     chain = [theta(5)]
     for step in record.steps:
         chain.append(apply_move(chain[-1], step.move))
@@ -306,7 +309,7 @@ def test_spreading_labels_no_more_than_it_needs(monkeypatch, policy):
         assert labelled == walked and len(set(walked)) == len(walked) > len(chain)
         assert {d for _, d in walked} == {(1,)}
     labelled.clear()
-    assert maximally_spread(spread, policy) == (spread, MoveRecord(()))
+    assert maximally_spread(spread) == (spread, MoveRecord(()))
     assert labelled == []
 
 
@@ -413,21 +416,21 @@ def test_all_maximal_spreadings_come_in_canonical_order():
         for spread, record in endpoints:
             assert replay(start, record) == spread
             witnessed += len(record)
-        assert maximally_spread(start, "exhaustive") == endpoints[0]
+        # greedy spreading reaches one of the classes
+        assert canonical_form(maximally_spread(start)[0], SymmetryMode.ROTATIONAL).data in keys
         digest.update(repr(sorted(zip(keys, (len(record) for _, record in endpoints)))).encode())
     assert witnessed > 300
     assert digest.hexdigest() == SPREAD_DIGEST
 
 
 def test_spreading_records_do_not_depend_on_the_order_of_loci():
-    # both policies take XI choices by locus id, so listing the loci in
+    # both spreadings take XI choices by locus id, so listing the loci in
     # reverse changes no record
     starts = [theta(4), theta(5)] + [random_surface(t, 10 + t % 16)
                                      for t in (5, 8, 20, 24, 26, 38, 39, 40)]
     for start in starts:
         reordered = MultibranchedSurface(start.regions, start.loci[::-1], start.mode)
-        assert maximally_spread(reordered, "exhaustive")[1] == \
-            maximally_spread(start, "exhaustive")[1]
+        assert maximally_spread(reordered)[1] == maximally_spread(start)[1]
         assert [record for _, record in all_maximal_spreadings(reordered)] == \
             [record for _, record in all_maximal_spreadings(start)]
 

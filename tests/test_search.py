@@ -12,10 +12,14 @@ import mbs.isomorphism
 import mbs.moves
 import mbs.search
 from mbs import (
+    BranchLocus,
     ExhaustedWithinBudget,
     Found,
     InvariantMismatch,
     ModeError,
+    MultibranchedSurface,
+    Region,
+    RegionTopology,
     SearchBudget,
     SymmetryMode,
     ValidityMode,
@@ -140,6 +144,31 @@ def test_orbit_moves_match_the_union_find_reference():
     assert pruned == 21
 
 
+def swapped_pairs_flipping_one_region():
+    """Orientable regions A and B joined by the locus pairs (L0a, L0b) and
+    (L1a, L1b), each pair the same up to B's signs and the private regions
+    P1, P1' and P2, P2'.  Swapping every pair flips B's potential and not
+    A's, so once other loci (M0, M1) have numbered A and B, that symmetry
+    maps a node to another node, and pruning by it there loses the first
+    least leaf: the code stays, but another leaf realises it."""
+    loci = {
+        "L0a": (("P2.0", 1), ("P1.0", -1), ("A.0", 1), ("A.2", 1), ("B.0", 1)),
+        "L0b": (("P2'.0", 1), ("P1'.0", -1), ("A.1", 1), ("A.3", 1), ("B.1", -1)),
+        "L1a": (("B.2", 1), ("B.4", -1), ("P1.1", -1), ("B.6", 1)),
+        "L1b": (("B.3", -1), ("B.5", 1), ("P1'.1", -1), ("B.7", -1)),
+        "M0": (("A.4", 1), ("A.5", -1), ("A.6", 1)),
+        "M1": (("B.8", -1), ("B.9", 1), ("B.10", -1)),
+    }
+    circles = {}
+    for slots in loci.values():
+        for circle, _ in slots:
+            circles.setdefault(circle.split(".")[0], []).append(circle)
+    regions = tuple(Region(rid, RegionTopology(True, int(len(cs) == 1), len(cs)), tuple(cs))
+                    for rid, cs in circles.items())
+    return MultibranchedSurface(regions, tuple(BranchLocus(lid, 1, *zip(*slots))
+                                               for lid, slots in loci.items()))
+
+
 def test_symmetry_pruning_matches_the_reference():
     """Pruning the labeller's search by the symmetries it has found keeps
     the labelling of the unpruned reference search; each generator it keeps
@@ -154,6 +183,9 @@ def test_symmetry_pruning_matches_the_reference():
     # not fix the node would lose the least leaf
     surfaces += [random_walk(maximally_spread(theta(n))[0], seed, 2)[0]
                  for n in (5, 6, 7) for seed in range(1, 11)]
+    # and here, pruning by one that fixes the node's loci and regions but
+    # flips some of its potentials and not the others
+    surfaces.append(swapped_pairs_flipping_one_region())
     equal = coarser = 0
     for surface in surfaces:
         labelling = _canonical.__wrapped__(surface, SymmetryMode.ROTATIONAL)
@@ -170,7 +202,7 @@ def test_symmetry_pruning_matches_the_reference():
             equal += 1
         else:
             coarser += 1
-    assert (equal, coarser) == (1669, 3)
+    assert (equal, coarser) == (1670, 3)
 
 
 def test_orbit_moves_drop_exactly_the_orbit_of_the_undo():
