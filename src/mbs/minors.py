@@ -151,7 +151,7 @@ def tilde_equivalent(x: MultibranchedSurface, y: MultibranchedSurface,
 
     Every reduction strictly shrinks ``regions + loci``, so mutually related
     non-isomorphic surfaces cannot exist and the relation is isomorphism of
-    minor-mode surfaces, which needs no search budget.
+    minor-mode surfaces.
     """
     _require_minor(x)
     _require_minor(y)

@@ -532,8 +532,6 @@ def maximally_spread(surface: MultibranchedSurface):
     minor-mode surface raises :class:`ModeError`.
     """
     _require_strict(surface)
-    if is_maximally_spread_surface(surface):
-        return surface, MoveRecord(())
     ((surfaces, moves),) = _spreadings(surface, lambda s: itertools.islice(_xi_choices(s), 1))
     return surfaces[-1], _record(surfaces, moves)
 
@@ -542,9 +540,12 @@ def _spreadings(surface: MultibranchedSurface, choices):
     """The chains ``(surfaces, moves)`` from ``surface`` to each maximally
     spread class that the XI choices ``choices(s)`` of each state ``s``
     reach, one chain per rotational class, in ascending canonical order:
-    the walk of a :class:`_Side` until its frontier empties.  No chain is
-    longer than :func:`spread_potential` allows.  The caller checks the
-    mode."""
+    the walk of a :class:`_Side` until its frontier empties.  A maximally
+    spread ``surface`` is its own one chain, and nothing is labelled.  No
+    chain is longer than :func:`spread_potential` allows.  The caller
+    checks the mode."""
+    if is_maximally_spread_surface(surface):
+        return [((surface,), ())]
     side = _Side(surface)
     # an XI-move's undo is an IX-move, which spreading never offers
     _grow((side,), lambda s, _: _successors(s, choices(s)))
@@ -558,7 +559,8 @@ def _spreadings(surface: MultibranchedSurface, choices):
 
 def all_maximal_spreadings(surface: MultibranchedSurface):
     """All maximally spread endpoints reachable by XI-moves, one per
-    rotational class in ascending canonical order, each with its record."""
+    rotational class in ascending canonical order, each with its record;
+    a maximally spread input is its one endpoint, unlabelled."""
     _require_strict(surface)
     return [(surfaces[-1], _record(surfaces, moves))
             for surfaces, moves in _spreadings(surface, _xi_choices)]

@@ -308,8 +308,9 @@ def test_spreading_labels_no_more_than_it_needs(monkeypatch, policy):
         _spreadings(theta(5), _xi_choices)
         assert labelled == walked and len(set(walked)) == len(walked) > len(chain)
         assert {d for _, d in walked} == {(1,)}
+    mbs.isomorphism._canonical.cache_clear()  # a spread input labels nothing, cached or not
     labelled.clear()
-    assert maximally_spread(spread) == (spread, MoveRecord(()))
+    assert SPREADS[policy](spread) == (spread, MoveRecord(()))
     assert labelled == []
 
 
