@@ -252,7 +252,7 @@ def _cmd_rand(args) -> int:
         raise MbsError(f"--length must be non-negative (got {args.length})")
     surface = random_surface(args.seed, args.size, ValidityMode(args.mode))
     if args.length:
-        from .search import _walk
+        from .moves import _walk
 
         for _, surface in _walk(surface, args.seed, args.length):
             pass  # only the last surface is printed

@@ -169,12 +169,12 @@ def load(path) -> MultibranchedSurface:
 
 def _xi_variants() -> dict:
     """The XI move documents: variant -> (descriptor class, its integer
-    fields in field order).  Every XI document also names its locus."""
+    fields in field order: every field after the locus)."""
     from .moves import MoebiusSplit, NormalSplit, QuasiSplit
 
-    return {"normal_split": (NormalSplit, ("gap_a", "gap_b")),
-            "quasi_split": (QuasiSplit, ("start", "length")),
-            "moebius_split": (MoebiusSplit, ("cut_gap",))}
+    return {variant: (cls, cls.__match_args__[1:]) for variant, cls in
+            (("normal_split", NormalSplit), ("quasi_split", QuasiSplit),
+             ("moebius_split", MoebiusSplit))}
 
 
 def move_to_document(move) -> dict:

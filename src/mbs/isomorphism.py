@@ -328,13 +328,6 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
             tried = set()
             for locus, rot, direction, potentials, fresh in children:
                 child = (locus.id, rot, direction)
-                if several and read < len(symmetries):
-                    grown = [symmetry for symmetry in symmetries[read:]
-                             if fixes(symmetry, chosen, region_number, p_region)]
-                    read = len(symmetries)
-                    if grown:
-                        stabilizer += grown
-                        close(covered, stabilizer, k)
                 if child in covered:
                     continue
                 ids = tuple(fresh)
@@ -359,10 +352,12 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                     rec([l for l in remaining if l is not locus], new_code,
                         chosen + [(locus.id, rot, direction, p_locus)],
                         new_numbers, new_p)
-                if several:
+                if several:  # symmetries turn up below expanded children only
+                    stabilizer += [symmetry for symmetry in symmetries[read:]
+                                   if fixes(symmetry, chosen, region_number, p_region)]
+                    read = len(symmetries)
                     covered.add(child)
-                    if stabilizer:
-                        close(covered, stabilizer, k)
+                    close(covered, stabilizer, k)
 
         rec(sorted(loci, key=lambda l: (l.wrapping, len(l.slots), l.id)),
             (len(loci), len(regions)), [], {}, {})

@@ -29,23 +29,24 @@ inverse that can be read off the move itself:
 
 One engine applies moves: ``_apply(surface, move)`` applies a move that
 the move layer has just offered for that same surface, without checks, and
-returns the result with the move that undoes it.  A move derived any other
-way (read from a record or a file, or carried through a certificate by
-``_image``) goes through the one checked gate, ``_checked``.  ``_record``
-alone turns a chain of surfaces and moves into a ``MoveRecord``.
+returns the result with the move that undoes it (``_walk``, the random walk
+of ``search.random_walk`` and ``mbs rand``, is one chain of it).  A move
+derived any other way (read from a record or a file, or carried through a
+certificate by ``_image``) goes through the one checked gate, ``_checked``.
+``_record`` alone turns a chain of surfaces and moves into a ``MoveRecord``.
 
 ``_image`` is the one statement of how a move changes under a rotational
 isomorphism, given as an ``IsoCertificate``'s maps: a certificate's, or
-those of a symmetry that the labeling found.  ``_orbit_moves`` walks the
-moves of a surface in order, keeps each one not yet seen and closes its
-orbit under those symmetries, and drops the orbit of the undo of the move
-that made the surface.  ``_grow`` is the one walk over classes, and
-the one rule for when it stops: it grows ``_Side`` trees from successors
-that ``_successors`` builds lazily, for both searches, greedy spreading
-(which offers each state its first XI choice only, so its tree is one
-chain) and :func:`all_maximal_spreadings`, and keeps each state's undo
-beside its move.  Nothing here reads the deadline: ``canonical_form``
-does, for every state that the walk keys.
+those of a symmetry that the labeling found, which fix what they do not
+list.  ``_orbit_moves`` walks the moves of a surface in order, keeps each one
+not yet seen and closes its orbit under those symmetries, and drops the
+orbit of the undo of the move that made the surface.  ``_grow`` is the one
+walk over classes, and the one rule for when it stops: it grows ``_Side``
+trees from successors that ``_successors`` builds lazily, for both searches,
+greedy spreading (which offers each state its first XI choice only, so its
+tree is one chain) and :func:`all_maximal_spreadings`, and keeps each
+state's undo beside its move.  Nothing here reads the deadline:
+``canonical_form`` does, for every state that the walk keys.
 """
 
 from __future__ import annotations
@@ -343,13 +344,15 @@ apply_ix = apply_xi = apply_move
 
 def _image(move, surface: MultibranchedSurface, region_map, locus_map, alignment):
     """``move`` of ``surface`` under a rotational isomorphism given as the
-    maps of an :class:`IsoCertificate` from ``surface``: the image of a
-    locus shows slot ``(offset + j) % k`` at slot ``j``, so a slot or gap
+    maps of an :class:`IsoCertificate` from ``surface``, or of a symmetry,
+    which fixes every id that its maps do not list (offset 0): the image of
+    a locus shows slot ``(offset + j) % k`` at slot ``j``, so a slot or gap
     index ``i`` goes to ``(i - offset) % k``, and a gap pair is re-sorted."""
     if isinstance(move, IXSite):
-        return IXSite(region_map[move.region_id], move.kind)
+        return IXSite(region_map.get(move.region_id, move.region_id), move.kind)
     k = len(surface.locus(move.locus_id).slots)
-    locus_id, (offset, _) = locus_map[move.locus_id], alignment[move.locus_id]
+    locus_id = locus_map.get(move.locus_id, move.locus_id)
+    offset, _ = alignment.get(move.locus_id, (0, False))
     if isinstance(move, NormalSplit):
         return NormalSplit(locus_id, *sorted(((move.gap_a - offset) % k,
                                               (move.gap_b - offset) % k)))
@@ -405,15 +408,14 @@ def _moves(surface: MultibranchedSurface):
 
 
 def _orbit_moves(surface: MultibranchedSurface, undo=None) -> list:
-    """The first move, in :func:`_moves` order, of each orbit of the moves
-    of ``surface`` under the generators of its cached rotational labeling
-    (which fix what they do not list): each move not yet seen is kept and
-    its orbit closed breadth-first through :func:`_image`.  Moves of one
-    orbit give isomorphic surfaces, so one per orbit reaches every class
-    that all moves reach.  The orbit of ``undo``, the undo of the move that
-    made ``surface``, is closed first and none of it kept: it reaches only
-    the class that move started from (canonical augmentation: McKay,
-    "Isomorph-free exhaustive generation", 1998)."""
+    """The first move, in :func:`_moves` order, of each orbit of the moves of
+    ``surface`` under the generators of its cached rotational labeling: each
+    move not yet seen is kept and its orbit closed breadth-first through
+    :func:`_image`.  Moves of one orbit give isomorphic surfaces, so one per
+    orbit reaches every class that all moves reach.  The orbit of ``undo``, the
+    undo of the move that made ``surface``, is closed first and none of it kept:
+    it reaches only the class that move started from (canonical augmentation:
+    McKay, "Isomorph-free exhaustive generation", 1998)."""
     moves = list(_moves(surface))
     automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
     offered, seen, kept = set(moves), set(), []
@@ -425,9 +427,6 @@ def _orbit_moves(surface: MultibranchedSurface, undo=None) -> list:
         orbit = [first]  # read while it grows: breadth-first
         for move in orbit:
             for region_map, locus_map, alignment in automorphisms:
-                if (move.region_id not in region_map if isinstance(move, IXSite)
-                        else move.locus_id not in locus_map):
-                    continue
                 image = _image(move, surface, region_map, locus_map, alignment)
                 if image not in offered:  # pragma: no cover - an automorphism keeps the moves
                     raise TheoremViolationError(f"a symmetry of the surface does not keep {move}")
@@ -446,6 +445,21 @@ def _successors(surface: MultibranchedSurface, moves):
         if ids is None and not isinstance(move, IXSite):
             ids = _xi_ids(surface)
         yield move, *_apply(surface, move, ids)
+
+
+def _walk(surface: MultibranchedSurface, seed: int, length: int):
+    """The steps ``(move, after)`` of :func:`mbs.search.random_walk`, built
+    one at a time as they are taken; it labels none of them."""
+    import random  # here: only walks pay for loading it
+
+    rng = random.Random(f"walk/{seed}")
+    for _ in range(length):
+        moves = list(_moves(surface))
+        if not moves:
+            return
+        move = moves[rng.randrange(len(moves))]
+        surface = _apply(surface, move)[0]
+        yield move, surface
 
 
 class _Side:
@@ -531,7 +545,6 @@ def maximally_spread(surface: MultibranchedSurface):
     with an empty record and unlabelled.  XI-moves are strict-only, so a
     minor-mode surface raises :class:`ModeError`.
     """
-    _require_strict(surface)
     ((surfaces, moves),) = _spreadings(surface, lambda s: itertools.islice(_xi_choices(s), 1))
     return surfaces[-1], _record(surfaces, moves)
 
@@ -542,8 +555,9 @@ def _spreadings(surface: MultibranchedSurface, choices):
     reach, one chain per rotational class, in ascending canonical order:
     the walk of a :class:`_Side` until its frontier empties.  A maximally
     spread ``surface`` is its own one chain, and nothing is labelled.  No
-    chain is longer than :func:`spread_potential` allows.  The caller
-    checks the mode."""
+    chain is longer than :func:`spread_potential` allows.  A minor-mode
+    ``surface`` raises :class:`ModeError`."""
+    _require_strict(surface)
     if is_maximally_spread_surface(surface):
         return [((surface,), ())]
     side = _Side(surface)
@@ -561,7 +575,6 @@ def all_maximal_spreadings(surface: MultibranchedSurface):
     """All maximally spread endpoints reachable by XI-moves, one per
     rotational class in ascending canonical order, each with its record;
     a maximally spread input is its one endpoint, unlabelled."""
-    _require_strict(surface)
     return [(surfaces[-1], _record(surfaces, moves))
             for surfaces, moves in _spreadings(surface, _xi_choices)]
 

@@ -21,11 +21,11 @@ state's undo (the move that :func:`moves._apply` names as reversing the
 move that made the state) built: it gives the parent's class, which the
 tree already holds, and the chain inversion reads it there.  Nothing here
 reads the deadline: ``canonical_form`` and ``are_isomorphic`` do.
+:func:`random_walk` records the steps of the move layer's ``_walk``, which
+``mbs rand --length`` runs without this module.
 """
 
 from __future__ import annotations
-
-import random
 
 from .algebra import homology_profile
 from .errors import TheoremViolationError
@@ -45,7 +45,6 @@ from .model import (
 from .moves import (
     MoveRecord,
     SearchBudget,
-    _apply,
     _grow,
     _image,
     _moves,
@@ -53,6 +52,7 @@ from .moves import (
     _record,
     _Side,
     _successors,
+    _walk,
     apply_move,
     replay,
 )
@@ -85,19 +85,6 @@ def neighbors(surface: MultibranchedSurface):
     sites first).  Deterministic.  The moves are defined on strict
     surfaces, so a minor-mode surface raises :class:`ModeError`."""
     return [(move, after) for move, after, _ in _successors(surface, _moves(surface))]
-
-
-def _walk(surface: MultibranchedSurface, seed: int, length: int):
-    """The steps ``(move, after)`` of :func:`random_walk`, built one at a
-    time as they are taken; it labels none of them."""
-    rng = random.Random(f"walk/{seed}")
-    for _ in range(length):
-        moves = list(_moves(surface))
-        if not moves:
-            return
-        move = moves[rng.randrange(len(moves))]
-        surface = _apply(surface, move)[0]
-        yield move, surface
 
 
 def random_walk(surface: MultibranchedSurface, seed: int, length: int):

@@ -381,6 +381,26 @@ def test_spread_theta7_labels_quickly():
     assert time.perf_counter() - start < 5.0
 
 
+def test_labeller_expands_no_more_nodes_on_a_cliff(monkeypatch):
+    # spread random_surface(54, 27) is the labeller's cliff; without the
+    # best-code bound it reads 27,677/55,354/27,677 nodes, and no other test
+    # sees the difference
+    spread, _ = maximally_spread(random_surface(54, 27))
+    nodes = []
+    monkeypatch.setattr(mbs.isomorphism, "_check_clock", lambda: nodes.append(None))
+    counts = {}
+    for mode in ALL_MODES:
+        # each mode from a cold cache: MIRROR runs its rotational pass too
+        _canonical.cache_clear()
+        nodes.clear()
+        _canonical.__wrapped__(spread, mode)
+        counts[mode] = len(nodes)
+    _canonical.cache_clear()
+    assert counts[SymmetryMode.ROTATIONAL] <= 10_754
+    assert counts[SymmetryMode.MIRROR] <= 21_482
+    assert counts[SymmetryMode.DIHEDRAL_PER_LOCUS] <= 10_870
+
+
 def test_union_labels_quickly():
     # every order of identical components once gave equal blocks, and five
     # copies of theta(3) took tens of seconds

@@ -107,6 +107,7 @@ COMMANDS = [
     # (argv, layers it may load)
     (["gen", "theta", "--n", "4"], set()),
     (["rand", "--seed", "5", "--size", "12"], set()),
+    (["rand", "--length", "3", "--seed", "5", "--size", "12"], {"isomorphism", "moves"}),
     (["validate", "t.json"], set()),
     (["iso", "t.json", "t.json"], {"isomorphism"}),
     (["invariants", "t.json"], {"isomorphism", "algebra"}),

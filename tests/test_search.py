@@ -140,6 +140,8 @@ def test_orbit_moves_match_the_union_find_reference():
     for surface in orbit_surfaces():
         moves = _orbit_moves(surface)
         assert moves == reference_orbit_moves(surface), surface
+        for move in _moves(surface):  # no map lists a move it fixes
+            assert mbs.moves._image(move, surface, {}, {}, {}) == move
         pruned += len(moves) < len(list(_moves(surface)))
     assert pruned == 21
 
@@ -372,13 +374,13 @@ def test_random_walk_length_zero(theta3):
 
 def test_random_walk_applies_only_the_drawn_move(theta3, monkeypatch):
     expected = random_walk(theta3, seed=7, length=5)
-    applied = []
+    applied, apply = [], mbs.moves._apply
 
     def counted(surface, move, ids=None):
         applied.append(move)
-        return mbs.moves._apply(surface, move, ids)
+        return apply(surface, move, ids)
 
-    monkeypatch.setattr(mbs.search, "_apply", counted)
+    monkeypatch.setattr(mbs.moves, "_apply", counted)
     walked = random_walk(theta3, seed=7, length=5)
     assert walked == expected
     assert applied == [step.move for step in walked[1].steps]
