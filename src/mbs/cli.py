@@ -24,8 +24,10 @@ from .model import (
 # Each command imports the layers it runs, so a command loads only those:
 # screen needs only the model unless it counts a minor-mode file's
 # reductions, minor takes SearchBudget from moves and loads no search layer,
-# gen reads a builder's parameters without inspect, and only commands that
-# print a canonical hash load hashlib.
+# moves list, moves apply and rand --length load the moves without the
+# labeller, gen reads a builder's parameters without inspect, and only
+# commands that print a canonical hash load _blake2 (never hashlib, which
+# loads OpenSSL).  main builds the subparser of the command it runs alone.
 
 OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
 
@@ -260,42 +262,42 @@ def _cmd_rand(args) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mbs",
-                                     description="multibranched surface calculus")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the model invariants")
+def _validate_args(p):
     p.add_argument("file")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("invariants", help="Euler characteristic and homology")
+
+def _invariants_args(p):
     p.add_argument("file")
     _add_symmetry_flag(p, default="rotational")
     p.set_defaults(func=_cmd_invariants)
 
-    moves = sub.add_parser("moves", help="enumerate or apply moves")
-    moves_sub = moves.add_subparsers(dest="moves_command", required=True)
-    p = moves_sub.add_parser("list")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_moves_list)
-    p = moves_sub.add_parser("apply")
-    p.add_argument("file")
-    p.add_argument("move", help="move descriptor as inline JSON")
-    p.set_defaults(func=_cmd_moves_apply)
 
-    p = sub.add_parser("normalize", help="apply XI-moves until maximally spread")
+def _moves_args(p):
+    moves_sub = p.add_subparsers(dest="moves_command", required=True)
+    q = moves_sub.add_parser("list")
+    q.add_argument("file")
+    q.set_defaults(func=_cmd_moves_list)
+    q = moves_sub.add_parser("apply")
+    q.add_argument("file")
+    q.add_argument("move", help="move descriptor as inline JSON")
+    q.set_defaults(func=_cmd_moves_apply)
+
+
+def _normalize_args(p):
     p.add_argument("file")
     p.add_argument("--policy", default="first", choices=("first", "exhaustive"))
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("iso", help="isomorphism test with certificate")
+
+def _iso_args(p):
     p.add_argument("file_a")
     p.add_argument("file_b")
     _add_symmetry_flag(p)
     p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("equiv", help="bounded move-equivalence search")
+
+def _equiv_args(p):
     p.add_argument("file_a")
     p.add_argument("file_b")
     _add_symmetry_flag(p)
@@ -305,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_time_limit_flag(p)
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("minor", help="bounded minor search (is A a minor of B?)")
+
+def _minor_args(p):
     p.add_argument("file_a")
     p.add_argument("file_b")
     _add_symmetry_flag(p)
@@ -313,11 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_time_limit_flag(p)
     p.set_defaults(func=_cmd_minor)
 
-    p = sub.add_parser("screen", help="obstruction screening flags")
+
+def _screen_args(p):
     p.add_argument("file")
     p.set_defaults(func=_cmd_screen)
 
-    p = sub.add_parser("gen", help="build a named fixture")
+
+def _gen_args(p):
     p.add_argument("name", choices=("theta", "mb", "qn", "closed_surface"))
     p.add_argument("--n", type=int)
     p.add_argument("--non-orientable", action="store_true")
@@ -325,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("strict", "minor"))
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("rand", help="deterministic random surface")
+
+def _rand_args(p):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--length", type=int, default=0,
@@ -334,11 +340,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("strict", "minor"), default="strict")
     p.set_defaults(func=_cmd_rand)
 
+
+# command -> (help line, the function that adds its arguments), in help order
+_COMMANDS = {
+    "validate": ("check the model invariants", _validate_args),
+    "invariants": ("Euler characteristic and homology", _invariants_args),
+    "moves": ("enumerate or apply moves", _moves_args),
+    "normalize": ("apply XI-moves until maximally spread", _normalize_args),
+    "iso": ("isomorphism test with certificate", _iso_args),
+    "equiv": ("bounded move-equivalence search", _equiv_args),
+    "minor": ("bounded minor search (is A a minor of B?)", _minor_args),
+    "screen": ("obstruction screening flags", _screen_args),
+    "gen": ("build a named fixture", _gen_args),
+    "rand": ("deterministic random surface", _rand_args),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  Both print the
+    same usage and errors for an argv that starts with ``command``, since
+    the one-command parser's usage still names every command."""
+    parser = argparse.ArgumentParser(prog="mbs",
+                                     description="multibranched surface calculus")
+    # the metavar would also rename the argument in the errors that only the
+    # parser of every command prints (no command or an unknown one)
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the subparser that argv[0] names; help, an empty argv and an
+    # unknown command need every one, to list them
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 from .errors import FixtureError, ModeError
 from .model import (
     ANNULUS,
@@ -129,6 +127,8 @@ def random_surface(seed: int, size_budget: int,
     into regions; draw topologies avoiding disks; shuffle circles into slots.
     Minor mode additionally allows small-degree loci and closed regions.
     """
+    import random  # here: only random surfaces pay for loading it
+
     strict = mode is ValidityMode.STRICT
     if strict and size_budget < MIN_STRICT_BUDGET:
         raise FixtureError(

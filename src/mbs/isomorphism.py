@@ -408,9 +408,11 @@ def canonical_form(surface: MultibranchedSurface, mode: SymmetryMode) -> Canonic
 def canonical_hash(surface: MultibranchedSurface, mode: SymmetryMode) -> int:
     """64-bit hash of the canonical form bytes.  Collisions are possible;
     equality of surfaces is decided on the bytes."""
-    import hashlib  # here: only hashing commands pay for loading OpenSSL
+    # hashlib.blake2b is CPython's own _blake2.blake2b, but importing
+    # hashlib also loads OpenSSL; here, only hashing commands load _blake2
+    from _blake2 import blake2b
 
-    digest = hashlib.blake2b(canonical_form(surface, mode).data, digest_size=8)
+    digest = blake2b(canonical_form(surface, mode).data, digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 
 

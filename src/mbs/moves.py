@@ -47,6 +47,11 @@ greedy spreading (which offers each state its first XI choice only, so its
 tree is one chain) and :func:`all_maximal_spreadings`, and keeps each
 state's undo beside its move.  Nothing here reads the deadline:
 ``canonical_form`` does, for every state that the walk keys.
+
+Only ``_orbit_moves``, ``_Side``, ``_grow``, ``_record`` and :func:`replay`
+label, and each imports the labeller, :mod:`mbs.isomorphism`, when it runs:
+enumerating and applying moves (``mbs moves``, ``mbs rand --length``) loads
+none.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ import itertools
 import math
 
 from .errors import IneligibleMoveError, ModeError, ReplayError, TheoremViolationError
-from .isomorphism import SymmetryMode, _canonical, canonical_form, canonical_hash
 from .model import (
     ANNULUS,
     MOEBIUS,
@@ -416,6 +420,8 @@ def _orbit_moves(surface: MultibranchedSurface, undo=None) -> list:
     undo of the move that made ``surface``, is closed first and none of it kept:
     it reaches only the class that move started from (canonical augmentation:
     McKay, "Isomorph-free exhaustive generation", 1998)."""
+    from .isomorphism import SymmetryMode, _canonical
+
     moves = list(_moves(surface))
     automorphisms = _canonical(surface, SymmetryMode.ROTATIONAL).automorphisms
     offered, seen, kept = set(moves), set(), []
@@ -464,12 +470,14 @@ def _walk(surface: MultibranchedSurface, seed: int, length: int):
 
 class _Side:
     """One tree of the class walk :func:`_grow`: states keyed by canonical
-    form in ``mode``, and the frontier, ``depth`` levels below the start."""
+    form in ``mode`` (ROTATIONAL when None), and the frontier, ``depth``
+    levels below the start."""
 
-    def __init__(self, start: MultibranchedSurface,
-                 mode: SymmetryMode = SymmetryMode.ROTATIONAL):
-        key = canonical_form(start, mode).data
-        self.mode = mode
+    def __init__(self, start: MultibranchedSurface, mode=None):
+        from .isomorphism import SymmetryMode, canonical_form
+
+        self.mode = SymmetryMode.ROTATIONAL if mode is None else mode
+        key = canonical_form(start, self.mode).data
         # state key -> (surface, parent key, move from parent, its undo)
         self.tree: dict[bytes, tuple] = {key: (start, None, None, None)}
         self.frontier: list[bytes] = [key]
@@ -512,6 +520,8 @@ def _grow(sides, successors, max_states=math.inf, max_depth=math.inf, goal=None)
     hold more than ``max_states`` states, ``"depth"`` when every frontier
     left is ``max_depth`` levels deep, and ``"space"`` when every frontier
     is empty."""
+    from .isomorphism import canonical_form
+
     if any(goal in side.tree for side in sides):
         return goal, None
     while True:
@@ -604,12 +614,16 @@ def apply_ih(surface: MultibranchedSurface, site: IXSite) -> MultibranchedSurfac
 def _record(surfaces, moves) -> MoveRecord:
     """The record of ``moves[i]`` carrying ``surfaces[i]`` to ``surfaces[i + 1]``;
     each surface is hashed once, and none for an empty chain."""
+    from .isomorphism import SymmetryMode, canonical_hash
+
     hashes = [canonical_hash(s, SymmetryMode.ROTATIONAL) for s in surfaces] if moves else []
     return MoveRecord(tuple(map(MoveStep, moves, hashes, hashes[1:])))
 
 
 def replay(surface: MultibranchedSurface, record: MoveRecord) -> MultibranchedSurface:
     """Re-apply a recorded move sequence, verifying the surface hash at each step."""
+    from .isomorphism import SymmetryMode, canonical_hash
+
     current = surface
     hashed = canonical_hash(surface, SymmetryMode.ROTATIONAL) if record.steps else None
     for i, step in enumerate(record.steps):

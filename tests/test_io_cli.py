@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import mbs.cli
 import mbs.isomorphism
 import mbs.minors
 import mbs.search
@@ -39,6 +40,7 @@ from mbs.cli import main
 from mbs.minors import MinorOutcome
 from mbs.moves import all_maximal_spreadings
 from mbs.search import ExhaustedWithinBudget, SearchBudget
+from test_lazy_import import COMMANDS
 
 SCHEMA_DIR = Path(mbs_io.__file__).parent / "schemas"
 
@@ -779,3 +781,25 @@ def test_cli_byte_stability(tmp_path, capsys, theta3):
     main(["invariants", path])
     second = capsys.readouterr().out
     assert first == second
+
+
+# main builds the subparser of argv[0] alone, unless argv[0] names no command
+PARSER_ARGVS = [argv for argv, _ in COMMANDS] + [
+    [], ["-h"], ["validate", "-h"], ["moves", "-h"], ["moves", "list", "-h"],
+    ["bogus"], ["moves", "bogus"], ["gen", "bogus"], ["-x", "validate", "t.json"],
+    ["iso", "t.json"],  # a missing positional
+    ["iso", "t.json", "t.json", "--symmetry", "bogus"],
+    ["validate", "t.json", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+def test_cli_prints_what_the_parser_of_every_command_prints(tmp_path, monkeypatch,
+                                                            capsys, argv):
+    (tmp_path / "t.json").write_bytes(serialize(theta(4)))
+    (tmp_path / "m.json").write_bytes(serialize(theta(4, ValidityMode.MINOR)))
+    monkeypatch.chdir(tmp_path)
+    ran = main(argv), *capsys.readouterr()
+    every = mbs.cli.build_parser
+    monkeypatch.setattr(mbs.cli, "build_parser", lambda command=None: every())
+    assert (main(argv), *capsys.readouterr()) == ran

@@ -243,6 +243,17 @@ def test_golden_hashes(name):
         assert canonical_hash(surface, mode) == hashes[mode.value], mode
 
 
+def test_canonical_hash_is_the_blake2b_of_the_form():
+    # canonical_hash takes blake2b from _blake2 rather than from hashlib
+    surfaces = [build() for build, _ in GOLDEN_HASHES.values()]
+    surfaces += [random_surface(seed, 3 + seed % 22) for seed in range(1, 35)]
+    for surface in surfaces:
+        for mode in ALL_MODES:
+            data = canonical_form(surface, mode).data
+            digest = hashlib.blake2b(data, digest_size=8).digest()
+            assert canonical_hash(surface, mode) == int.from_bytes(digest, "big")
+
+
 def test_labelling_matches_reference():
     surfaces = []
     for seed in range(1, 201):

@@ -107,20 +107,18 @@ COMMANDS = [
     # (argv, layers it may load)
     (["gen", "theta", "--n", "4"], set()),
     (["rand", "--seed", "5", "--size", "12"], set()),
-    (["rand", "--length", "3", "--seed", "5", "--size", "12"], {"isomorphism", "moves"}),
+    (["rand", "--length", "3", "--seed", "5", "--size", "12"], {"moves"}),
     (["validate", "t.json"], set()),
     (["iso", "t.json", "t.json"], {"isomorphism"}),
     (["invariants", "t.json"], {"isomorphism", "algebra"}),
-    (["moves", "list", "t.json"], {"isomorphism", "moves"}),
-    (["moves", "apply", "t.json", IX_MOVE], {"isomorphism", "moves"}),
+    (["moves", "list", "t.json"], {"moves"}),
+    (["moves", "apply", "t.json", IX_MOVE], {"moves"}),
     (["normalize", "t.json"], {"isomorphism", "moves"}),
     (["equiv", "t.json", "t.json"], {"isomorphism", "moves", "search", "algebra"}),
     (["minor", "m.json", "m.json"], {"isomorphism", "moves", "minors"}),
     (["screen", "m.json"], {"isomorphism", "moves", "minors"}),
     (["screen", "t.json"], set()),
 ]
-# the commands that may print a canonical hash, in a record or on its own
-HASHING = {"invariants", "normalize", "equiv"}
 
 
 @pytest.mark.parametrize("argv, allowed", COMMANDS,
@@ -131,12 +129,22 @@ def test_command_loads_only_its_layers(files, argv, allowed):
     assert {"cli", "errors", "io", "model"} <= layers
     assert layers & LAYERS <= allowed
     # the value types need no dataclasses, gen reads a builder's parameters
-    # from its code object, and hashlib loads OpenSSL; each of the three
-    # costs milliseconds to import
-    assert "dataclasses" not in loaded
-    assert "inspect" not in loaded
-    if argv[0] not in HASHING:
-        assert "hashlib" not in loaded
+    # from its code object, and a canonical hash takes BLAKE2 from _blake2,
+    # since hashlib loads OpenSSL; each of the three costs milliseconds to
+    # import
+    assert not {"dataclasses", "inspect", "hashlib", "_hashlib"} & loaded
+    if argv[0] != "rand":  # random surfaces and walks alone draw numbers
+        assert "random" not in loaded
+
+
+def test_canonical_hash_loads_no_openssl():
+    # hashlib.blake2b is _blake2.blake2b, so the hash is the same
+    modules = fresh_python("import json, sys\n"
+                           "from mbs import SymmetryMode, canonical_hash, theta\n"
+                           "canonical_hash(theta(3), SymmetryMode.ROTATIONAL)\n"
+                           "print(json.dumps(sorted(sys.modules)))")
+    assert "_blake2" in modules
+    assert not {"hashlib", "_hashlib"} & set(modules)
 
 
 def test_bare_import_loads_model_errors_and_io():

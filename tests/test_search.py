@@ -486,7 +486,7 @@ def test_time_limit_is_read_before_each_labelling(monkeypatch):
         return plain(surface, mode)
 
     # one labelling passes the deadline; the next three must not run
-    for module in (mbs.search, mbs.moves):  # the quick check and the sides
+    for module in (mbs.search, mbs.isomorphism):  # the quick check and the sides
         monkeypatch.setattr(module, "canonical_form", slow_form)
     began = time.monotonic()
     outcome = search_equivalence(start, walked, budget)
