@@ -236,12 +236,10 @@ def _cmd_gen(args) -> int:
              "orientable": ("--non-orientable", False if args.non_orientable else None),
              "mode": ("--mode", ValidityMode(args.mode) if args.mode else None)}
     params = {k: v for k, (_, v) in given.items() if v is not None}
-    taken, _ = _parameters(_BUILDERS[args.name])
+    taken = _parameters(_BUILDERS[args.name])
     refused = [given[key][0] for key in params if key not in taken]
     if refused:
         raise MbsError(f"{args.name} does not take {', '.join(refused)}")
-    if args.name == "closed_surface":  # a torus unless told otherwise
-        params = {"orientable": True, "genus": 1, **params}
     surface = build_fixture(args.name, **params)
     _emit(io.surface_to_document(surface))
     return OK

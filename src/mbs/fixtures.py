@@ -55,10 +55,10 @@ def _validated(name: str, surface: MultibranchedSurface) -> MultibranchedSurface
     return surface
 
 
-def closed_surface(orientable: bool, genus: int,
+def closed_surface(orientable: bool = True, genus: int = 1,
                    mode: ValidityMode = ValidityMode.MINOR) -> MultibranchedSurface:
-    """A single closed region and no loci; raises FixtureError unless the
-    surface is valid, which needs minor mode."""
+    """A single closed region (a torus unless told otherwise) and no loci;
+    raises FixtureError unless the surface is valid, which needs minor mode."""
     s = Region("s", RegionTopology(orientable, genus, 0), ())
     return _validated("closed_surface", MultibranchedSurface((s,), (), mode))
 
@@ -67,27 +67,25 @@ _BUILDERS = {"theta": theta, "mb": moebius_annulus, "qn": quasi_pure,
              "closed_surface": closed_surface}
 
 
-def _parameters(builder) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The parameter names that ``builder`` accepts, and those of them it
-    requires, read from its code object (``inspect`` costs milliseconds to
-    import); every builder takes each parameter positionally or by name."""
+def _parameters(builder) -> tuple[str, ...]:
+    """The parameter names that ``builder`` accepts, read from its code
+    object (``inspect`` costs milliseconds to import); every builder takes
+    each parameter positionally or by name, and none requires one."""
     code = builder.__code__
-    accepted = code.co_varnames[:code.co_argcount]
-    return accepted, accepted[:len(accepted) - len(builder.__defaults__ or ())]
+    return code.co_varnames[:code.co_argcount]
 
 
 def build_fixture(name: str, **params) -> MultibranchedSurface:
     """Build the named fixture from its builder's parameters; raises
-    FixtureError on unknown names, unexpected or missing parameters, and
-    surfaces that :func:`~mbs.model.validate` rejects in the requested mode."""
+    FixtureError on unknown names, unexpected parameters, and surfaces that
+    :func:`~mbs.model.validate` rejects in the requested mode."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise FixtureError(f"unknown fixture {name!r}") from None
-    accepted, required = _parameters(builder)
-    wrong = [f"missing a required argument: {p!r}" for p in required if p not in params]
-    wrong += [f"got an unexpected keyword argument {p!r}" for p in params
-              if p not in accepted]
+    accepted = _parameters(builder)
+    wrong = [f"got an unexpected keyword argument {p!r}" for p in params
+             if p not in accepted]
     if wrong:
         raise FixtureError(f"{name}: {'; '.join(wrong)}")
     return _validated(name, builder(**params))
@@ -160,17 +158,15 @@ def random_surface(seed: int, size_budget: int,
             if loci_specs or not strict:
                 break
             w, k = 3, 1  # minimal pure locus always fits a strict budget >= 3
-            if cells + 2 + 1 > size_budget:
-                break
         loci_specs.append((w, k))
         cells += 1 + k
-        if rng.random() < 0.35 and (loci_specs or not strict):
+        if rng.random() < 0.35:
             break
 
     total_circles = sum(k for _, k in loci_specs)
 
-    # Partition circles into regions (at most the remaining budget).
-    max_regions = max(1, size_budget - cells) if total_circles else size_budget - cells
+    # Partition circles into regions, at most the budget left (one or more).
+    max_regions = size_budget - cells
     sizes: list[int] = []
     rem = total_circles
     while rem > 0:

@@ -431,12 +431,6 @@ class IsoCertificate:
     locus_flips: frozenset
     circle_flips: frozenset  # circles of non-orientable regions flipped individually
 
-    def _sigma(self, locus_id: str, k: int):
-        offset, rev = self.locus_alignment[locus_id]
-        if rev:
-            return lambda j: (offset - j) % k
-        return lambda j: (offset + j) % k
-
     def apply(self, surface: MultibranchedSurface) -> MultibranchedSurface:
         """Image of ``surface`` under the certificate.  Slot cycles come out
         aligned with the target's stored basepoints; region boundary lists
@@ -449,12 +443,13 @@ class IsoCertificate:
         loci = []
         for l in surface.loci:
             k = len(l.slots)
-            sigma = self._sigma(l.id, k)
+            offset, rev = self.locus_alignment[l.id]
+            step = -1 if rev else 1
             p_l = -1 if l.id in self.locus_flips else 1
             slots = []
             signs = []
             for j in range(k):
-                i = sigma(j)
+                i = (offset + step * j) % k
                 c = l.slots[i]
                 rid = surface.circle_to_region[c]
                 if surface.region_by_id[rid].topology.orientable:

@@ -57,7 +57,8 @@ def scramble(surface: MultibranchedSurface, seed: int,
 
 
 def mirror_image(surface: MultibranchedSurface) -> MultibranchedSurface:
-    """Reverse every slot cycle simultaneously (signs untouched)."""
+    """Reverse every slot cycle simultaneously, each sign moving with its
+    slot (no sign changes value)."""
     loci = tuple(BranchLocus(l.id, l.wrapping, l.slots[::-1], l.signs[::-1])
                  for l in surface.loci)
     return MultibranchedSurface(surface.regions, loci, surface.mode)

@@ -70,6 +70,13 @@ def test_from_rows_keeps_its_checks():
     assert all(type(x) is int for x in matrix.entries[0])
 
 
+def test_matmul_refuses_mismatched_shapes():
+    a = IntegerMatrix.from_rows([[1, 2, 3]])
+    with pytest.raises(ValueError, match="shape mismatch 1x3 @ 1x3"):
+        a @ a
+    assert (a @ IntegerMatrix.from_rows([[1], [1], [1]])).entries == ((6,),)
+
+
 def test_snf_zero_matrix():
     dec = smith_normal_form(IntegerMatrix.from_rows([[0, 0]] * 3))
     assert dec.S.is_zero()

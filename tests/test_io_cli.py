@@ -21,6 +21,7 @@ from mbs import (
     SymmetryMode,
     ValidityMode,
     apply_ix,
+    build_fixture,
     canonical_form,
     closed_surface,
     contract_region,
@@ -187,6 +188,11 @@ def test_move_document_roundtrip(theta3):
     for move in moves:
         doc = mbs_io.move_to_document(move)
         assert mbs_io.document_to_move(doc) == move
+
+
+def test_move_to_document_rejects_a_non_move(theta3):
+    with pytest.raises(TypeError, match="not a move descriptor"):
+        mbs_io.move_to_document(theta3)
 
 
 def test_move_document_rejects_unknown_variant_and_class():
@@ -567,8 +573,10 @@ def test_cli_gen_refuses_a_flag_its_fixture_does_not_take(capsys, argv):
 
 
 def test_cli_gen_closed_surface_is_a_torus_by_default(capsys):
+    """The command, the dispatcher and the builder share one default."""
     code, doc = run(capsys, "gen", "closed_surface")
     assert code == 0 and parse(json.dumps(doc)) == closed_surface(True, 1)
+    assert build_fixture("closed_surface") == closed_surface() == closed_surface(True, 1)
 
 
 def test_cli_rand_walk_keeps_one_surface(capsys):
