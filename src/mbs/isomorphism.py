@@ -20,7 +20,10 @@ is the lexicographically least such encoding over locus orderings,
 rotations, permitted reversals and gauge choices; loci are taken in order of
 (wrapping, slot count), so all sibling blocks at one search level have the
 same length, and the search expands only the children whose block is least
-(prefix pruning in the sense of McKay and Piperno's canonical labelling).  A
+(prefix pruning in the sense of McKay and Piperno's canonical labelling).
+A block's first step always has sign bit 0, so a child whose first region
+number exceeds that of the least block so far is dropped before its block
+is read; the others stop reading at the first step that exceeds it.  A
 locus's sign potential is forced by the first orientable region of its
 block that is already numbered, and at a component's root the gauge flip of
 the component makes one potential enough.  These cuts are exact: they give
@@ -194,17 +197,21 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
         return generator, frozenset(r for r, p in p_a.items()
                                     if p != p_b[region_of[numbers_a[r]]])
 
-    # per locus, its slots' regions, signs and whether the region is orientable
-    rings = {l.id: [(circle_region[c], eta, orientable[circle_region[c]])
-                    for c, eta in zip(l.slots, l.signs)] for l in surface.loci}
+    # per locus and direction, its slots' regions, signs and whether the
+    # region is orientable, in reading order and twice round, so that a
+    # block's steps are one slice
+    rings = {}
+    for l in surface.loci:
+        ring = [(circle_region[c], eta, orientable[circle_region[c]])
+                for c, eta in zip(l.slots, l.signs)]
+        rings[l.id, 1], rings[l.id, -1] = ring * 2, ring[::-1] * 2
 
-    def block_of(locus, rot, direction, region_number, p_region, least):
-        """The block of ``locus`` read from ``rot`` in ``direction``, the
-        locus potentials that can emit it, and the regions it numbers; None
-        as soon as the block exceeds ``least``, the least sibling block."""
-        ring = rings[locus.id]
-        steps = ring[rot:] + ring[:rot] if direction == 1 else ring[rot::-1] + ring[:rot:-1]
-        block = [locus.wrapping, len(ring)]
+    def block_of(wrapping, steps, region_number, p_region, least):
+        """The block of a locus of ``wrapping`` read in ``steps``, the locus
+        potentials that can emit it, and the regions it numbers; None as
+        soon as the block exceeds ``least``, the least sibling block."""
+        block = [wrapping, len(steps)]
+        at = 2  # the position of the next step in the block
         fresh = {}          # region -> (number, sign at its first slot)
         numbered = len(region_number)
         p_forced = 0
@@ -230,7 +237,6 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                 fresh[rid] = (number, eta)
             if least is not None:
                 # compare with the least block as far as they agree
-                at = len(block)
                 if number != least[at]:
                     if number > least[at]:
                         return None, None, None
@@ -240,6 +246,7 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                         return None, None, None
                     least = None
             block += (number, sign_bit)
+            at += 2
         return tuple(block), (p_forced,) if p_forced else (1, -1), fresh
 
     def label_component(regions, loci):
@@ -299,11 +306,20 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
             if best is not None and code == best[0][:len(code)]:
                 # a block above the best code's next one cannot lead to it
                 least = best[0][len(code):len(code) + 2 + 2 * k]
+            numbered = len(region_number)
             for locus in candidates:
                 for direction in directions:
+                    ring = rings[locus.id, direction]
                     for rot in range(k):
+                        # the step that reads slot rot, in the ring's order
+                        start = rot if direction == 1 else k - 1 - rot
+                        # the first step's sign bit is 0, so its region
+                        # number alone can exceed the least block
+                        if least is not None and \
+                                region_number.get(ring[start][0], numbered) > least[2]:
+                            continue
                         block, potentials, fresh = block_of(
-                            locus, rot, direction, region_number, p_region, least)
+                            locus.wrapping, ring[start:start + k], region_number, p_region, least)
                         if block is None:
                             continue
                         if least is None or block < least:
@@ -395,6 +411,16 @@ def _mirror_image(surface: MultibranchedSurface) -> MultibranchedSurface:
     loci = tuple(BranchLocus(l.id, l.wrapping, l.slots[::-1], l.signs[::-1])
                  for l in surface.loci)
     return MultibranchedSurface(surface.regions, loci, surface.mode)
+
+
+def _shape(surface: MultibranchedSurface):
+    """The sorted (wrapping, slot count) pairs of the loci and the sorted
+    region topologies.  Every rotational isomorphism keeps them, and so
+    does the mirror image, so surfaces of unequal shapes have unequal
+    rotational codes."""
+    return (sorted((l.wrapping, len(l.slots)) for l in surface.loci),
+            sorted((r.topology.orientable, r.topology.genus, r.topology.boundary_count)
+                   for r in surface.regions))
 
 
 def canonical_form(surface: MultibranchedSurface, mode: SymmetryMode) -> CanonicalForm:

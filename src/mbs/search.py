@@ -2,12 +2,14 @@
 
 States are identified by their rotational canonical form (the finest mode
 that is stable under the move rules).  The start test reads the rotational
-codes of x and y, which the two sides are keyed by; in MIRROR mode it reads
-that of y's mirror image as well, and only when those two codes differ.  A
-found connection is replayed, and its endpoint is verified to be
-rotationally isomorphic to y, which is stronger than any requested mode,
-before it is returned.  Running out of budget is an outcome, never a
-non-equivalence verdict.
+codes of x and y, which the two sides are keyed by.  In MIRROR mode, when
+those two codes differ, it reads that of y's mirror image as well, but only
+when x and y have one shape (``isomorphism._shape``: the loci's wrappings
+and slot counts and the region topologies): the mirror image keeps y's
+shape, and a code of another shape cannot equal x's.  A found connection
+is replayed, and its endpoint is verified to be rotationally isomorphic to
+y, which is stronger than any requested mode, before it is returned.
+Running out of budget is an outcome, never a non-equivalence verdict.
 
 Both sides are the trees of one class walk (``moves._grow``), which says
 why it stopped.  A state's successors are built for one move per orbit of
@@ -32,6 +34,7 @@ from .errors import TheoremViolationError
 from .isomorphism import (
     SymmetryMode,
     _mirror_image,
+    _shape,
     _time_limit,
     are_isomorphic,
     canonical_form,
@@ -144,7 +147,7 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
             return InvariantMismatch("homology_profile")
         form_x = canonical_form(x, SymmetryMode.ROTATIONAL)
         if form_x == canonical_form(y, SymmetryMode.ROTATIONAL) or (
-                mode is SymmetryMode.MIRROR
+                mode is SymmetryMode.MIRROR and _shape(x) == _shape(y)
                 and form_x == canonical_form(_mirror_image(y), SymmetryMode.ROTATIONAL)) or (
                 mode is SymmetryMode.DIHEDRAL_PER_LOCUS
                 and canonical_form(x, mode) == canonical_form(y, mode)):

@@ -38,7 +38,7 @@ from mbs import (
 )
 from helpers import mirror_image, scramble
 import mbs.isomorphism
-from mbs.isomorphism import _canonical, _mirror_image, _search_canonical
+from mbs.isomorphism import _canonical, _mirror_image, _search_canonical, _shape
 from oracles import reference_canonical_labelling, vf2_isomorphic
 
 ALL_MODES = tuple(SymmetryMode)
@@ -288,13 +288,18 @@ def test_labelling_matches_reference():
 LABEL_DIGEST = "fde95f8877e62946ac10bffc8f185cc1f6655e25559ebe84d4af4c1dba34f55c"
 
 
-def test_labellings_match_digest():
+def label_digest_corpus():
     surfaces = []
     for seed in range(1, 401):
         surface = random_surface(seed, 3 + seed % 30)
         surfaces += [surface, random_surface(seed, 3 + seed % 30, ValidityMode.MINOR),
                      random_walk(surface, seed, 3)[0]]
     surfaces += [maximally_spread(theta(k))[0] for k in range(3, 8)]
+    return surfaces
+
+
+def test_labellings_match_digest():
+    surfaces = label_digest_corpus()
     digest = hashlib.sha256()
     for surface in surfaces:
         for mode in ALL_MODES:
@@ -306,13 +311,32 @@ def test_labellings_match_digest():
     assert digest.hexdigest() == LABEL_DIGEST
 
 
+# sha256 over the symmetry generators of every labelling of the LABEL_DIGEST
+# corpus in every mode, in the order the search found them, each map's
+# entries sorted; recorded before the first-step cut of sibling blocks
+AUTOMORPHISM_DIGEST = "47cfc11286683f5c0ee7a0e9375408d4b3fc08ceaa999d5c024c149e776ff5b2"
+
+
+def test_automorphisms_match_digest():
+    surfaces = label_digest_corpus()
+    digest = hashlib.sha256()
+    found = 0
+    for surface in surfaces:
+        for mode in ALL_MODES:
+            generators = _canonical(surface, mode).automorphisms
+            found += len(generators)
+            digest.update(repr((mode.value, [[sorted(m.items()) for m in generator]
+                                             for generator in generators])).encode())
+    assert found
+    assert digest.hexdigest() == AUTOMORPHISM_DIGEST
+
+
 def test_mirror_search_labels_each_end_once(monkeypatch):
     # the MIRROR start test reads the rotational passes that the sides key
-    # on, and the mirror image of y forwards once in place of reversed
-    # passes on x and y; the closing check is rotational, so the replayed
+    # on, and the mirror image of y forwards at most once in place of
+    # reversed passes on x and y: once when x and y have one shape, never
+    # when they do not; the closing check is rotational, so the replayed
     # endpoint is never read backwards
-    x = random_surface(11, 12)
-    y, _ = random_walk(x, 11, 3)
     passes = []
     search = mbs.isomorphism._search_canonical
 
@@ -321,22 +345,28 @@ def test_mirror_search_labels_each_end_once(monkeypatch):
         return search(surface, directions)
 
     monkeypatch.setattr(mbs.isomorphism, "_search_canonical", counted)
-    _canonical.cache_clear()
-    outcome = search_equivalence(x, y)
-    assert outcome.record.steps
-    # no surface is labelled twice with one direction setting
-    assert len(set(passes)) == len(passes)
-    assert [d for s, d in passes if s == x] == [(1,)]
-    assert [d for s, d in passes if s == y] == [(1,)]
-    assert [d for s, d in passes if s == mirror_image(y)] == [(1,)]
-    endpoint = replay(x, outcome.record)
-    assert (1,) in {d for s, d in passes if s == endpoint}
-    assert (endpoint, (-1,)) not in passes
+    # (seed, walk length, whether x and y have one shape)
+    for seed, length, same_shape in ((11, 3, False), (26, 2, True)):
+        x = random_surface(seed, 12)
+        y, _ = random_walk(x, seed, length)
+        assert (_shape(x) == _shape(y)) == same_shape
+        passes.clear()
+        _canonical.cache_clear()
+        outcome = search_equivalence(x, y)
+        assert outcome.record.steps
+        # no surface is labelled twice with one direction setting
+        assert len(set(passes)) == len(passes)
+        assert [d for s, d in passes if s == x] == [(1,)]
+        assert [d for s, d in passes if s == y] == [(1,)]
+        assert [d for s, d in passes if s == mirror_image(y)] == [(1,)] * same_shape
+        endpoint = replay(x, outcome.record)
+        assert (1,) in {d for s, d in passes if s == endpoint}
+        assert (endpoint, (-1,)) not in passes
 
 
-def test_reversed_pass_reads_the_mirror_image_forwards():
-    # the MIRROR start test of the search rests on this: the rotational
-    # code of y's mirror image is the code of y's reversed pass
+def mirror_corpus():
+    """Chiral unions, random surfaces and their walks, minor-mode random
+    surfaces and spread thetas: 486 surfaces, 124 of them chiral."""
     ch = chiral_surface()
     surfaces = [ch, disjoint_union(ch, ch), disjoint_union(ch, chiral_surface(True))]
     for seed in range(1, 201):
@@ -345,6 +375,13 @@ def test_reversed_pass_reads_the_mirror_image_forwards():
     surfaces += [random_surface(seed, 3 + seed % 28, ValidityMode.MINOR)
                  for seed in range(1, 81)]
     surfaces += [maximally_spread(theta(n))[0] for n in range(3, 6)]
+    return surfaces
+
+
+def test_reversed_pass_reads_the_mirror_image_forwards():
+    # the MIRROR start test of the search rests on this: the rotational
+    # code of y's mirror image is the code of y's reversed pass
+    surfaces = mirror_corpus()
     chiral = 0
     for surface in surfaces:
         reversed_code = _search_canonical(surface, (-1,)).code
@@ -353,6 +390,26 @@ def test_reversed_pass_reads_the_mirror_image_forwards():
         chiral += reversed_code != _canonical(surface, SymmetryMode.ROTATIONAL).code
     assert len(surfaces) == 486
     assert chiral == 124
+
+
+def test_shape_check_is_exact():
+    # the MIRROR start test skips the mirror image of y when x and y have
+    # unequal shapes; this is exact only if a presentation and the mirror
+    # image keep the shape, and unequal shapes never share a code
+    ends = []  # (shape, rotational code, rotational code of the mirror image)
+    for i, surface in enumerate(mirror_corpus()):
+        shape = _shape(surface)
+        assert _shape(scramble(surface, i)) == shape
+        assert _shape(mirror_image(surface)) == shape
+        ends.append((shape, _canonical(surface, SymmetryMode.ROTATIONAL).code,
+                     _canonical(_mirror_image(surface), SymmetryMode.ROTATIONAL).code))
+    unequal = 0
+    for shape_x, code_x, _ in ends:
+        for shape_y, _, mirror_code_y in ends:
+            if shape_x != shape_y:
+                unequal += 1
+                assert code_x != mirror_code_y
+    assert unequal == 234_522
 
 
 def test_search_start_finds_the_empty_record_exactly_for_isomorphic_ends():
@@ -407,9 +464,10 @@ def test_labeller_expands_no_more_nodes_on_a_cliff(monkeypatch):
         _canonical.__wrapped__(spread, mode)
         counts[mode] = len(nodes)
     _canonical.cache_clear()
-    assert counts[SymmetryMode.ROTATIONAL] <= 10_754
-    assert counts[SymmetryMode.MIRROR] <= 21_482
-    assert counts[SymmetryMode.DIHEDRAL_PER_LOCUS] <= 10_870
+    # every node reads the clock, so a count of 0 means the count saw nothing
+    assert 0 < counts[SymmetryMode.ROTATIONAL] <= 10_754
+    assert 0 < counts[SymmetryMode.MIRROR] <= 21_482
+    assert 0 < counts[SymmetryMode.DIHEDRAL_PER_LOCUS] <= 10_870
 
 
 def test_union_labels_quickly():
