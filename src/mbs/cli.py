@@ -27,9 +27,12 @@ from .model import (
 # moves list, moves apply and rand --length load the moves without the
 # labeller, gen reads a builder's parameters without inspect, and only
 # commands that print a canonical hash load _blake2 (never hashlib, which
-# loads OpenSSL).  main builds the subparser of the command it runs alone.
+# loads OpenSSL).  main builds the subparser of the command it runs alone;
+# its choices come from the library's tables, so a --symmetry flag loads
+# the labeller and gen's parser the fixtures, which those commands run.
 
 OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
+_VALIDITY_MODES = tuple(mode.value for mode in ValidityMode)
 
 
 def _emit(payload) -> None:
@@ -57,8 +60,10 @@ def _budget(**limits):
 
 
 def _add_symmetry_flag(parser, default="mirror"):
+    from .isomorphism import SymmetryMode
+
     parser.add_argument("--symmetry", default=default,
-                        choices=("rotational", "mirror", "dihedral"))
+                        choices=tuple(mode.value for mode in SymmetryMode))
 
 
 def _add_time_limit_flag(parser):
@@ -321,11 +326,13 @@ def _screen_args(p):
 
 
 def _gen_args(p):
-    p.add_argument("name", choices=("theta", "mb", "qn", "closed_surface"))
+    from .fixtures import _BUILDERS
+
+    p.add_argument("name", choices=tuple(_BUILDERS))
     p.add_argument("--n", type=int)
     p.add_argument("--non-orientable", action="store_true")
     p.add_argument("--genus", type=int)
-    p.add_argument("--mode", choices=("strict", "minor"))
+    p.add_argument("--mode", choices=_VALIDITY_MODES)
     p.set_defaults(func=_cmd_gen)
 
 
@@ -335,7 +342,7 @@ def _rand_args(p):
     p.add_argument("--length", type=int, default=0,
                    help="optional random walk length applied after generation "
                         "(needs a strict surface)")
-    p.add_argument("--mode", choices=("strict", "minor"), default="strict")
+    p.add_argument("--mode", choices=_VALIDITY_MODES, default="strict")
     p.set_defaults(func=_cmd_rand)
 
 

@@ -35,8 +35,9 @@ identical components never multiply the search.  The MIRROR labeling is
 the lesser of the rotational labeling and one reversed pass, in which every
 component reads backwards: the reversal is global, never chosen per
 component.  The reversed pass reads the code of the rotational pass of the
-mirror image (``_mirror_image``), so a surface is MIRROR-isomorphic to y
-exactly when it is rotationally isomorphic to y or to y's mirror image.
+mirror image, the surface with every slot cycle and its signs read
+backwards, so a surface is MIRROR-isomorphic to y exactly when it is
+rotationally isomorphic to y or to y's mirror image.
 
 The labeling that realises the least encoding records, per locus, where the
 encoding starts reading its cycle, in which direction, and the sign
@@ -158,12 +159,6 @@ class _Labeling:
 def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]) -> _Labeling:
     """The least labeling of one pass: every locus reads in one of
     ``directions`` (1 forward, -1 reversed)."""
-    for l in surface.loci:
-        if not l.slots:
-            raise MbsError(f"locus {l.id} has no slots")
-        for c in l.slots:
-            if c not in surface.circle_to_region:
-                raise UnknownIdError(f"locus {l.id} has a slot for unknown circle {c!r}")
     orientable = {r.id: r.topology.orientable for r in surface.regions}
     circle_region = surface.circle_to_region
     attached = surface.circle_to_slot
@@ -199,11 +194,18 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
 
     # per locus and direction, its slots' regions, signs and whether the
     # region is orientable, in reading order and twice round, so that a
-    # block's steps are one slice
+    # block's steps are one slice; the first locus without slots or with an
+    # unknown circle ends the labelling
     rings = {}
     for l in surface.loci:
-        ring = [(circle_region[c], eta, orientable[circle_region[c]])
-                for c, eta in zip(l.slots, l.signs)]
+        if not l.slots:
+            raise MbsError(f"locus {l.id} has no slots")
+        try:
+            regions = [circle_region[c] for c in l.slots]
+        except KeyError as unknown:
+            raise UnknownIdError(f"locus {l.id} has a slot for unknown circle "
+                                 f"{unknown.args[0]!r}") from None
+        ring = [(rid, eta, orientable[rid]) for rid, eta in zip(regions, l.signs)]
         rings[l.id, 1], rings[l.id, -1] = ring * 2, ring[::-1] * 2
 
     def block_of(wrapping, steps, region_number, p_region, least):
@@ -406,18 +408,11 @@ def _canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
                _search_canonical(surface, (-1,)), key=lambda labeling: labeling.code)
 
 
-def _mirror_image(surface: MultibranchedSurface) -> MultibranchedSurface:
-    """``surface`` with every slot cycle, and its signs, read backwards."""
-    loci = tuple(BranchLocus(l.id, l.wrapping, l.slots[::-1], l.signs[::-1])
-                 for l in surface.loci)
-    return MultibranchedSurface(surface.regions, loci, surface.mode)
-
-
 def _shape(surface: MultibranchedSurface):
     """The sorted (wrapping, slot count) pairs of the loci and the sorted
-    region topologies.  Every rotational isomorphism keeps them, and so
-    does the mirror image, so surfaces of unequal shapes have unequal
-    rotational codes."""
+    region topologies.  Every rotational isomorphism keeps them, and so do
+    the mirror image and every per-locus reversal, so surfaces of unequal
+    shapes have unequal codes in every mode."""
     return (sorted((l.wrapping, len(l.slots)) for l in surface.loci),
             sorted((r.topology.orientable, r.topology.genus, r.topology.boundary_count)
                    for r in surface.regions))
@@ -495,26 +490,16 @@ class IsoCertificate:
             image = self.apply(x)
         except KeyError:
             return False
-        if image.mode is not y.mode:
+        # one key per surface; the sets drop duplicates, which the counts catch
+        got, want = ((s.mode,
+                      {(r.id, r.topology, frozenset(r.boundary_circles)) for r in s.regions},
+                      {(l.id, l.wrapping, l.slots, l.signs) for l in s.loci},
+                      len(s.regions), len(s.loci)) for s in (image, y))
+        if got != want:
             return False
-        want_regions = {(r.id, r.topology, frozenset(r.boundary_circles))
-                        for r in y.regions}
-        got_regions = {(r.id, r.topology, frozenset(r.boundary_circles))
-                       for r in image.regions}
-        if want_regions != got_regions or len(image.regions) != len(y.regions):
-            return False
-        want_loci = {(l.id, l.wrapping, l.slots, l.signs) for l in y.loci}
-        got_loci = {(l.id, l.wrapping, l.slots, l.signs) for l in image.loci}
-        if want_loci != got_loci or len(image.loci) != len(y.loci):
-            return False
-        if self.mode is SymmetryMode.ROTATIONAL:
-            if any(rev for _, rev in self.locus_alignment.values()):
-                return False
-        if self.mode is SymmetryMode.MIRROR:
-            revs = {rev for _, rev in self.locus_alignment.values()}
-            if len(revs) > 1:
-                return False
-        return True
+        reversals = {rev for _, rev in self.locus_alignment.values()}
+        return not (self.mode is SymmetryMode.ROTATIONAL and any(reversals)
+                    or self.mode is SymmetryMode.MIRROR and len(reversals) > 1)
 
 
 def are_isomorphic(x: MultibranchedSurface, y: MultibranchedSurface,

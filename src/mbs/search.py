@@ -2,11 +2,14 @@
 
 States are identified by their rotational canonical form (the finest mode
 that is stable under the move rules).  The start test reads the rotational
-codes of x and y, which the two sides are keyed by.  In MIRROR mode, when
-those two codes differ, it reads that of y's mirror image as well, but only
-when x and y have one shape (``isomorphism._shape``: the loci's wrappings
-and slot counts and the region topologies): the mirror image keeps y's
-shape, and a code of another shape cannot equal x's.  A found connection
+codes of x and y, which the two sides are keyed by.  In MIRROR and
+DIHEDRAL_PER_LOCUS mode, when those two codes differ, it compares the codes
+of that mode as well, but only when x and y have one shape
+(``isomorphism._shape``: the loci's wrappings and slot counts and the
+region topologies): every symmetry of either mode keeps the shape, so
+surfaces of unequal shapes have unequal codes.  The MIRROR codes add one
+reversed pass to the rotational ones, so they are equal exactly when x is
+rotationally isomorphic to y or to y's mirror image.  A found connection
 is replayed, and its endpoint is verified to be rotationally isomorphic to
 y, which is stronger than any requested mode, before it is returned.
 Running out of budget is an outcome, never a non-equivalence verdict.
@@ -33,7 +36,6 @@ from .algebra import homology_profile
 from .errors import TheoremViolationError
 from .isomorphism import (
     SymmetryMode,
-    _mirror_image,
     _shape,
     _time_limit,
     are_isomorphic,
@@ -130,9 +132,8 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
 
     Quick-rejects on Euler characteristic, component count and homology.
     The empty sequence is found when x and y are isomorphic in ``mode``:
-    rotationally, or in MIRROR mode x rotationally isomorphic to the
-    mirror image of y, or in DIHEDRAL_PER_LOCUS mode by that mode's
-    canonical form.  Otherwise the search meets in the middle over
+    rotationally, or by the canonical forms of ``mode`` when x and y have
+    one shape.  Otherwise the search meets in the middle over
     rotational canonical-form bytes, and the endpoint of a found sequence
     is verified by replay to be rotationally isomorphic to y.  Minor-mode
     surfaces that pass the quick checks and are isomorphic at the start
@@ -145,11 +146,9 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
             return InvariantMismatch("connected_components")
         if homology_profile(x) != homology_profile(y):
             return InvariantMismatch("homology_profile")
-        form_x = canonical_form(x, SymmetryMode.ROTATIONAL)
-        if form_x == canonical_form(y, SymmetryMode.ROTATIONAL) or (
-                mode is SymmetryMode.MIRROR and _shape(x) == _shape(y)
-                and form_x == canonical_form(_mirror_image(y), SymmetryMode.ROTATIONAL)) or (
-                mode is SymmetryMode.DIHEDRAL_PER_LOCUS
+        rotational = SymmetryMode.ROTATIONAL
+        if canonical_form(x, rotational) == canonical_form(y, rotational) or (
+                mode is not rotational and _shape(x) == _shape(y)
                 and canonical_form(x, mode) == canonical_form(y, mode)):
             return Found(MoveRecord(()))
         side_x, side_y = _Side(x), _Side(y)

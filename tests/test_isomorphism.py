@@ -38,7 +38,7 @@ from mbs import (
 )
 from helpers import mirror_image, scramble
 import mbs.isomorphism
-from mbs.isomorphism import _canonical, _mirror_image, _search_canonical, _shape
+from mbs.isomorphism import _canonical, _search_canonical, _shape
 from oracles import reference_canonical_labelling, vf2_isomorphic
 
 ALL_MODES = tuple(SymmetryMode)
@@ -333,10 +333,9 @@ def test_automorphisms_match_digest():
 
 def test_mirror_search_labels_each_end_once(monkeypatch):
     # the MIRROR start test reads the rotational passes that the sides key
-    # on, and the mirror image of y forwards at most once in place of
-    # reversed passes on x and y: once when x and y have one shape, never
-    # when they do not; the closing check is rotational, so the replayed
-    # endpoint is never read backwards
+    # on, and the MIRROR codes of x and y, each one reversed pass more, only
+    # when x and y have one shape; the closing check is rotational, so no
+    # other surface is read backwards
     passes = []
     search = mbs.isomorphism._search_canonical
 
@@ -345,7 +344,8 @@ def test_mirror_search_labels_each_end_once(monkeypatch):
         return search(surface, directions)
 
     monkeypatch.setattr(mbs.isomorphism, "_search_canonical", counted)
-    # (seed, walk length, whether x and y have one shape)
+    # (seed, walk length, whether x and y have one shape); the endpoint of
+    # seed 26's record is y itself
     for seed, length, same_shape in ((11, 3, False), (26, 2, True)):
         x = random_surface(seed, 12)
         y, _ = random_walk(x, seed, length)
@@ -356,12 +356,10 @@ def test_mirror_search_labels_each_end_once(monkeypatch):
         assert outcome.record.steps
         # no surface is labelled twice with one direction setting
         assert len(set(passes)) == len(passes)
-        assert [d for s, d in passes if s == x] == [(1,)]
-        assert [d for s, d in passes if s == y] == [(1,)]
-        assert [d for s, d in passes if s == mirror_image(y)] == [(1,)] * same_shape
-        endpoint = replay(x, outcome.record)
-        assert (1,) in {d for s, d in passes if s == endpoint}
-        assert (endpoint, (-1,)) not in passes
+        forwards = [s for s, d in passes if d == (1,)]
+        assert forwards.count(x) == forwards.count(y) == 1
+        assert replay(x, outcome.record) in forwards
+        assert [s for s, d in passes if d != (1,)] == [x, y] * same_shape
 
 
 def mirror_corpus():
@@ -379,36 +377,43 @@ def mirror_corpus():
 
 
 def test_reversed_pass_reads_the_mirror_image_forwards():
-    # the MIRROR start test of the search rests on this: the rotational
-    # code of y's mirror image is the code of y's reversed pass
+    # the MIRROR labelling rests on this: the rotational code of y's mirror
+    # image is the code of y's reversed pass
     surfaces = mirror_corpus()
     chiral = 0
     for surface in surfaces:
         reversed_code = _search_canonical(surface, (-1,)).code
         assert reversed_code == \
-            _canonical(_mirror_image(surface), SymmetryMode.ROTATIONAL).code, surface
+            _canonical(mirror_image(surface), SymmetryMode.ROTATIONAL).code, surface
         chiral += reversed_code != _canonical(surface, SymmetryMode.ROTATIONAL).code
     assert len(surfaces) == 486
     assert chiral == 124
 
 
 def test_shape_check_is_exact():
-    # the MIRROR start test skips the mirror image of y when x and y have
-    # unequal shapes; this is exact only if a presentation and the mirror
-    # image keep the shape, and unequal shapes never share a code
-    ends = []  # (shape, rotational code, rotational code of the mirror image)
+    # the search's start test compares MIRROR or DIHEDRAL codes only when x
+    # and y have one shape; this is exact only if a presentation, the mirror
+    # image and per-locus reversals keep the shape, and unequal shapes never
+    # share a code
+    ends = []  # (shape, rotational code, that of the mirror image, dihedral code)
     for i, surface in enumerate(mirror_corpus()):
         shape = _shape(surface)
         assert _shape(scramble(surface, i)) == shape
         assert _shape(mirror_image(surface)) == shape
+        # the loci at the positions of i's set bits read backwards
+        loci = tuple(BranchLocus(l.id, l.wrapping, l.slots[::-1], l.signs[::-1])
+                     if i >> j & 1 else l for j, l in enumerate(surface.loci))
+        assert _shape(MultibranchedSurface(surface.regions, loci, surface.mode)) == shape
         ends.append((shape, _canonical(surface, SymmetryMode.ROTATIONAL).code,
-                     _canonical(_mirror_image(surface), SymmetryMode.ROTATIONAL).code))
+                     _canonical(mirror_image(surface), SymmetryMode.ROTATIONAL).code,
+                     _canonical(surface, SymmetryMode.DIHEDRAL_PER_LOCUS).code))
     unequal = 0
-    for shape_x, code_x, _ in ends:
-        for shape_y, _, mirror_code_y in ends:
+    for shape_x, code_x, _, dihedral_x in ends:
+        for shape_y, _, mirror_code_y, dihedral_y in ends:
             if shape_x != shape_y:
                 unequal += 1
                 assert code_x != mirror_code_y
+                assert dihedral_x != dihedral_y
     assert unequal == 234_522
 
 

@@ -206,3 +206,14 @@ def test_unknown_name_raises_attribute_error():
         mbs.no_such_name
     with pytest.raises(ImportError):
         exec("from mbs import no_such_name", {})
+
+
+def test_submodule_loads_on_first_access():
+    # no name that a bare import binds loads the search layer: the
+    # package's __getattr__ imports it when it is first asked for
+    loaded_before, same = fresh_python(
+        "import json, sys, mbs\n"
+        "loaded_before = 'mbs.search' in sys.modules\n"
+        "print(json.dumps([loaded_before, mbs.search is sys.modules['mbs.search']]))")
+    assert loaded_before is False
+    assert same is True
