@@ -35,9 +35,9 @@ identical components never multiply the search.  The MIRROR labeling is
 the lesser of the rotational labeling and one reversed pass, in which every
 component reads backwards: the reversal is global, never chosen per
 component.  The reversed pass reads the code of the rotational pass of the
-mirror image, the surface with every slot cycle and its signs read
-backwards, so a surface is MIRROR-isomorphic to y exactly when it is
-rotationally isomorphic to y or to y's mirror image.
+mirror image (``_mirror_image``), the surface with every slot cycle and
+its signs read backwards, so a surface is MIRROR-isomorphic to y exactly
+when it is rotationally isomorphic to y or to y's mirror image.
 
 The labeling that realises the least encoding records, per locus, where the
 encoding starts reading its cycle, in which direction, and the sign
@@ -406,6 +406,14 @@ def _canonical(surface: MultibranchedSurface, mode: SymmetryMode) -> _Labeling:
     # pass reads backwards, and a tie keeps the rotational labeling
     return min(_canonical(surface, SymmetryMode.ROTATIONAL),
                _search_canonical(surface, (-1,)), key=lambda labeling: labeling.code)
+
+
+def _mirror_image(surface: MultibranchedSurface) -> MultibranchedSurface:
+    """``surface`` with every slot cycle, and its signs, read backwards: the
+    surface whose rotational code the reversed pass reads."""
+    loci = tuple(BranchLocus(l.id, l.wrapping, l.slots[::-1], l.signs[::-1])
+                 for l in surface.loci)
+    return MultibranchedSurface(surface.regions, loci, surface.mode)
 
 
 def _shape(surface: MultibranchedSurface):

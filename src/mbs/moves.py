@@ -496,10 +496,13 @@ class _Side:
 @_frozen
 class SearchBudget:
     """The limits of the searches' class walks, :func:`_grow` in
-    :mod:`mbs.search` and :mod:`mbs.minors`; re-exported by the first."""
+    :mod:`mbs.search` and :mod:`mbs.minors`; re-exported by the first.
+    ``time_limit`` covers every walk of one search, and ``max_states``
+    bounds each walk: a MIRROR search that walks toward y's mirror image
+    after y drops the first walk's trees before the second starts."""
 
-    max_depth: int = 4          # search_equivalence: levels per side of the class walk
-    max_states: int = 5000      # search_equivalence, is_minor: states in the walk's trees
+    max_depth: int = 4          # search_equivalence: levels per side of each class walk
+    max_states: int = 5000      # search_equivalence, is_minor: states in each walk's trees
     max_cell_count: int = 80    # search_equivalence: larger successors are pruned
     time_limit: float = 10.0    # seconds: both searches and less_than
 

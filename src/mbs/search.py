@@ -9,13 +9,24 @@ of that mode as well, but only when x and y have one shape
 region topologies): every symmetry of either mode keeps the shape, so
 surfaces of unequal shapes have unequal codes.  The MIRROR codes add one
 reversed pass to the rotational ones, so they are equal exactly when x is
-rotationally isomorphic to y or to y's mirror image.  A found connection
-is replayed, and its endpoint is verified to be rotationally isomorphic to
-y, which is stronger than any requested mode, before it is returned.
-Running out of budget is an outcome, never a non-equivalence verdict.
+rotationally isomorphic to y or to y's mirror image.
 
-Both sides are the trees of one class walk (``moves._grow``), which says
-why it stopped.  A state's successors are built for one move per orbit of
+Past the start test, one walk-and-verify path (:func:`_walk_to`) runs once
+per target: a class walk from fresh sides of x and the target, whose found
+connection is replayed and its endpoint verified to be rotationally
+isomorphic to the target, which is stronger than any requested mode, before
+it is returned.  y is the first target.  In MIRROR mode only, when the walk
+toward y ends without a meet and y's mirror image lies in another rotational
+class, a second walk runs toward the mirror image, so that x's side can meet
+either rotational class of y's MIRROR class.  DIHEDRAL_PER_LOCUS searches
+walk toward y only, so they meet rotational classes of y only.  Running out
+of budget is an outcome, never a non-equivalence verdict.  When every walk
+fails, the search ran out of states or time if any walk did, and exhausted
+the state space only if every walk's trees closed; otherwise it ran out of
+depth.
+
+A walk's two sides are the trees of one ``moves._grow``, which says why it
+stopped.  A state's successors are built for one move per orbit of
 the symmetries that its cached rotational labeling found, the first move
 of each orbit in the move order of the move layer (canonical augmentation
 in the sense of McKay's isomorph-free generation).  Any other move of an
@@ -36,6 +47,7 @@ from .algebra import homology_profile
 from .errors import TheoremViolationError
 from .isomorphism import (
     SymmetryMode,
+    _mirror_image,
     _shape,
     _time_limit,
     are_isomorphic,
@@ -80,9 +92,11 @@ class InvariantMismatch:
 
 SearchOutcome = Found | ExhaustedWithinBudget | InvariantMismatch
 
-_REASONS = {"states": "state or time budget exhausted",
+# why a walk failed, in rising precedence: a search whose walks all fail
+# gives the reason of the highest
+_REASONS = {"space": "state space exhausted within budget",
             "depth": "depth budget exhausted",
-            "space": "state space exhausted within budget"}
+            "states": "state or time budget exhausted"}
 
 
 def neighbors(surface: MultibranchedSurface):
@@ -104,10 +118,11 @@ def random_walk(surface: MultibranchedSurface, seed: int, length: int):
 
 def _invert_backward_chain(meet_surface, side: _Side, key: bytes):
     """Forward moves from ``meet_surface``, a surface in the class of state
-    ``key`` of y's tree ``side``, down to the class of the tree's root.
+    ``key`` of the target's tree ``side``, down to the class of the tree's
+    root.
 
     The tree is walked to its root by parent keys.  Each state's stored undo
-    is a move of its y-side surface; ``_image`` carries it through one
+    is a move of its target-side surface; ``_image`` carries it through one
     ROTATIONAL certificate from that surface to the current one, and the
     carried move goes through the checked ``apply_move``.  Returns the
     surfaces after ``meet_surface`` and the moves, as two tuples.
@@ -125,6 +140,46 @@ def _invert_backward_chain(meet_surface, side: _Side, key: bytes):
     return tuple(surfaces[1:]), tuple(moves)
 
 
+def _walk_to(x: MultibranchedSurface, target: MultibranchedSurface,
+             budget: SearchBudget):
+    """One class walk from fresh sides of x and ``target``.  Returns
+    ``(record, None)`` when they meet, the record's endpoint verified by
+    replay to be rotationally isomorphic to ``target``; else ``(None,
+    why)``, why :func:`moves._grow` stopped.  Both trees are dropped on
+    return."""
+    side_x, side_target = _Side(x), _Side(target)
+
+    def successors(surface, undo):
+        # one move per orbit of the symmetries that the parent's labeling
+        # found, but none of the undo's: the others give a class that an
+        # earlier successor has, and the undo's that of the parent
+        return ((move, after, back) for move, after, back in
+                _successors(surface, _orbit_moves(surface, undo))
+                if after.cell_count <= budget.max_cell_count)
+
+    meet, why = _grow((side_x, side_target), successors, budget.max_states, budget.max_depth)
+    if meet is None:
+        return None, why
+    fwd_surfaces, fwd_moves = side_x.chain(meet)
+    surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], side_target, meet)
+    record = _record(fwd_surfaces + surfaces, fwd_moves + moves)
+    # the target's side keys its rotational class, so the endpoint lies in it
+    if are_isomorphic(replay(x, record), target, SymmetryMode.ROTATIONAL) is None:  # pragma: no cover
+        raise TheoremViolationError("replayed endpoint is not isomorphic to target")
+    return record, None
+
+
+def _targets(y: MultibranchedSurface, mode: SymmetryMode):
+    """The surfaces that a search walks toward, in order: y, then in MIRROR
+    mode y's mirror image if its rotational class is not y's.  Lazy, so the
+    mirror image is built and labelled only after the walk toward y fails."""
+    yield y
+    if mode is SymmetryMode.MIRROR:
+        image, rotational = _mirror_image(y), SymmetryMode.ROTATIONAL
+        if canonical_form(image, rotational) != canonical_form(y, rotational):
+            yield image
+
+
 def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
                        budget: SearchBudget = SearchBudget(),
                        mode: SymmetryMode = SymmetryMode.MIRROR) -> SearchOutcome:
@@ -133,44 +188,33 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     Quick-rejects on Euler characteristic, component count and homology.
     The empty sequence is found when x and y are isomorphic in ``mode``:
     rotationally, or by the canonical forms of ``mode`` when x and y have
-    one shape.  Otherwise the search meets in the middle over
-    rotational canonical-form bytes, and the endpoint of a found sequence
-    is verified by replay to be rotationally isomorphic to y.  Minor-mode
-    surfaces that pass the quick checks and are isomorphic at the start
-    return the empty record; any other such pair raises :class:`ModeError`.
+    one shape.  Otherwise the search meets in the middle over rotational
+    canonical-form bytes, walking toward y and, in MIRROR mode when that
+    walk fails, toward y's mirror image from fresh sides; the endpoint of a
+    found sequence is verified by replay to be rotationally isomorphic to
+    the target of its walk.  ``budget.time_limit`` covers every walk, and
+    ``budget.max_states`` bounds each.  Minor-mode surfaces that pass the
+    quick checks and are isomorphic at the start return the empty record;
+    any other such pair raises :class:`ModeError`.
     """
     with _time_limit(budget.time_limit):
-        if euler_characteristic(x) != euler_characteristic(y):
-            return InvariantMismatch("euler_characteristic")
-        if connected_components(x) != connected_components(y):
-            return InvariantMismatch("connected_components")
-        if homology_profile(x) != homology_profile(y):
-            return InvariantMismatch("homology_profile")
+        # the quick rejects: (which, invariant) rows in the order checked,
+        # built at call time from the module's names
+        for which, invariant in (("euler_characteristic", euler_characteristic),
+                                 ("connected_components", connected_components),
+                                 ("homology_profile", homology_profile)):
+            if invariant(x) != invariant(y):
+                return InvariantMismatch(which)
         rotational = SymmetryMode.ROTATIONAL
         if canonical_form(x, rotational) == canonical_form(y, rotational) or (
                 mode is not rotational and _shape(x) == _shape(y)
                 and canonical_form(x, mode) == canonical_form(y, mode)):
             return Found(MoveRecord(()))
-        side_x, side_y = _Side(x), _Side(y)
-
-        def successors(surface, undo):
-            # one move per orbit of the symmetries that the parent's labeling
-            # found, but none of the undo's: the others give a class that an
-            # earlier successor has, and the undo's that of the parent
-            return ((move, after, back) for move, after, back in
-                    _successors(surface, _orbit_moves(surface, undo))
-                    if after.cell_count <= budget.max_cell_count)
-
-        meet, why = _grow((side_x, side_y), successors, budget.max_states, budget.max_depth)
-        if meet is None:
-            return ExhaustedWithinBudget(_REASONS[why])
-
-        fwd_surfaces, fwd_moves = side_x.chain(meet)
-        surfaces, moves = _invert_backward_chain(fwd_surfaces[-1], side_y, meet)
-        record = _record(fwd_surfaces + surfaces, fwd_moves + moves)
-        endpoint = replay(x, record)
-        # y's side keys the rotational class of y, so the endpoint lies in it
-        if are_isomorphic(endpoint, y, SymmetryMode.ROTATIONAL) is None:  # pragma: no cover
-            raise TheoremViolationError("replayed endpoint is not isomorphic to target")
-        return Found(record)
+        whys = []
+        for target in _targets(y, mode):
+            record, why = _walk_to(x, target, budget)
+            if record is not None:
+                return Found(record)
+            whys.append(why)
+        return ExhaustedWithinBudget(_REASONS[max(whys, key=list(_REASONS).index)])
     return ExhaustedWithinBudget(_REASONS["states"])  # out of time

@@ -801,7 +801,9 @@ def reference_search_equivalence(x: MultibranchedSurface, y: MultibranchedSurfac
                                  budget: SearchBudget = SearchBudget(),
                                  mode: SymmetryMode = SymmetryMode.MIRROR) -> SearchOutcome:
     """Look for an IX/XI sequence carrying x to a surface isomorphic to y,
-    growing the side with the smaller sorted frontier level by level."""
+    growing the side with the smaller sorted frontier level by level.  It
+    walks toward y only, also in MIRROR mode, where the library walks on to
+    y's mirror image when the walk toward y fails."""
     exhausted = ExhaustedWithinBudget("state or time budget exhausted")
     with _time_limit(budget.time_limit):
         if euler_characteristic(x) != euler_characteristic(y):

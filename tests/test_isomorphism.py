@@ -38,7 +38,7 @@ from mbs import (
 )
 from helpers import mirror_image, scramble
 import mbs.isomorphism
-from mbs.isomorphism import _canonical, _search_canonical, _shape
+from mbs.isomorphism import _canonical, _mirror_image, _search_canonical, _shape
 from oracles import reference_canonical_labelling, vf2_isomorphic
 
 ALL_MODES = tuple(SymmetryMode)
@@ -388,6 +388,12 @@ def test_reversed_pass_reads_the_mirror_image_forwards():
         chiral += reversed_code != _canonical(surface, SymmetryMode.ROTATIONAL).code
     assert len(surfaces) == 486
     assert chiral == 124
+
+
+def test_mirror_image_matches_the_reference():
+    # the MIRROR search's second walk heads for the library's mirror image
+    for surface in mirror_corpus():
+        assert _mirror_image(surface) == mirror_image(surface), surface
 
 
 def test_shape_check_is_exact():

@@ -43,7 +43,7 @@ from mbs import (
 from mbs.io import record_to_document
 from mbs.isomorphism import _canonical
 from mbs.moves import _moves, _orbit_moves
-from helpers import is_automorphism, scramble
+from helpers import is_automorphism, mirror_image, scramble
 from oracles import (
     orbit_roots,
     reference_invert_backward_chain,
@@ -410,6 +410,61 @@ def test_search_soundness_on_random_pairs():
         assert isinstance(outcome, Found)
         endpoint = replay(start, outcome.record)
         assert are_isomorphic(endpoint, walked, SymmetryMode.ROTATIONAL) is not None
+
+
+def chiral_walk_pair(seed):
+    """x = random_surface(seed, 20 + seed % 10) and the mirror image of x's
+    2-move walk: for the seeds below, a walk toward the walk's own
+    rotational class misses it within max_depth=4."""
+    x = random_surface(seed, 20 + seed % 10)
+    return x, mirror_image(random_walk(x, seed, 2)[0])
+
+
+def test_mirror_search_walks_to_the_mirror_image():
+    budget = SearchBudget(max_depth=4)
+    for seed in (19, 46, 62, 69, 92):
+        x, m = chiral_walk_pair(seed)
+        outcome = search_equivalence(x, m, budget)
+        assert isinstance(outcome, Found), (seed, outcome)
+        endpoint = replay(x, outcome.record)
+        assert are_isomorphic(endpoint, m, SymmetryMode.MIRROR) is not None
+        assert are_isomorphic(endpoint, m, SymmetryMode.ROTATIONAL) is None
+        # a DIHEDRAL search walks toward m's rotational class only
+        outcome = search_equivalence(x, m, budget, SymmetryMode.DIHEDRAL_PER_LOCUS)
+        assert outcome == ExhaustedWithinBudget("depth budget exhausted"), seed
+
+
+def test_mirror_search_does_not_close_on_one_rotational_class():
+    # the walk toward m's rotational class alone closes its state space
+    for seed in (19, 46):
+        x, m = chiral_walk_pair(seed)
+        assert isinstance(search_equivalence(x, m, SearchBudget(max_depth=8)), Found), seed
+
+
+def test_failed_walks_give_the_reason_of_highest_precedence(monkeypatch):
+    x, m = chiral_walk_pair(19)
+    space, depth, states = (ExhaustedWithinBudget(reason) for reason in (
+        "state space exhausted within budget", "depth budget exhausted",
+        "state or time budget exhausted"))
+    cases = [(SymmetryMode.MIRROR, ("space", "space"), space),
+             (SymmetryMode.MIRROR, ("space", "depth"), depth),
+             (SymmetryMode.MIRROR, ("depth", "space"), depth),
+             (SymmetryMode.MIRROR, ("states", "space"), states),
+             (SymmetryMode.MIRROR, ("depth", "states"), states),
+             (SymmetryMode.DIHEDRAL_PER_LOCUS, ("depth", "states"), depth)]
+    for mode, whys, want in cases:
+        walked = []
+
+        def walk_to(x, target, budget):
+            walked.append(target)
+            return None, whys[len(walked) - 1]
+
+        monkeypatch.setattr(mbs.search, "_walk_to", walk_to)
+        assert search_equivalence(x, m, mode=mode) == want, (mode, whys)
+        # MIRROR walks toward m, then toward its mirror image; DIHEDRAL
+        # toward m only
+        assert walked[0] is m
+        assert walked[1:] == [mirror_image(m)] * (mode is SymmetryMode.MIRROR)
 
 
 def test_chain_inversion_matches_the_neighbour_scan(monkeypatch):
