@@ -106,7 +106,8 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     by row-major position, so the search stops at the first unit) which
     keeps entry growth moderate; the final pass enforces the divisibility
     chain and non-negative diagonal.  The output is deterministic for a
-    given input.
+    given input.  Inside a bounded search, the search's deadline is read
+    before each pivot.
     """
     m, n = matrix.rows, matrix.cols
     a = [list(row) for row in matrix.entries]
@@ -153,6 +154,7 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
 
     t = 0
     while t < min(m, n):
+        _check_clock()
         picked = pick_pivot(t)
         if picked is None:
             break
@@ -310,7 +312,8 @@ def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
     Each component's block, one column per region, goes through its own
     Smith normal form.  ``rank d2`` is the sum of the block ranks, and the
     torsion of H1 is the blocks' invariant factors merged into one
-    divisibility chain.  A bounded search's deadline is read before each block.
+    divisibility chain.  A bounded search's deadline is read at each pivot
+    of a Smith normal form.
     """
     parts = surface.components
     n1, n2 = len(surface.loci), len(surface.regions)
@@ -332,7 +335,6 @@ def homology_profile(surface: MultibranchedSurface) -> HomologyProfile:
                     rows[i][j] = rows[i].get(j, 0) + loci[i].signs[slot[1]] * loci[i].wrapping
             if free:
                 rows.append({j: 1})
-        _check_clock()
         snf = smith_normal_form(IntegerMatrix(tuple(
             tuple(row.get(j, 0) for j in range(len(regions)))
             for row in rows if any(row.values()))))

@@ -98,7 +98,8 @@ def _time_limit(seconds: float):
     """Bound the block by ``seconds``: a clock check past the deadline ends
     the block.  :func:`canonical_form` and :func:`are_isomorphic` check on
     entry, also for a cached labelling, as do each node of a labelling's
-    search and each block of ``homology_profile``; no caller checks itself.
+    search and each pivot of ``algebra.smith_normal_form``; no caller checks
+    itself.
     lru_cache does not cache a raised call, so no partial labelling is kept."""
     token = _DEADLINE.set(time.monotonic() + seconds)
     try:
@@ -377,8 +378,12 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
                     covered.add(child)
                     close(covered, stabilizer, k)
 
-        rec(sorted(loci, key=lambda l: (l.wrapping, len(l.slots), l.id)),
-            (len(loci), len(regions)), [], {}, {})
+        try:
+            rec(sorted(loci, key=lambda l: (l.wrapping, len(l.slots), l.id)),
+                (len(loci), len(regions)), [], {}, {})
+        except RecursionError:  # rec recurses once per locus
+            raise MbsError(f"a component of {len(loci)} loci is too deep to label "
+                           "within Python's recursion limit") from None
         return best
 
     parts = sorted((label_component(regions, loci)

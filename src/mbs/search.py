@@ -36,7 +36,8 @@ of applying every move, as :func:`neighbors` does.  Nor is the orbit of a
 state's undo (the move that :func:`moves._apply` names as reversing the
 move that made the state) built: it gives the parent's class, which the
 tree already holds, and the chain inversion reads it there.  Nothing here
-reads the deadline: ``canonical_form`` and ``are_isomorphic`` do.
+reads the deadline: ``canonical_form``, ``are_isomorphic`` and the Smith
+normal forms of ``homology_profile`` do.
 :func:`random_walk` records the steps of the move layer's ``_walk``, which
 ``mbs rand --length`` runs without this module.
 """
@@ -193,7 +194,10 @@ def search_equivalence(x: MultibranchedSurface, y: MultibranchedSurface,
     walk fails, toward y's mirror image from fresh sides; the endpoint of a
     found sequence is verified by replay to be rotationally isomorphic to
     the target of its walk.  ``budget.time_limit`` covers every walk, and
-    ``budget.max_states`` bounds each.  Minor-mode surfaces that pass the
+    ``budget.max_states`` bounds each.  The walk toward y runs first
+    whatever the pair: a pair that only the walk toward the mirror image
+    meets spends a failed walk toward y first, so near the time limit it
+    ends exhausted.  Minor-mode surfaces that pass the
     quick checks and are isomorphic at the start return the empty record;
     any other such pair raises :class:`ModeError`.
     """

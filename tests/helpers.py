@@ -2,7 +2,7 @@
 
 import random
 
-from mbs import BranchLocus, MultibranchedSurface, Region
+from mbs import ANNULUS, MOEBIUS, BranchLocus, MultibranchedSurface, Region
 
 
 def scramble(surface: MultibranchedSurface, seed: int,
@@ -62,6 +62,19 @@ def mirror_image(surface: MultibranchedSurface) -> MultibranchedSurface:
     loci = tuple(BranchLocus(l.id, l.wrapping, l.slots[::-1], l.signs[::-1])
                  for l in surface.loci)
     return MultibranchedSurface(surface.regions, loci, surface.mode)
+
+
+def ring(n: int) -> MultibranchedSurface:
+    """n wrapping-1 loci ``b<i>`` in a cycle, each holding the annulus
+    ``A<i-1>`` that joins it to the previous one, the annulus ``A<i>`` to
+    the next, and its own Moebius band ``M<i>``: one strict component with
+    n loci."""
+    regions, loci = [], []
+    for i in range(n):
+        regions += [Region(f"A{i}", ANNULUS, (f"A{i}.a", f"A{i}.b")),
+                    Region(f"M{i}", MOEBIUS, (f"M{i}.m",))]
+        loci.append(BranchLocus(f"b{i}", 1, (f"A{(i - 1) % n}.b", f"A{i}.a", f"M{i}.m")))
+    return MultibranchedSurface(tuple(regions), tuple(loci))
 
 
 def join(x: MultibranchedSurface, y: MultibranchedSurface,

@@ -28,8 +28,10 @@ from mbs import (
     disjoint_union,
     enumerate_ix,
     maximally_spread,
+    moebius_annulus,
     parse,
     quasi_pure,
+    random_surface,
     random_walk,
     remove_region,
     serialize,
@@ -350,6 +352,18 @@ def test_cli_iso_positive(tmp_path, capsys, theta3):
     output_validator().validate(payload)
 
 
+def test_cli_iso_and_equiv_of_a_mirror_image(tmp_path, capsys):
+    """A chiral surface and its mirror image are isomorphic under MIRROR
+    (exit 0), not under rotations alone (exit 1), and equivalent by moves."""
+    from helpers import mirror_image
+
+    x = random_surface(3, 20)
+    a, b = write(tmp_path, "a.json", x), write(tmp_path, "b.json", mirror_image(x))
+    assert run(capsys, "iso", a, b, "--symmetry", "mirror")[0] == 0
+    assert run(capsys, "iso", a, b, "--symmetry", "rotational")[0] == 1
+    assert run(capsys, "equiv", a, b)[0] == 0
+
+
 def test_cli_equiv_found(tmp_path, capsys, theta3):
     walked, record = random_walk(theta3, seed=11, length=4)
     a = write(tmp_path, "theta3.json", theta3)
@@ -411,6 +425,26 @@ def test_cli_moves_list_and_apply(tmp_path, capsys, mb):
     assert result == apply_ix(mb, enumerate_ix(mb)[0])
 
 
+@pytest.mark.parametrize("fixture, ix, xi", [
+    (quasi_pure(), {"move": "ix", "region": "A", "kind": "quasi_normal_annulus"},
+     {"move": "xi", "variant": "quasi_split", "locus": "b1", "start": 0, "length": 2}),
+    (moebius_annulus(), {"move": "ix", "region": "M", "kind": "normal_moebius"},
+     {"move": "xi", "variant": "moebius_split", "locus": "b1", "cut_gap": 1}),
+], ids=["quasi_split", "moebius_split"])
+def test_cli_xi_move_undoes_the_ix_move(tmp_path, capsys, fixture, ix, xi):
+    """An IX-move, then the XI-move of the locus it made, gives back the
+    start up to rotation."""
+    start = write(tmp_path, "start.json", fixture)
+    code, merged = run(capsys, "moves", "apply", start, json.dumps(ix))
+    assert code == 0
+    path = tmp_path / "merged.json"
+    path.write_text(json.dumps(merged))
+    code, split = run(capsys, "moves", "apply", str(path), json.dumps(xi))
+    assert code == 0
+    path.write_text(json.dumps(split))
+    assert run(capsys, "iso", str(path), start, "--symmetry", "rotational")[0] == 0
+
+
 def test_cli_normalize(tmp_path, capsys, theta3):
     merged = apply_ix(theta3, enumerate_ix(theta3)[0])
     path = write(tmp_path, "m.json", merged)
@@ -427,7 +461,9 @@ def test_cli_normalize_prints_the_policy_spreading(tmp_path, capsys, policy):
     # first: greedy spreading; exhaustive: the least of all endpoints
     spread = {"first": maximally_spread,
               "exhaustive": lambda s: all_maximal_spreadings(s)[0]}[policy]
-    for surface in (theta(3), theta(5), maximally_spread(theta(5))[0]):
+    # theta(n) takes n - 3 XI-moves per locus
+    for surface, moves in ((theta(3), 0), (theta(4), 2), (theta(5), 4),
+                           (maximally_spread(theta(5))[0], 0)):
         path = write(tmp_path, "s.json", surface)
         code, payload = run(capsys, "normalize", path, "--policy", policy)
         result, record = spread(surface)
@@ -435,7 +471,7 @@ def test_cli_normalize_prints_the_policy_spreading(tmp_path, capsys, policy):
             "command": "normalize",
             "surface": mbs_io.surface_to_document(result),
             "record": mbs_io.record_to_document(record),
-            "moves": len(record)}
+            "moves": moves}
 
 
 def test_cli_moves_on_a_locus_id_past_the_int_digit_limit(tmp_path, capsys):
@@ -512,8 +548,6 @@ def test_cli_gen_theta_and_rand(tmp_path, capsys, theta3):
 
     code, doc = run(capsys, "rand", "--seed", "5", "--size", "12")
     assert code == 0
-    from mbs import random_surface, validate
-
     assert parse(json.dumps(doc)) == random_surface(5, 12)
 
     code, doc = run(capsys, "rand", "--seed", "5", "--size", "12",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 import time
 
 import pytest
@@ -33,10 +34,12 @@ from mbs import (
     random_walk,
     replay,
     search_equivalence,
+    serialize,
     theta,
     validate,
 )
-from helpers import mirror_image, scramble
+from mbs.cli import main
+from helpers import mirror_image, ring, scramble
 import mbs.isomorphism
 from mbs.isomorphism import _canonical, _mirror_image, _search_canonical, _shape
 from oracles import reference_canonical_labelling, vf2_isomorphic
@@ -563,6 +566,31 @@ def test_locus_without_slots_raises_mbs_error(theta3):
                      lambda: are_isomorphic(theta3, empty, mode)):
             with pytest.raises(MbsError, match="locus E has no slots"):
                 call()
+
+
+def test_a_component_too_deep_to_label_is_an_error(tmp_path, capsys):
+    """The labeller recurses once per locus of a component: ring(1000) is
+    too deep at the default limit, and ring(150) is under a limit of 100
+    frames above this one."""
+    surface = ring(150)
+    path = tmp_path / "ring.json"
+    path.write_bytes(serialize(surface))
+    _canonical.cache_clear()
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        with pytest.raises(MbsError, match="a component of 150 loci is too deep"):
+            canonical_form(surface, SymmetryMode.ROTATIONAL)
+        code = main(["iso", str(path), str(path), "--symmetry", "rotational"])
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: a component of 150 loci is too deep")
+    assert "Traceback" not in captured.err
 
 
 def tampered(cert, **changes):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mbs
-from mbs import ValidityMode, serialize, theta
+from mbs import ValidityMode, moebius_annulus, serialize, theta
 
 SRC = str(Path(mbs.__file__).resolve().parents[1])
 
@@ -61,7 +61,7 @@ PUBLIC = {
     ),
 }
 SUBMODULES = sorted(PUBLIC) + ["cli"]
-LAYERS = {"algebra", "isomorphism", "minors", "moves", "search"}
+LAYERS = {"algebra", "fixtures", "isomorphism", "minors", "moves", "search"}
 
 # runs the CLI as ``python -m mbs`` does, then reports every module loaded
 CLI_PROBE = """
@@ -88,10 +88,11 @@ def fresh_python(code, *args, cwd=None):
     return json.loads(done.stdout)
 
 
-def loaded_by(argv, cwd):
+def run_cli(argv, cwd):
+    """The exit status of ``python -m mbs`` on ``argv``, and the set of
+    modules it loaded."""
     code, modules = fresh_python(CLI_PROBE, json.dumps(argv), cwd=cwd)
-    assert code == 0, argv
-    return set(modules)
+    return code, set(modules)
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +100,16 @@ def files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("lazy")
     (folder / "t.json").write_bytes(serialize(theta(4)))
     (folder / "m.json").write_bytes(serialize(theta(4, ValidityMode.MINOR)))
+    (folder / "mb.json").write_bytes(serialize(moebius_annulus()))
     return folder
 
 
 IX_MOVE = '{"move": "ix", "region": "r1", "kind": "normal_annulus"}'
 COMMANDS = [
     # (argv, layers it may load)
-    (["gen", "theta", "--n", "4"], set()),
-    (["rand", "--seed", "5", "--size", "12"], set()),
-    (["rand", "--length", "3", "--seed", "5", "--size", "12"], {"moves"}),
+    (["gen", "theta", "--n", "4"], {"fixtures"}),
+    (["rand", "--seed", "5", "--size", "12"], {"fixtures"}),
+    (["rand", "--length", "3", "--seed", "5", "--size", "12"], {"fixtures", "moves"}),
     (["validate", "t.json"], set()),
     (["iso", "t.json", "t.json"], {"isomorphism"}),
     (["invariants", "t.json"], {"isomorphism", "algebra"}),
@@ -124,7 +126,8 @@ COMMANDS = [
 @pytest.mark.parametrize("argv, allowed", COMMANDS,
                          ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
 def test_command_loads_only_its_layers(files, argv, allowed):
-    loaded = loaded_by(argv, files)
+    code, loaded = run_cli(argv, files)
+    assert code == 0
     layers = {m.removeprefix("mbs.") for m in loaded if m.startswith("mbs.")}
     assert {"cli", "errors", "io", "model"} <= layers
     assert layers & LAYERS <= allowed
@@ -135,6 +138,16 @@ def test_command_loads_only_its_layers(files, argv, allowed):
     assert not {"dataclasses", "inspect", "hashlib", "_hashlib"} & loaded
     if argv[0] != "rand":  # random surfaces and walks alone draw numbers
         assert "random" not in loaded
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["gen", "theta", "--non-orientable"], 2),  # a usage error
+    (["iso", "t.json", "mb.json"], 1),  # a negative verdict
+], ids=["usage-error", "negative-verdict"])
+def test_exit_status_leaves_the_process(files, argv, status):
+    # cli.entry raises SystemExit with the status, which the interpreter
+    # that runs ``python -m mbs`` or the console script exits with
+    assert run_cli(argv, files)[0] == status
 
 
 def test_canonical_hash_loads_no_openssl():

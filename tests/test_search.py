@@ -43,7 +43,7 @@ from mbs import (
 from mbs.io import record_to_document
 from mbs.isomorphism import _canonical
 from mbs.moves import _moves, _orbit_moves
-from helpers import is_automorphism, mirror_image, scramble
+from helpers import is_automorphism, mirror_image, ring, scramble
 from oracles import (
     orbit_roots,
     reference_invert_backward_chain,
@@ -441,6 +441,23 @@ def test_mirror_search_does_not_close_on_one_rotational_class():
         assert isinstance(search_equivalence(x, m, SearchBudget(max_depth=8)), Found), seed
 
 
+def test_each_walk_has_a_state_budget_of_its_own(monkeypatch):
+    # the walk toward m runs out of its 50 states, and the walk toward m's
+    # mirror image then meets within 50 states of its own
+    x, m = chiral_walk_pair(53)
+    whys, walk_to = [], mbs.search._walk_to
+
+    def counted(x, target, budget):
+        record, why = walk_to(x, target, budget)
+        whys.append(why)
+        return record, why
+
+    monkeypatch.setattr(mbs.search, "_walk_to", counted)
+    outcome = search_equivalence(x, m, SearchBudget(max_depth=4, max_states=50))
+    assert isinstance(outcome, Found) and len(outcome.record) == 2
+    assert whys == ["states", None]
+
+
 def test_failed_walks_give_the_reason_of_highest_precedence(monkeypatch):
     x, m = chiral_walk_pair(19)
     space, depth, states = (ExhaustedWithinBudget(reason) for reason in (
@@ -528,6 +545,16 @@ def test_time_limit_is_read_inside_the_homology_check(monkeypatch):
     outcome = search_equivalence(x, y, SearchBudget(time_limit=0.1))
     assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
     assert time.monotonic() - began < 0.3
+
+
+def test_time_limit_is_read_inside_one_smith_normal_form():
+    # ring(200) is one component, whose homology block takes about a
+    # second to reduce
+    x = ring(200)
+    began = time.monotonic()
+    outcome = search_equivalence(x, x, SearchBudget(time_limit=0.2))
+    assert outcome == ExhaustedWithinBudget("state or time budget exhausted")
+    assert time.monotonic() - began < 0.5
 
 
 def test_time_limit_is_read_before_each_labelling(monkeypatch):
