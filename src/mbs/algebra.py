@@ -20,6 +20,9 @@ component: homology builds each block from one component's own loci and
 regions and reduces it on its own, the ranks add up, and the blocks'
 invariant factors merge into one divisibility chain through
 ``diag(a, b) ~ diag(gcd, lcm)``.
+
+``smith_normal_form`` keeps U beside M and V below it in one working
+matrix, so each elementary operation is written once.
 """
 
 from __future__ import annotations
@@ -102,6 +105,12 @@ class SmithDecomposition:
 def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     """Diagonalise over the integers by row/column reduction.
 
+    The work is one augmented matrix: the ``m x m`` identity beside the
+    ``m x n`` input M and the ``n x n`` identity below it.  Pivots, clearing
+    and the divisibility fix read the M block only, so a row operation also
+    builds U beside it and a column operation builds V below it; S, U and V
+    are slices of the matrix at the end.
+
     Pivots are chosen as the smallest non-zero absolute value (ties broken
     by row-major position, so the search stops at the first unit) which
     keeps entry growth moderate; the final pass enforces the divisibility
@@ -110,35 +119,21 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
     before each pivot.
     """
     m, n = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+    a = [list(row) + [1 if i == k else 0 for k in range(m)]
+         for i, row in enumerate(matrix.entries)]
+    a += [[1 if i == k else 0 for k in range(n)] for i in range(n)]
 
     def swap_cols(i, j):
         if i != j:
             for row in a:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, factor):
         a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, factor):
         for row in a:
             row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     def pick_pivot(t):
         best = None
@@ -159,7 +154,7 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
         if picked is None:
             break
         _, pi, pj = picked
-        swap_rows(t, pi)
+        a[t], a[pi] = a[pi], a[t]
         swap_cols(t, pj)
         # one pass of floor-quotient clearing; any non-zero remainder is a
         # strictly smaller entry, so re-picking the pivot makes progress
@@ -191,13 +186,13 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithDecomposition:
             add_row(offender, t, 1)
             continue
         if p < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
 
     return SmithDecomposition(
-        S=IntegerMatrix(tuple(map(tuple, a))),
-        U=IntegerMatrix(tuple(map(tuple, u))),
-        V=IntegerMatrix(tuple(map(tuple, v))),
+        S=IntegerMatrix(tuple(tuple(row[:n]) for row in a[:m])),
+        U=IntegerMatrix(tuple(tuple(row[n:]) for row in a[:m])),
+        V=IntegerMatrix(tuple(map(tuple, a[m:]))),
     )
 
 

@@ -193,10 +193,10 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
         return generator, frozenset(r for r, p in p_a.items()
                                     if p != p_b[region_of[numbers_a[r]]])
 
-    # per locus and direction, its slots' regions, signs and whether the
-    # region is orientable, in reading order and twice round, so that a
-    # block's steps are one slice; the first locus without slots or with an
-    # unknown circle ends the labelling
+    # per locus and direction of this pass, its slots' regions, signs and
+    # whether the region is orientable, in reading order and twice round, so
+    # that a block's steps are one slice; the first locus without slots or
+    # with an unknown circle ends the labelling
     rings = {}
     for l in surface.loci:
         if not l.slots:
@@ -207,7 +207,8 @@ def _search_canonical(surface: MultibranchedSurface, directions: tuple[int, ...]
             raise UnknownIdError(f"locus {l.id} has a slot for unknown circle "
                                  f"{unknown.args[0]!r}") from None
         ring = [(rid, eta, orientable[rid]) for rid, eta in zip(regions, l.signs)]
-        rings[l.id, 1], rings[l.id, -1] = ring * 2, ring[::-1] * 2
+        for d in directions:
+            rings[l.id, d] = ring[::d] * 2
 
     def block_of(wrapping, steps, region_number, p_region, least):
         """The block of a locus of ``wrapping`` read in ``steps``, the locus

@@ -31,7 +31,7 @@ from mbs import (
     validate,
 )
 from mbs.algebra import _divisibility_chain
-from helpers import join
+from helpers import join, ring
 from oracles import (
     det_bareiss,
     invariant_factors_by_minors,
@@ -98,12 +98,41 @@ def verify_decomposition(matrix, dec):
     assert abs(det_bareiss(dec.V.entries)) == 1
 
 
+def homology_blocks(surface):
+    """The matrices ``homology_profile`` hands to ``smith_normal_form``."""
+    blocks = []
+    plain = mbs.algebra.smith_normal_form
+
+    def record(matrix):
+        blocks.append(matrix)
+        return plain(matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mbs.algebra, "smith_normal_form", record)
+        homology_profile(surface)
+    return blocks
+
+
 def test_snf_random_matrices_verified():
+    """150 random matrices, then the edges of the working matrix (no rows,
+    no columns, one row or column) and real component blocks: the 80x80
+    block of a 40-locus ring and the 27 blocks of a 25-piece union."""
     rng = random.Random("snf-unit")
+    matrices = []
     for _ in range(150):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        matrix = IntegerMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        matrices.append(IntegerMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]))
+    matrices += [IntegerMatrix(()), IntegerMatrix(((),) * 3), IntegerMatrix(((0,),)),
+                 IntegerMatrix(((4, -6, 10),)), IntegerMatrix(((4,), (-6,), (10,)))]
+    ring_blocks = homology_blocks(ring(40))
+    assert [(b.rows, b.cols) for b in ring_blocks] == [(80, 80)]
+    pieces = random.Random(3)
+    union_blocks = homology_blocks(reduce(disjoint_union, [
+        random_surface(pieces.randrange(10**9), 40) for _ in range(25)]))
+    assert len(union_blocks) == 27
+    assert max((b.rows, b.cols) for b in union_blocks) == (11, 8)
+    for matrix in matrices + ring_blocks + union_blocks:
         dec = smith_normal_form(matrix)
         verify_decomposition(matrix, dec)
         assert dec == reference_smith_normal_form(matrix)
